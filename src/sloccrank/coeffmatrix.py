@@ -18,7 +18,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .scalar import Scalar, ZERO
-from .states import PureState
+from .states import PureState, check_qubits
 
 __all__ = [
     "QubitPermutation",
@@ -190,6 +190,7 @@ def enumerate_sigmas(n: int) -> list[QubitPermutation]:
     For even n the swaps never move the last row qubit, so complementary
     bipartitions (which only transpose the matrix) appear once.
     """
+    check_qubits(n)
     if n < 2:
         raise ValueError("need at least 2 qubits to enumerate bipartitions")
     half = n // 2

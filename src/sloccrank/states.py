@@ -33,6 +33,12 @@ class StateFormatError(ValueError):
     """Raised when a state file violates the on-disk JSON schema."""
 
 
+def check_qubits(n) -> None:
+    """Reject a qubit count outside 1..MAX_QUBITS before any 2^n work starts."""
+    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"qubit count must be an int in 1..{MAX_QUBITS}, got {n!r}")
+
+
 class PureState:
     """Unnormalized n-qubit state: sparse map from basis index to amplitude.
 
@@ -46,8 +52,7 @@ class PureState:
     __slots__ = ("n", "amps")
 
     def __init__(self, n: int, amps, *, allow_zero: bool = False) -> None:
-        if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_QUBITS:
-            raise ValueError(f"qubit count must be an int in 1..{MAX_QUBITS}, got {n!r}")
+        check_qubits(n)
         dim = 1 << n
         cleaned: dict[int, Scalar] = {}
         for index, value in amps.items():
@@ -99,6 +104,7 @@ def ghz_state(n: int) -> PureState:
 
 def dicke_state(n: int, ell: int) -> PureState:
     """Equal superposition of every basis state with exactly ``ell`` ones."""
+    check_qubits(n)
     if not 1 <= ell <= n - 1:
         raise ValueError(f"excitation count must be in 1..{n - 1}, got {ell}")
     return PureState(n, {i: 1 for i in range(1 << n) if i.bit_count() == ell})
@@ -110,6 +116,7 @@ def ladder_state(n: int, r: int) -> PureState:
     Its coefficient matrix is diagonal with r + 2 nonzero entries, so the
     state witnesses rank r + 2.
     """
+    check_qubits(n)
     if n < 4:
         raise ValueError("ladder states need at least 4 qubits")
     limit = (1 << (n // 2)) - 2

@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sloccrank
 from sloccrank.cli import main
+
+SRC = str(Path(sloccrank.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
@@ -198,3 +205,27 @@ class TestErrorPaths:
         code, _, _ = run(capsys, "gen", "--family", "ghz", "--n", "3",
                          "-o", "/nonexistent-dir/out.json")
         assert code == 2
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-inf"])
+    def test_numeric_rank_rejects_bad_tolerance(self, capsys, tmp_path, tol):
+        path = str(tmp_path / "g.json")
+        run(capsys, "gen", "--family", "ghz", "--n", "4", "-o", path)
+        code, out, err = run(capsys, "rank", "--state", path, "--numeric", f"--tol={tol}")
+        assert code == 2
+        assert out == ""
+        assert "tolerance" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--family", "dicke", "--n", "40", "--ell", "1", "-o", "unused.json"],
+        ["gen", "--family", "ladder", "--n", "40", "--r", "1000000", "-o", "unused.json"],
+        ["dicke-scan", "--n", "30"],
+        ["permutations", "--n", "26"],
+    ])
+    def test_oversized_qubit_count_exits_at_once(self, tmp_path, argv):
+        env = {**os.environ, "PYTHONPATH": SRC}
+        done = subprocess.run([sys.executable, "-m", "sloccrank.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=30)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert "qubit count" in done.stderr
+        assert not (tmp_path / "unused.json").exists()

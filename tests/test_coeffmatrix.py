@@ -21,7 +21,14 @@ from sloccrank.coeffmatrix import (
 )
 from sloccrank.rank import exact_rank, to_complex_array
 from sloccrank.scalar import Scalar
-from sloccrank.states import PureState, basis_state, dicke_state, family_state, ghz_state
+from sloccrank.states import (
+    MAX_QUBITS,
+    PureState,
+    basis_state,
+    dicke_state,
+    family_state,
+    ghz_state,
+)
 
 from conftest import random_state
 
@@ -108,6 +115,10 @@ class TestEnumeration:
     def test_too_few_qubits(self):
         with pytest.raises(ValueError):
             enumerate_sigmas(1)
+
+    def test_too_many_qubits(self):
+        with pytest.raises(ValueError, match="qubit count"):
+            enumerate_sigmas(MAX_QUBITS + 1)
 
 
 class TestPermuteState:

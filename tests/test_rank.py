@@ -2,22 +2,97 @@
 
 from __future__ import annotations
 
+import math
+import os
 import random
+import subprocess
+import sys
+import threading
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sloccrank
+import sloccrank.rank as rank_module
 from sloccrank.coeffmatrix import coefficient_matrix, enumerate_sigmas
-from sloccrank.rank import ShapeError, exact_det, exact_rank, numeric_rank, to_complex_array
-from sloccrank.scalar import Scalar, ZERO
+from sloccrank.rank import (
+    RankResult,
+    ShapeError,
+    _field,
+    _is_prime,
+    exact_det,
+    exact_rank,
+    numeric_rank,
+    to_complex_array,
+)
+from sloccrank.scalar import GaussRational, I, SQRT2, Scalar, ZERO
+from sloccrank.slocc import apply_local, random_invertible_ops
 from sloccrank.states import PureState, basis_state, dicke_state, ghz_state, ladder_state
 
-from conftest import random_gauss_int, random_state
+from conftest import random_gauss_int, random_scalar, random_state
+
+SRC = str(Path(sloccrank.__file__).resolve().parents[1])
 
 
 def scalar_grid(rows):
     return [[Scalar(v) if not isinstance(v, Scalar) else v for v in row] for row in rows]
+
+
+def reference_rank(matrix) -> RankResult:
+    """Gaussian elimination in Scalar arithmetic with first-nonzero pivoting.
+
+    Slow but plainly exact: every pivot test is an exact comparison with
+    zero in the field, so ``exact_rank`` must match it in rank and pivots.
+    """
+    grid = [list(row) for row in getattr(matrix, "entries", matrix)]
+    if not grid or not grid[0]:
+        return RankResult(0, ())
+    nrows, ncols = len(grid), len(grid[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if grid[i][c]), None)
+        if pivot_row is None:
+            continue
+        grid[r], grid[pivot_row] = grid[pivot_row], grid[r]
+        inv = grid[r][c].inverse()
+        lead = grid[r]
+        for i in range(r + 1, nrows):
+            row = grid[i]
+            if not row[c]:
+                continue
+            factor = row[c] * inv
+            row[c] = ZERO
+            for j in range(c + 1, ncols):
+                if lead[j]:
+                    row[j] = row[j] - factor * lead[j]
+        pivots.append(c)
+        r += 1
+    return RankResult(r, tuple(pivots))
+
+
+def dense_state(seed: int, n: int, field: bool) -> tuple[PureState, int]:
+    """A sparse state made dense by invertible local operators, and its term count.
+
+    With ``field`` the amplitudes are full field elements (fractions and
+    sqrt2 parts); otherwise they are small Gaussian integers.
+    """
+    rng = random.Random(seed)
+    if field:
+        indices = rng.sample(range(1 << n), min(rng.randint(1, 8), 1 << n))
+        amps = {index: random_scalar(rng) for index in indices}
+        sparse = PureState(n, amps, allow_zero=True)
+        if sparse.is_zero:
+            sparse = basis_state(n, indices[0])
+    else:
+        sparse = random_state(rng, n)
+    return apply_local(sparse, random_invertible_ops(n, seed)), len(sparse.amps)
 
 
 class TestExactRank:
@@ -52,6 +127,128 @@ class TestExactRank:
             shuffled = [[row[j] for j in order] for row in rows]
             assert exact_rank(shuffled).rank == rank
             assert exact_rank(list(zip(*grid))).rank == rank
+
+
+class TestModularEngine:
+    """The multi-prime engine against the Scalar reference and its own proof."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), field=st.booleans())
+    def test_equals_reference_on_dense_states(self, n, seed, field):
+        state, terms = dense_state(seed, n, field)
+        for sigma in enumerate_sigmas(n):
+            matrix = coefficient_matrix(state, sigma)
+            result = exact_rank(matrix)
+            assert result == reference_rank(matrix)
+            assert result.rank <= min(terms, matrix.rows, matrix.cols)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), field=st.booleans())
+    def test_transpose_and_term_bound(self, n, seed, field):
+        state, terms = dense_state(seed, n, field)
+        for sigma in enumerate_sigmas(n):
+            matrix = coefficient_matrix(state, sigma)
+            rank = exact_rank(matrix).rank
+            assert exact_rank(list(zip(*matrix.entries))).rank == rank
+            assert rank <= min(terms, matrix.rows, matrix.cols)
+
+    def test_entry_divisible_by_first_prime(self):
+        p1 = _field(0)[0]
+        assert exact_rank(scalar_grid([[p1, 1]])) == RankResult(1, (0,))
+        # the zero row must not zero the bound for the 2 x 2 minors
+        assert exact_rank(scalar_grid([[p1, 1], [0, 0]])) == RankResult(1, (0,))
+
+    def test_entry_divisible_by_first_three_primes(self):
+        product = _field(0)[0] * _field(1)[0] * _field(2)[0]
+        assert exact_rank(scalar_grid([[product]])) == RankResult(1, (0,))
+
+    def test_entries_in_the_kernel_of_the_first_embedding(self):
+        _, i_p, s_p = _field(0)
+        # i - i_p and sqrt2 - s_p map to 0 mod the first prime but are nonzero
+        for entry in (I - i_p, SQRT2 - s_p):
+            assert exact_rank([[entry, Scalar(1)]]) == RankResult(1, (0,))
+
+    def test_minor_divisible_by_first_prime(self):
+        p1 = _field(0)[0]
+        grid = scalar_grid([[1, 1], [1, 1 + p1]])  # det = p1
+        assert exact_rank(grid) == RankResult(2, (0, 1))
+        grid = scalar_grid([[p1, 0, 1], [0, 1, 0]])
+        assert exact_rank(grid) == reference_rank(grid) == RankResult(2, (0, 1))
+
+    def test_tiny_fraction_entry(self):
+        row = [Scalar(1), Scalar(Fraction(1, 10**300))]
+        assert exact_rank([row]) == RankResult(1, (0,))
+        assert exact_rank([row[::-1]]) == RankResult(1, (0,))
+
+    def test_mixed_denominators_in_one_row(self):
+        third = Fraction(1, 3)
+        grid = [
+            [Scalar(GaussRational(third, Fraction(1, 7))), Scalar(0, Fraction(1, 5))],
+            [Scalar(GaussRational(1, Fraction(3, 7))), Scalar(0, Fraction(3, 5))],
+        ]
+        assert exact_rank(grid) == reference_rank(grid) == RankResult(1, (0,))
+
+    def test_zero_and_empty(self):
+        assert exact_rank([[ZERO] * 3] * 2) == RankResult(0, ())
+        assert exact_rank([]) == RankResult(0, ())
+        assert exact_rank([[]]) == RankResult(0, ())
+
+    def test_wide_high_rank_matches_reference(self):
+        rng = random.Random(41)
+        for rows, cols in ((3, 7), (7, 3), (6, 6)):
+            grid = [[random_scalar(rng) for _ in range(cols)] for _ in range(rows)]
+            grid.append([a + b for a, b in zip(grid[0], grid[-1])])
+            assert exact_rank(grid) == reference_rank(grid)
+
+
+class TestPrimeFields:
+    def test_fields_hold_i_and_sqrt2(self):
+        sympy = pytest.importorskip("sympy")
+        primes = []
+        for k in range(24):
+            p, i_p, s_p = _field(k)
+            assert p % 8 == 1 and p < 2**62
+            assert (i_p * i_p + 1) % p == 0
+            assert (s_p * s_p - 2) % p == 0
+            assert sympy.isprime(p)
+            primes.append(p)
+        assert primes == sorted(set(primes), reverse=True)
+
+    def test_miller_rabin_matches_sieve(self):
+        limit = 10**6
+        sieve = bytearray([1]) * limit
+        sieve[0] = sieve[1] = 0
+        for q in range(2, math.isqrt(limit) + 1):
+            if sieve[q]:
+                sieve[q * q :: q] = bytes(len(range(q * q, limit, q)))
+        assert [n for n in range(limit) if _is_prime(n)] == [n for n in range(limit) if sieve[n]]
+
+    def test_miller_rabin_rejects_strong_pseudoprime(self):
+        # a strong pseudoprime to every base 2..23, but not to 29, 31, 37
+        assert not _is_prime(3825123056546413051)
+        assert _is_prime(2**61 - 1)
+
+    def test_concurrent_first_use_adds_each_prime_once(self, monkeypatch):
+        monkeypatch.setattr(rank_module, "_fields", [])
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=_field, args=(30,)) for _ in range(6)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+            assert not any(worker.is_alive() for worker in workers)
+        finally:
+            sys.setswitchinterval(previous)
+        primes = [p for p, _, _ in rank_module._fields]
+        assert len(primes) == 31
+        assert primes == sorted(set(primes), reverse=True)
+
+    def test_import_searches_no_primes(self):
+        code = "import sys, sloccrank.rank as r; sys.exit(len(r._fields))"
+        env = {**os.environ, "PYTHONPATH": SRC}
+        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 class TestExactDet:
@@ -123,6 +320,19 @@ class TestNumericRank:
 
     def test_zero_matrix(self):
         assert numeric_rank(coefficient_matrix(PureState.zero(4))) == 0
+
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_rejects_bad_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            numeric_rank(coefficient_matrix(ghz_state(4)), tol=tol)
+
+    def test_zero_tolerance_is_allowed(self):
+        assert numeric_rank(coefficient_matrix(ghz_state(4)), tol=0.0) == 2
+
+    def test_numpy_is_imported_lazily(self):
+        code = "import sys, sloccrank; sys.exit('numpy' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": SRC}
+        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
     def test_agrees_with_exact_on_random_states(self):
         rng = random.Random(37)

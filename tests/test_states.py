@@ -11,6 +11,7 @@ import pytest
 from sloccrank.coeffmatrix import QubitPermutation, enumerate_sigmas, permute_state
 from sloccrank.scalar import GaussRational, Scalar
 from sloccrank.states import (
+    MAX_QUBITS,
     PureState,
     StateFormatError,
     basis_state,
@@ -85,6 +86,8 @@ class TestGenerators:
             dicke_state(4, 0)
         with pytest.raises(ValueError):
             dicke_state(4, 4)
+        with pytest.raises(ValueError, match="qubit count"):
+            dicke_state(MAX_QUBITS + 1, 1)
 
     def test_dicke_symmetric_under_qubit_swaps(self):
         for n in (4, 5, 6):
@@ -116,6 +119,8 @@ class TestGenerators:
             ladder_state(4, 3)
         with pytest.raises(ValueError):
             ladder_state(4, 0)
+        with pytest.raises(ValueError, match="qubit count"):
+            ladder_state(MAX_QUBITS + 2, 1)
 
 
 class TestFamilies:
