@@ -13,6 +13,7 @@ import argparse
 import json
 import random
 import sys
+from itertools import chain
 
 from .classify import TABLE_IDS, classify_table, dicke_rank_scan, rank_signature
 from .coeffmatrix import QubitPermutation, coefficient_matrix, enumerate_sigmas
@@ -20,6 +21,7 @@ from .rank import NumericFailure, ShapeError, exact_rank, numeric_rank
 from .scalar import ParseError, scalar_parse
 from .slocc import apply_local, random_invertible_ops, random_local_ops, verify_det_relation, verify_matrix_equation
 from .states import (
+    _FAMILY_PARAMS,
     StateFormatError,
     basis_state,
     dicke_state,
@@ -30,7 +32,7 @@ from .states import (
     save_state,
 )
 
-_GEN_FAMILIES = ("basis", "ghz", "w", "dicke", "ladder", "L_a2b2", "L_ab3", "L_abc2", "span_0kPsi")
+_GEN_FAMILIES = ("basis", "ghz", "w", "dicke", "ladder", *_FAMILY_PARAMS)
 
 
 class UsageError(Exception):
@@ -54,7 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--ell", type=int, help="excitation count (dicke)")
     gen.add_argument("--r", type=int, help="diagonal steps (ladder)")
     gen.add_argument("--index", type=int, default=0, help="basis index (basis, default 0)")
-    for name in ("a", "b", "c", "alpha", "beta"):
+    # Every family parameter once, in first-use order: a, b, c, alpha, beta.
+    for name in dict.fromkeys(chain.from_iterable(_FAMILY_PARAMS.values())):
         gen.add_argument(f"--{name}", help=f"family parameter {name} (scalar grammar)")
     gen.add_argument("-o", "--output", required=True, help="output state file")
 
@@ -128,8 +131,7 @@ def _cmd_gen(args) -> tuple[dict, int]:
     else:
         if args.n != 4:
             raise UsageError(f"family {family} is defined on 4 qubits")
-        names = {"L_a2b2": ("a", "b"), "L_ab3": ("a", "b"),
-                 "L_abc2": ("a", "b", "c"), "span_0kPsi": ("alpha", "beta")}[family]
+        names = _FAMILY_PARAMS[family]
         params = {name: _parse_scalar_flag(name, getattr(args, name)) for name in names}
         state = family_state(family, **params)
         for name in names:
@@ -142,6 +144,8 @@ def _cmd_gen(args) -> tuple[dict, int]:
 
 
 def _cmd_rank(args) -> tuple[dict, int]:
+    if args.tol is not None and not args.numeric:
+        raise UsageError("--tol applies only with --numeric")
     state = load_state(args.state)
     sigma = _parse_sigma(args.sigma)
     matrix = coefficient_matrix(state, sigma)
@@ -242,7 +246,13 @@ def _cmd_table(args) -> tuple[dict, int]:
 
 
 def _cmd_dicke_scan(args) -> tuple[dict, int]:
-    rows = dicke_rank_scan(args.n)
+    try:
+        rows = dicke_rank_scan(args.n)
+    except RuntimeError as exc:
+        # The scan re-checks the rank engine against the Dicke theorem; a
+        # mismatch is a failed check, reported like a failing verify.
+        _log(f"dicke-scan: FAILED: {exc}")
+        return {"n": args.n, "error": str(exc), "pass": False}, 1
     payload = {
         "n": args.n,
         "rows": [

@@ -121,10 +121,13 @@ def _integer_rows(grid) -> list[list[tuple[int, int, int, int]]]:
     """
     rows = []
     for row in grid:
-        ratios = [q.as_integer_ratio() for x in row for q in (x.a.re, x.a.im, x.b.re, x.b.im)]
-        scale = math.lcm(*(d for _, d in ratios))
-        flat = iter([n * (scale // d) for n, d in ratios])
-        rows.append(list(zip(flat, flat, flat, flat)))
+        coords = [x.coords for x in row]
+        scale = math.lcm(*(x[4] for x in coords))
+        scaled = []
+        for a, b, c, d, den in coords:
+            k = scale // den
+            scaled.append((a * k, b * k, c * k, d * k))
+        rows.append(scaled)
     return rows
 
 

@@ -193,7 +193,7 @@ def verify_det_relation(state: PureState, ops) -> bool:
 
 def _random_operator(rng: random.Random, pool: int) -> LocalOperator:
     def entry() -> Scalar:
-        return Scalar(GaussRational(rng.randint(-pool, pool), rng.randint(-pool, pool)))
+        return GaussRational(rng.randint(-pool, pool), rng.randint(-pool, pool))
 
     return LocalOperator(((entry(), entry()), (entry(), entry())))
 

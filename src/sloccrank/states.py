@@ -144,7 +144,7 @@ _I_OVER_SQRT2 = Scalar(0, GaussRational(0, _HALF))
 def family_state(name: str, **params) -> PureState:
     """One of the built-in parameterized four-qubit families.
 
-    Parameter values may be ints, Fractions, GaussRationals or Scalars;
+    Parameter values may be ints, Fractions or Scalars;
     terms whose coefficient evaluates to zero are omitted from the map.
     """
     if name not in _FAMILY_PARAMS:

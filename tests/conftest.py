@@ -6,8 +6,8 @@ import random
 from fractions import Fraction
 
 from sloccrank.scalar import GaussRational, Scalar
-from sloccrank.slocc import LocalOperator
-from sloccrank.states import PureState
+from sloccrank.slocc import LocalOperator, apply_local, random_invertible_ops
+from sloccrank.states import PureState, basis_state
 
 
 def random_scalar(rng: random.Random, pool: int = 2) -> Scalar:
@@ -73,3 +73,21 @@ def random_singular_operator(rng: random.Random, pool: int = 2) -> LocalOperator
     u = [random_gauss_int(rng, pool) for _ in range(2)]
     v = [random_gauss_int(rng, pool) for _ in range(2)]
     return LocalOperator(((u[0] * v[0], u[0] * v[1]), (u[1] * v[0], u[1] * v[1])))
+
+
+def dense_state(seed: int, n: int, field: bool) -> tuple[PureState, int]:
+    """A sparse state made dense by invertible local operators, and its term count.
+
+    With ``field`` the amplitudes are full field elements (fractions and
+    sqrt2 parts); otherwise they are small Gaussian integers.
+    """
+    rng = random.Random(seed)
+    if field:
+        indices = rng.sample(range(1 << n), min(rng.randint(1, 8), 1 << n))
+        amps = {index: random_scalar(rng) for index in indices}
+        sparse = PureState(n, amps, allow_zero=True)
+        if sparse.is_zero:
+            sparse = basis_state(n, indices[0])
+    else:
+        sparse = random_state(rng, n)
+    return apply_local(sparse, random_invertible_ops(n, seed)), len(sparse.amps)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -12,6 +13,10 @@ import pytest
 
 import sloccrank
 from sloccrank.cli import main
+from sloccrank.rank import RankResult
+from sloccrank.scalar import scalar_format, scalar_parse
+from sloccrank.slocc import apply_local, operators_to_json, random_invertible_ops
+from sloccrank.states import PureState
 
 SRC = str(Path(sloccrank.__file__).resolve().parents[1])
 
@@ -64,6 +69,14 @@ class TestGenAndRank:
         assert code == 0
         code, out, _ = run(capsys, "rank", "--state", path, "--sigma", "1:4")
         assert json.loads(out) == {"rank": 3, "sigma": "1:4"}
+
+    def test_gen_help_lists_families_and_parameters_in_order(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["gen", "--help"])
+        out = capsys.readouterr().out
+        assert "{basis,ghz,w,dicke,ladder,L_a2b2,L_ab3,L_abc2,span_0kPsi}" in out
+        flags = [out.index(f"--{name} {name.upper()}") for name in ("a", "b", "c", "alpha", "beta")]
+        assert flags == sorted(flags)
 
     def test_rank_numeric(self, capsys, tmp_path):
         path = str(tmp_path / "g.json")
@@ -154,6 +167,16 @@ class TestDickeScan:
         ]
 
 
+    def test_failed_scan_check_is_a_json_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr(sloccrank.classify, "exact_rank", lambda matrix: RankResult(0, ()))
+        code, out, err = run(capsys, "dicke-scan", "--n", "4")
+        payload = json.loads(out)
+        assert code == 1
+        assert payload == {"n": 4, "error": "Dicke scan n=4 ell=1: rank structure mismatch",
+                           "pass": False}
+        assert "FAILED" in err
+
+
 class TestErrorPaths:
     def test_missing_state_file(self, capsys):
         code, out, err = run(capsys, "rank", "--state", "/nonexistent/state.json")
@@ -215,6 +238,15 @@ class TestErrorPaths:
         assert out == ""
         assert "tolerance" in err
 
+    @pytest.mark.parametrize("tol", ["-5", "0.5"])
+    def test_tolerance_without_numeric_is_rejected(self, capsys, tmp_path, tol):
+        path = str(tmp_path / "g.json")
+        run(capsys, "gen", "--family", "ghz", "--n", "4", "-o", path)
+        code, out, err = run(capsys, "rank", "--state", path, f"--tol={tol}")
+        assert code == 2
+        assert out == ""
+        assert "--numeric" in err
+
     @pytest.mark.parametrize("argv", [
         ["gen", "--family", "dicke", "--n", "40", "--ell", "1", "-o", "unused.json"],
         ["gen", "--family", "ladder", "--n", "40", "--r", "1000000", "-o", "unused.json"],
@@ -229,3 +261,52 @@ class TestErrorPaths:
         assert done.stdout == ""
         assert "qubit count" in done.stderr
         assert not (tmp_path / "unused.json").exists()
+
+
+def _dense6_payload() -> dict:
+    """A dense 6-qubit state with fractions, i and sqrt2 parts, written without sloccrank."""
+    value = "{}/{}{:+d}i+({:+d}{:+d}i)*s2"
+    return {"n": 6, "amplitudes": [
+        {"index": k, "value": value.format(k % 5 + 1, k % 3 + 1, k % 7 - 3, k % 3 - 1, k % 4 - 2)}
+        for k in range(64)
+    ]}
+
+
+# Stdout of seeded commands, byte for byte.  A change to the field type, the
+# parser, the formatter or the operator sampling must leave these alone.
+PINNED_STDOUT = [
+    (['gen', '--family', 'L_ab3', '--n', '4', '--a', '1/2', '--b=-1/3', '-o', 'gen.json'],
+     '{"family": "L_ab3", "n": 4, "a": "1/2", "b": "-1/3", "terms": 10, "output": "gen.json"}\n'),
+    (['rank', '--state', 'gen.json', '--numeric'],
+     '{"rank": 4, "sigma": "", "numeric": true}\n'),
+    (['rank', '--state', 'dense6.json', '--numeric'],
+     '{"rank": 8, "sigma": "", "numeric": true}\n'),
+    (['signature', '--state', 'dense6.json'],
+     '{"n": 6, "sigmas": ["", "1:4", "1:5", "1:6", "2:4", "2:5", "2:6", "1:4,2:5", "1:4,2:6", "1:5,2:6"], "ranks": [8, 8, 8, 8, 8, 8, 8, 8, 8, 8]}\n'),
+    (['verify', '--state', 'dense6.json', '--trials', '2', '--seed', '5'],
+     '{"state": "dense6.json", "n": 6, "trials": 2, "seed": 5, "allow_singular": false, "checks": {"matrix_equation": {"runs": 4, "failures": 0}, "rank_invariance": {"runs": 2, "failures": 0}, "det_relation": {"runs": 2, "failures": 0}}, "pass": true}\n'),
+    (['table', '--id', 'lamata', '--samples', '2', '--seed', '3'],
+     '{"table": "lamata", "cells": [{"region": "\\u03b1=\\u03b2=0", "signature": [1, 2], "samples": 2, "pass": true}, {"region": "\\u03b1=\\u03b2\\u22600", "signature": [1, 4], "samples": 2, "pass": true}, {"region": "\\u03b1\\u03b2=0 & \\u03b1\\u2260\\u03b2", "signature": [2, 3], "samples": 2, "pass": true}, {"region": "\\u03b1\\u03b2\\u22600 & \\u03b1\\u2260\\u03b2", "signature": [2, 4], "samples": 2, "pass": true}], "unconstrained_hits": {"1,2": 2, "1,4": 1, "2,3": 3, "2,4": 14}, "pass": true}\n'),
+]
+PINNED_GEN_AMPLITUDES = [(0, '1/2'), (1, '1/2i*s2'), (2, '1/2i*s2'), (5, '1/12'), (6, '5/12'), (7, '1/2i*s2'), (9, '5/12'), (10, '1/12'), (11, '1/2i*s2'), (15, '1/2')]
+
+
+class TestPinnedStdout:
+    def test_seeded_commands_print_the_recorded_bytes(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "dense6.json").write_text(json.dumps(_dense6_payload()))
+        for argv, expected in PINNED_STDOUT:
+            code, out, _ = run(capsys, *argv)
+            assert (code, out) == (0, expected), argv
+        amplitudes = json.loads((tmp_path / "gen.json").read_text())["amplitudes"]
+        assert [(a["index"], a["value"]) for a in amplitudes] == PINNED_GEN_AMPLITUDES
+
+    def test_seeded_operators_and_transformed_amplitudes(self):
+        """What ``verify --seed`` draws and computes, which its stdout shows only as counts."""
+        amplitudes = _dense6_payload()["amplitudes"]
+        state = PureState(6, {a["index"]: scalar_parse(a["value"]) for a in amplitudes})
+        ops = random_invertible_ops(6, 5)
+        text = json.dumps(operators_to_json(ops)) + "\n" + ";".join(
+            f"{i}:{scalar_format(v)}" for i, v in sorted(apply_local(state, ops).amps.items()))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "7af207e68a4e5b28efbd36d58ae20ccd7a03286e71dd9fc06c81e1ec91e554cb"

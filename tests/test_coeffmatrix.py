@@ -8,6 +8,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sloccrank.coeffmatrix import (
     BitSplit,
@@ -30,7 +32,7 @@ from sloccrank.states import (
     ghz_state,
 )
 
-from conftest import random_state
+from conftest import dense_state, random_scalar, random_state
 
 
 class TestQubitPermutation:
@@ -234,3 +236,32 @@ class TestBitSplit:
     def test_dicke_matrix_row_count(self):
         matrix = coefficient_matrix(dicke_state(6, 2))
         assert (matrix.rows, matrix.cols) == (8, 8)
+
+
+def dense_product_state(seed: int, n: int) -> PureState:
+    """A product of n single-qubit vectors with both entries nonzero field elements."""
+    rng = random.Random(seed)
+    amps = {0: Scalar(1)}
+    for _ in range(n):
+        factor = [random_scalar(rng) for _ in range(2)]
+        while not all(factor):
+            factor = [random_scalar(rng) for _ in range(2)]
+        amps = {(index << 1) | bit: amp * factor[bit] for index, amp in amps.items() for bit in (0, 1)}
+    return PureState(n, amps)
+
+
+class TestDenseStates:
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), field=st.booleans())
+    def test_matches_direct_split_on_every_cut(self, n, seed, field):
+        state, _ = dense_state(seed, n, field)
+        for sigma in enumerate_sigmas(n):
+            assert coefficient_matrix(state, sigma) == split_matrix(state, split_for(sigma, n))
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+    def test_product_states_have_rank_one_on_every_cut(self, n, seed):
+        state = dense_product_state(seed, n)
+        assert len(state.amps) == 1 << n
+        for sigma in enumerate_sigmas(n):
+            assert exact_rank(coefficient_matrix(state, sigma)).rank == 1

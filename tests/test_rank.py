@@ -30,10 +30,9 @@ from sloccrank.rank import (
     to_complex_array,
 )
 from sloccrank.scalar import GaussRational, I, SQRT2, Scalar, ZERO
-from sloccrank.slocc import apply_local, random_invertible_ops
 from sloccrank.states import PureState, basis_state, dicke_state, ghz_state, ladder_state
 
-from conftest import random_gauss_int, random_scalar, random_state
+from conftest import dense_state, random_gauss_int, random_scalar, random_state
 
 SRC = str(Path(sloccrank.__file__).resolve().parents[1])
 
@@ -75,24 +74,6 @@ def reference_rank(matrix) -> RankResult:
         pivots.append(c)
         r += 1
     return RankResult(r, tuple(pivots))
-
-
-def dense_state(seed: int, n: int, field: bool) -> tuple[PureState, int]:
-    """A sparse state made dense by invertible local operators, and its term count.
-
-    With ``field`` the amplitudes are full field elements (fractions and
-    sqrt2 parts); otherwise they are small Gaussian integers.
-    """
-    rng = random.Random(seed)
-    if field:
-        indices = rng.sample(range(1 << n), min(rng.randint(1, 8), 1 << n))
-        amps = {index: random_scalar(rng) for index in indices}
-        sparse = PureState(n, amps, allow_zero=True)
-        if sparse.is_zero:
-            sparse = basis_state(n, indices[0])
-    else:
-        sparse = random_state(rng, n)
-    return apply_local(sparse, random_invertible_ops(n, seed)), len(sparse.amps)
 
 
 class TestExactRank:

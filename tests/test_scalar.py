@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from sloccrank.scalar import (
@@ -17,6 +19,7 @@ from sloccrank.scalar import (
     SQRT2,
     Scalar,
     ZERO,
+    as_scalar,
     scalar_format,
     scalar_parse,
 )
@@ -178,3 +181,215 @@ def test_round_trip_parse_format(x):
 @given(scalars(), scalars())
 def test_subtraction_consistent_with_addition(x, y):
     assert (x - y) + y == x
+
+
+# --- reference arithmetic ----------------------------------------------------
+#
+# The field as it was first written: a + b*sqrt2 with a, b Gaussian rationals
+# held as pairs of Fractions.  Slow but plainly correct; the integer-backed
+# Scalar must agree with it on every operation and on the printed text.
+
+
+class RefGauss:
+    def __init__(self, re=0, im=0):
+        self.re = Fraction(re)
+        self.im = Fraction(im)
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def __neg__(self):
+        return RefGauss(-self.re, -self.im)
+
+    def __add__(self, other):
+        return RefGauss(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return RefGauss(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other):
+        return RefGauss(self.re * other.re - self.im * other.im,
+                        self.re * other.im + self.im * other.re)
+
+    def inverse(self):
+        n = self.re * self.re + self.im * self.im
+        return RefGauss(self.re / n, -self.im / n)
+
+
+class RefScalar:
+    def __init__(self, a=None, b=None):
+        self.a = a if a is not None else RefGauss()
+        self.b = b if b is not None else RefGauss()
+
+    def __bool__(self):
+        return bool(self.a or self.b)
+
+    def __add__(self, other):
+        return RefScalar(self.a + other.a, self.b + other.b)
+
+    def __sub__(self, other):
+        return RefScalar(self.a - other.a, self.b - other.b)
+
+    def __mul__(self, other):
+        two = RefGauss(2)
+        return RefScalar(self.a * other.a + self.b * other.b * two,
+                         self.a * other.b + other.a * self.b)
+
+    def inverse(self):
+        denom = (self.a * self.a - self.b * self.b * RefGauss(2)).inverse()
+        return RefScalar(self.a * denom, -(self.b * denom))
+
+    def __pow__(self, k):
+        if k < 0:
+            return self.inverse() ** -k
+        result = RefScalar(RefGauss(1))
+        for _ in range(k):
+            result = result * self
+        return result
+
+    def coords(self):
+        return (self.a.re, self.a.im, self.b.re, self.b.im)
+
+
+def _ref_format_gauss(g):
+    if not g:
+        return "0"
+    parts = []
+    if g.re:
+        parts.append(str(g.re))
+    if g.im:
+        imag = "i" if g.im == 1 else "-i" if g.im == -1 else f"{g.im}i"
+        parts.append("+" + imag if parts and not imag.startswith("-") else imag)
+    return "".join(parts)
+
+
+def ref_format(x):
+    if not x.b:
+        return _ref_format_gauss(x.a)
+    if x.b.re and x.b.im:
+        sqrt2_part = f"({_ref_format_gauss(x.b)})*s2"
+    else:
+        sqrt2_part = f"{_ref_format_gauss(x.b)}*s2"
+    if not x.a:
+        return sqrt2_part
+    rational = _ref_format_gauss(x.a)
+    return rational + sqrt2_part if sqrt2_part.startswith("-") else rational + "+" + sqrt2_part
+
+
+def as_fractions(x):
+    *nums, den = x.coords
+    return tuple(Fraction(n, den) for n in nums)
+
+
+def assert_canonical(x):
+    a, b, c, d, den = x.coords
+    assert all(type(v) is int for v in x.coords)
+    assert den > 0
+    assert math.gcd(a, b, c, d, den) == 1
+
+
+# Mixed denominators, and zero often enough that partial values come up.
+_mixed = st.one_of(st.just(Fraction(0)),
+                   st.fractions(min_value=-40, max_value=40, max_denominator=12))
+
+
+@st.composite
+def value_pairs(draw):
+    """The same value as (Scalar, RefScalar)."""
+    p, q, r, s = (draw(_mixed) for _ in range(4))
+    return (Scalar(GaussRational(p, q), GaussRational(r, s)),
+            RefScalar(RefGauss(p, q), RefGauss(r, s)))
+
+
+@st.composite
+def operand_pairs(draw):
+    """A Scalar, int or Fraction operand, with its reference value."""
+    kind = draw(st.sampled_from(("scalar", "int", "fraction")))
+    if kind == "scalar":
+        return draw(value_pairs())
+    value = draw(st.integers(-9, 9)) if kind == "int" else draw(_mixed)
+    return value, RefScalar(RefGauss(value))
+
+
+@given(value_pairs(), operand_pairs(), st.sampled_from((operator.add, operator.sub, operator.mul)))
+def test_ring_operations_match_reference(x, y, op):
+    (x_new, x_ref), (y_new, y_ref) = x, y
+    forward, reflected = op(x_new, y_new), op(y_new, x_new)
+    assert_canonical(forward)
+    assert_canonical(reflected)
+    assert as_fractions(forward) == op(x_ref, y_ref).coords()
+    assert as_fractions(reflected) == op(y_ref, x_ref).coords()
+    assert (x_new == y_new) == (x_ref.coords() == y_ref.coords())
+
+
+@given(value_pairs(), operand_pairs())
+def test_inverse_and_division_match_reference(x, y):
+    (x_new, x_ref), (y_new, y_ref) = x, y
+    assume(y_ref)
+    inverse = as_scalar(y_new).inverse()
+    assert_canonical(inverse)
+    assert as_fractions(inverse) == y_ref.inverse().coords()
+    quotient = x_new / y_new
+    assert_canonical(quotient)
+    assert as_fractions(quotient) == (x_ref * y_ref.inverse()).coords()
+
+
+@given(value_pairs(), st.integers(-4, 5))
+def test_power_matches_reference(x, k):
+    x_new, x_ref = x
+    assume(k >= 0 or x_ref)
+    result = x_new**k
+    assert_canonical(result)
+    assert as_fractions(result) == (x_ref**k).coords()
+
+
+@given(value_pairs())
+def test_format_matches_reference(x):
+    x_new, x_ref = x
+    assert_canonical(x_new)
+    assert as_fractions(x_new) == x_ref.coords()
+    assert scalar_format(x_new) == ref_format(x_ref)
+    parsed = scalar_parse(scalar_format(x_new))
+    assert_canonical(parsed)
+    assert parsed.coords == x_new.coords
+
+
+def test_equal_values_built_different_ways_share_coords_and_hash():
+    half = [
+        Scalar(Fraction(2, 4)),
+        scalar_parse("1/2"),
+        scalar_parse("2/4"),
+        scalar_parse("1/3+1/6"),
+        ONE / 2,
+        GaussRational(Fraction(1, 2)),
+        Scalar(Fraction(1, 4)) + Fraction(1, 4),
+        SQRT2 * SQRT2 / 4,
+    ]
+    for value in half:
+        assert value == half[0]
+        assert hash(value) == hash(half[0])
+        assert value.coords == (1, 0, 0, 0, 2)
+    assert half[0] != ONE and half[0] != Fraction(1, 3)
+
+
+def test_zero_is_canonical_however_it_arises():
+    x = scalar_parse("1/3-2/5i+(1/7+i)*s2")
+    for zero in (ZERO, x - x, x * 0, scalar_parse("0/5"), scalar_parse("1/2-2/4"),
+                 GaussRational(Fraction(0, 3)), Scalar(0, 0), -ZERO):
+        assert zero.coords == (0, 0, 0, 0, 1)
+        assert not zero
+        assert zero == 0
+
+
+def test_components_may_be_any_scalar():
+    assert Scalar(SQRT2, SQRT2) == SQRT2 + 2
+    assert Scalar(I, ONE) == I + SQRT2
+    assert GaussRational(Fraction(1, 2), -3) == scalar_parse("1/2-3i")
+
+
+@pytest.mark.parametrize("make", [lambda: Scalar(0.5), lambda: Scalar(1, "2"),
+                                  lambda: GaussRational(0.5), lambda: GaussRational(I)],
+                         ids=["float", "str", "float-gauss", "scalar-gauss"])
+def test_non_rational_components_rejected(make):
+    with pytest.raises(TypeError):
+        make()
