@@ -50,6 +50,7 @@ from .slocc import (
     save_operators,
     verify_det_relation,
     verify_matrix_equation,
+    verify_trials,
 )
 from .states import (
     MAX_QUBITS,
@@ -116,4 +117,5 @@ __all__ = [
     "scalar_parse",
     "verify_det_relation",
     "verify_matrix_equation",
+    "verify_trials",
 ]

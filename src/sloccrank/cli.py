@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from itertools import chain
 
@@ -19,7 +18,7 @@ from .classify import TABLE_IDS, classify_table, dicke_rank_scan, rank_signature
 from .coeffmatrix import QubitPermutation, coefficient_matrix, enumerate_sigmas
 from .rank import NumericFailure, ShapeError, exact_rank, numeric_rank
 from .scalar import ParseError, scalar_parse
-from .slocc import apply_local, random_invertible_ops, random_local_ops, verify_det_relation, verify_matrix_equation
+from .slocc import verify_trials
 from .states import (
     _FAMILY_PARAMS,
     StateFormatError,
@@ -166,12 +165,7 @@ def _cmd_signature(args) -> tuple[dict, int]:
         sigmas = enumerate_sigmas(state.n)
     else:
         sigmas = [_parse_sigma(chunk) for chunk in args.sigmas.split(";")]
-    signature = rank_signature(state, sigmas)
-    payload = {
-        "n": state.n,
-        "sigmas": [s.to_text() for s in signature.sigmas],
-        "ranks": list(signature.ranks),
-    }
+    payload = {"n": state.n, **rank_signature(state, sigmas).to_json_dict()}
     _log(f"signature: n={state.n}, {len(sigmas)} swap sets")
     return payload, 0
 
@@ -186,54 +180,18 @@ def _cmd_verify(args) -> tuple[dict, int]:
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
     state = load_state(args.state)
-    n = state.n
-    sigmas = enumerate_sigmas(n) if n >= 2 else [QubitPermutation()]
-    base_ranks = rank_signature(state, sigmas).ranks
-    master = random.Random(args.seed)
-
-    equation_failures = 0
-    rank_failures = 0
-    det_failures = 0
-    det_runs = 0
-    for _ in range(args.trials):
-        op_seed = master.randrange(2**32)
-        if args.allow_singular:
-            ops = random_local_ops(n, op_seed)
-        else:
-            ops = random_invertible_ops(n, op_seed)
-        random_sigma = sigmas[master.randrange(len(sigmas))]
-        if not verify_matrix_equation(state, ops):
-            equation_failures += 1
-        if not verify_matrix_equation(state, ops, random_sigma):
-            equation_failures += 1
-        transformed = apply_local(state, ops)
-        after = tuple(exact_rank(coefficient_matrix(transformed, s)).rank for s in sigmas)
-        if args.allow_singular:
-            if any(a > b for a, b in zip(after, base_ranks)):
-                rank_failures += 1
-        elif after != base_ranks:
-            rank_failures += 1
-        if n % 2 == 0:
-            det_runs += 1
-            if not verify_det_relation(state, ops):
-                det_failures += 1
-
-    rank_check = "monotonicity" if args.allow_singular else "invariance"
+    checks = verify_trials(state, args.trials, args.seed, args.allow_singular)
+    failed = any(check["failures"] for check in checks.values())
     payload = {
         "state": args.state,
-        "n": n,
+        "n": state.n,
         "trials": args.trials,
         "seed": args.seed,
         "allow_singular": args.allow_singular,
-        "checks": {
-            "matrix_equation": {"runs": 2 * args.trials, "failures": equation_failures},
-            f"rank_{rank_check}": {"runs": args.trials, "failures": rank_failures},
-            "det_relation": {"runs": det_runs, "failures": det_failures},
-        },
+        "checks": checks,
+        "pass": not failed,
     }
-    failed = equation_failures or rank_failures or det_failures
-    payload["pass"] = not failed
-    _log(f"verify: {args.trials} trials on n={n}, {'FAILED' if failed else 'all checks passed'}")
+    _log(f"verify: {args.trials} trials on n={state.n}, {'FAILED' if failed else 'all checks passed'}")
     return payload, 1 if failed else 0
 
 

@@ -87,10 +87,10 @@ class QubitPermutation:
             left, sep, right = chunk.partition(":")
             if not sep:
                 raise ValueError(f"bad transposition {chunk!r}: expected q:t")
-            try:
-                pairs.append((int(left), int(right)))
-            except ValueError:
-                raise ValueError(f"bad transposition {chunk!r}: labels must be integers") from None
+            labels = (left.strip(), right.strip())
+            if not all(label.isascii() and label.isdigit() for label in labels):
+                raise ValueError(f"bad transposition {chunk!r}: labels must be positive integers")
+            pairs.append((int(labels[0]), int(labels[1])))
         return cls(pairs)
 
     def to_text(self) -> str:

@@ -74,7 +74,11 @@ class Scalar:
         return self.coords == other.coords
 
     def __hash__(self):
-        return hash(self.coords)
+        # Equal to the int or Fraction this compares equal to, as == requires.
+        a, b, c, d, den = self.coords
+        if b or c or d:
+            return hash(self.coords)
+        return hash(a) if den == 1 else hash(Fraction(a, den))
 
     def __neg__(self) -> Scalar:
         a, b, c, d, den = self.coords
@@ -357,7 +361,7 @@ class _Parser:
     def read_int(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             self.fail("expected a number")

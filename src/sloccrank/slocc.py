@@ -14,8 +14,8 @@ from __future__ import annotations
 import json
 import random
 
-from .coeffmatrix import IDENTITY, QubitPermutation, coefficient_matrix
-from .rank import ShapeError, exact_det
+from .coeffmatrix import IDENTITY, QubitPermutation, coefficient_matrix, enumerate_sigmas
+from .rank import ShapeError, exact_det, exact_rank
 from .scalar import GaussRational, ONE, ParseError, Scalar, ZERO, as_scalar, scalar_format, scalar_parse
 from .states import PureState
 
@@ -25,6 +25,7 @@ __all__ = [
     "kron_chain",
     "verify_matrix_equation",
     "verify_det_relation",
+    "verify_trials",
     "random_invertible_ops",
     "random_local_ops",
     "operators_to_json",
@@ -145,6 +146,24 @@ def _transpose(grid):
     return tuple(zip(*grid))
 
 
+def _predicted_matrix(state: PureState, ops, sigma: QubitPermutation):
+    """Right side of the equation that ``verify_matrix_equation`` checks."""
+    half = state.n // 2
+    row_ops = [ops[sigma.image(slot) - 1] for slot in range(1, half + 1)]
+    col_ops = [ops[sigma.image(slot) - 1] for slot in range(half + 1, state.n + 1)]
+    left = kron_chain(row_ops) if row_ops else ((ONE,),)
+    right = kron_chain(col_ops)
+    return _matmul(_matmul(left, coefficient_matrix(state, sigma).entries), _transpose(right))
+
+
+def _predicted_det(det: Scalar, ops, n: int) -> Scalar:
+    """Right side of the law that ``verify_det_relation`` checks, given the old ``det``."""
+    det_product = ONE
+    for op in ops:
+        det_product = det_product * op.det()
+    return det * det_product ** (1 << ((n - 2) // 2))
+
+
 def verify_matrix_equation(state: PureState, ops, sigma: QubitPermutation | None = None) -> bool:
     """Check the reshaping identity for the transformed state, exactly.
 
@@ -155,18 +174,8 @@ def verify_matrix_equation(state: PureState, ops, sigma: QubitPermutation | None
     """
     sigma = IDENTITY if sigma is None else sigma
     ops = list(ops)
-    n = state.n
-    if len(ops) != n:
-        raise ValueError(f"need exactly {n} operators, got {len(ops)}")
     lhs = coefficient_matrix(apply_local(state, ops), sigma)
-    middle = coefficient_matrix(state, sigma)
-    half = n // 2
-    row_ops = [ops[sigma.image(slot) - 1] for slot in range(1, half + 1)]
-    col_ops = [ops[sigma.image(slot) - 1] for slot in range(half + 1, n + 1)]
-    left = kron_chain(row_ops) if row_ops else ((ONE,),)
-    right = kron_chain(col_ops)
-    rhs = _matmul(_matmul(left, middle.entries), _transpose(right))
-    return lhs.entries == rhs
+    return lhs.entries == _predicted_matrix(state, ops, sigma)
 
 
 def verify_det_relation(state: PureState, ops) -> bool:
@@ -180,15 +189,48 @@ def verify_det_relation(state: PureState, ops) -> bool:
     if n % 2:
         raise ShapeError("the determinant relation needs an even number of qubits")
     ops = list(ops)
-    if len(ops) != n:
-        raise ValueError(f"need exactly {n} operators, got {len(ops)}")
     lhs = exact_det(coefficient_matrix(apply_local(state, ops)))
-    det_product = ONE
-    for op in ops:
-        det_product = det_product * op.det()
-    exponent = 1 << ((n - 2) // 2)
-    rhs = exact_det(coefficient_matrix(state)) * det_product**exponent
-    return lhs == rhs
+    return lhs == _predicted_det(exact_det(coefficient_matrix(state)), ops, n)
+
+
+def verify_trials(state: PureState, trials: int, seed: int, allow_singular: bool = False) -> dict:
+    """Randomized exact checks of the identities; returns runs and failures per check.
+
+    Each trial draws one operator per qubit (invertible unless
+    ``allow_singular``) and one enumerated swap set from ``seed``, applies the
+    operators once, and checks on that transformed state: the matrix equation
+    under the identity and under the swap set, the ranks on every swap set
+    (equal to the untransformed ones, or no larger with singular operators),
+    and for an even qubit count the determinant law.
+    """
+    n = state.n
+    sigmas = enumerate_sigmas(n) if n >= 2 else [IDENTITY]
+    base_ranks = tuple(exact_rank(coefficient_matrix(state, s)).rank for s in sigmas)
+    base_det = exact_det(coefficient_matrix(state)) if n % 2 == 0 else None
+    master = random.Random(seed)
+    equation_failures = rank_failures = det_failures = 0
+    for _ in range(trials):
+        op_seed = master.randrange(2**32)
+        ops = random_local_ops(n, op_seed) if allow_singular else random_invertible_ops(n, op_seed)
+        sigma = sigmas[master.randrange(len(sigmas))]
+        transformed = apply_local(state, ops)
+        for s in (IDENTITY, sigma):
+            if coefficient_matrix(transformed, s).entries != _predicted_matrix(state, ops, s):
+                equation_failures += 1
+        after = tuple(exact_rank(coefficient_matrix(transformed, s)).rank for s in sigmas)
+        if allow_singular:
+            rank_failures += any(a > b for a, b in zip(after, base_ranks))
+        else:
+            rank_failures += after != base_ranks
+        if base_det is not None:
+            det = exact_det(coefficient_matrix(transformed))
+            det_failures += det != _predicted_det(base_det, ops, n)
+    rank_check = "monotonicity" if allow_singular else "invariance"
+    return {
+        "matrix_equation": {"runs": 2 * trials, "failures": equation_failures},
+        f"rank_{rank_check}": {"runs": trials, "failures": rank_failures},
+        "det_relation": {"runs": 0 if base_det is None else trials, "failures": det_failures},
+    }
 
 
 def _random_operator(rng: random.Random, pool: int) -> LocalOperator:

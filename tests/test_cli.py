@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -139,6 +140,43 @@ class TestVerify:
         _, first, _ = run(capsys, "verify", "--state", path, "--trials", "4", "--seed", "9")
         _, second, _ = run(capsys, "verify", "--state", path, "--trials", "4", "--seed", "9")
         assert first == second
+
+    @pytest.mark.parametrize("helper, check, flags", [
+        ("_predicted_matrix", "matrix_equation", []),
+        ("_predicted_det", "det_relation", []),
+        ("exact_rank", "rank_invariance", []),
+        ("exact_rank", "rank_monotonicity", ["--allow-singular"]),
+    ])
+    def test_each_check_can_fail(self, capsys, monkeypatch, tmp_path, helper, check, flags):
+        rising = itertools.count(1)
+        wrong = {
+            "_predicted_matrix": lambda state, ops, sigma: (),
+            "_predicted_det": lambda det, ops, n: det + 1,
+            # each call answers one more than the last, so every trial outranks the base
+            "exact_rank": lambda matrix: RankResult(next(rising), ()),
+        }
+        path = str(tmp_path / "s.json")
+        run(capsys, "gen", "--family", "ghz", "--n", "4", "-o", path)
+        monkeypatch.setattr(sloccrank.slocc, helper, wrong[helper])
+        code, out, err = run(capsys, "verify", "--state", path, "--trials", "3", *flags)
+        checks = json.loads(out)["checks"]
+        assert code == 1
+        assert '"pass": false' in out
+        assert "FAILED" in err
+        assert check in checks
+        assert all(c["failures"] == (c["runs"] if name == check else 0)
+                   for name, c in checks.items())
+
+    def test_one_trial_applies_the_operators_once(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "dense6.json"
+        path.write_text(json.dumps(_dense6_payload()))
+        calls = []
+        real = sloccrank.slocc.apply_local
+        monkeypatch.setattr(sloccrank.slocc, "apply_local",
+                            lambda state, ops: calls.append(1) or real(state, ops))
+        code, _, _ = run(capsys, "verify", "--state", str(path), "--trials", "3")
+        assert code == 0
+        assert len(calls) == 3
 
 
 class TestTableCommand:
@@ -285,6 +323,12 @@ PINNED_STDOUT = [
      '{"n": 6, "sigmas": ["", "1:4", "1:5", "1:6", "2:4", "2:5", "2:6", "1:4,2:5", "1:4,2:6", "1:5,2:6"], "ranks": [8, 8, 8, 8, 8, 8, 8, 8, 8, 8]}\n'),
     (['verify', '--state', 'dense6.json', '--trials', '2', '--seed', '5'],
      '{"state": "dense6.json", "n": 6, "trials": 2, "seed": 5, "allow_singular": false, "checks": {"matrix_equation": {"runs": 4, "failures": 0}, "rank_invariance": {"runs": 2, "failures": 0}, "det_relation": {"runs": 2, "failures": 0}}, "pass": true}\n'),
+    (['verify', '--state', 'dense6.json', '--trials', '3', '--seed', '11', '--allow-singular'],
+     '{"state": "dense6.json", "n": 6, "trials": 3, "seed": 11, "allow_singular": true, "checks": {"matrix_equation": {"runs": 6, "failures": 0}, "rank_monotonicity": {"runs": 3, "failures": 0}, "det_relation": {"runs": 3, "failures": 0}}, "pass": true}\n'),
+    (['gen', '--family', 'dicke', '--n', '5', '--ell', '2', '-o', 'dicke5.json'],
+     '{"family": "dicke", "n": 5, "ell": 2, "terms": 10, "output": "dicke5.json"}\n'),
+    (['verify', '--state', 'dicke5.json', '--trials', '3', '--seed', '7'],
+     '{"state": "dicke5.json", "n": 5, "trials": 3, "seed": 7, "allow_singular": false, "checks": {"matrix_equation": {"runs": 6, "failures": 0}, "rank_invariance": {"runs": 3, "failures": 0}, "det_relation": {"runs": 0, "failures": 0}}, "pass": true}\n'),
     (['table', '--id', 'lamata', '--samples', '2', '--seed', '3'],
      '{"table": "lamata", "cells": [{"region": "\\u03b1=\\u03b2=0", "signature": [1, 2], "samples": 2, "pass": true}, {"region": "\\u03b1=\\u03b2\\u22600", "signature": [1, 4], "samples": 2, "pass": true}, {"region": "\\u03b1\\u03b2=0 & \\u03b1\\u2260\\u03b2", "signature": [2, 3], "samples": 2, "pass": true}, {"region": "\\u03b1\\u03b2\\u22600 & \\u03b1\\u2260\\u03b2", "signature": [2, 4], "samples": 2, "pass": true}], "unconstrained_hits": {"1,2": 2, "1,4": 1, "2,3": 3, "2,4": 14}, "pass": true}\n'),
 ]

@@ -56,7 +56,7 @@ class TestQubitPermutation:
         assert QubitPermutation.from_text(sigma.to_text()) == sigma
         assert QubitPermutation.from_text("1:4,2:5") == sigma
 
-    @pytest.mark.parametrize("text", ["1", "1:", "x:2", "1:2,1:3"])
+    @pytest.mark.parametrize("text", ["1", "1:", "x:2", "1:2,1:3", "1:1_0", "\u0663:4"])
     def test_bad_text(self, text):
         with pytest.raises(ValueError):
             QubitPermutation.from_text(text)

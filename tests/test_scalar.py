@@ -96,7 +96,8 @@ def test_parse_whitespace_and_bare_forms():
 
 @pytest.mark.parametrize(
     "text",
-    ["", "1+", "2//3", "(1+i", "(1+i)*", "(1+i)s2", "1x", "1/0", "--1", "i2", "1/-2"],
+    ["", "1+", "2//3", "(1+i", "(1+i)*", "(1+i)s2", "1x", "1/0", "--1", "i2", "1/-2",
+     "2\u00b2", "\u0663/\u0664"],
 )
 def test_parse_errors(text):
     with pytest.raises(ParseError) as err:
@@ -370,6 +371,13 @@ def test_equal_values_built_different_ways_share_coords_and_hash():
         assert hash(value) == hash(half[0])
         assert value.coords == (1, 0, 0, 0, 2)
     assert half[0] != ONE and half[0] != Fraction(1, 3)
+
+
+@given(st.one_of(st.integers(), st.fractions()))
+def test_hash_agrees_with_equal_int_or_fraction(x):
+    assert as_scalar(x) == x
+    assert hash(as_scalar(x)) == hash(x)
+    assert len({as_scalar(x), x}) == 1
 
 
 def test_zero_is_canonical_however_it_arises():

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import sloccrank.slocc
 from sloccrank.coeffmatrix import QubitPermutation, coefficient_matrix, enumerate_sigmas
 from sloccrank.rank import ShapeError, exact_det, exact_rank
 from sloccrank.scalar import Scalar
@@ -21,6 +22,7 @@ from sloccrank.slocc import (
     save_operators,
     verify_det_relation,
     verify_matrix_equation,
+    verify_trials,
 )
 from sloccrank.states import PureState, ghz_state, ladder_state
 
@@ -154,6 +156,58 @@ class TestDetRelation:
     def test_odd_n_rejected(self):
         with pytest.raises(ShapeError):
             verify_det_relation(ghz_state(5), identity_ops(5))
+        with pytest.raises(ShapeError):
+            verify_det_relation(ghz_state(5), identity_ops(4))
+
+
+@pytest.mark.parametrize("check", [verify_matrix_equation, verify_det_relation])
+def test_operator_count_mismatch(check):
+    with pytest.raises(ValueError, match="need exactly 4 operators, got 3"):
+        check(ghz_state(4), identity_ops(3))
+
+
+class TestVerifyTrials:
+    def test_operators_applied_once_per_trial_and_base_computed_once(self, monkeypatch):
+        calls = {"apply_local": 0, "exact_rank": 0, "exact_det": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(sloccrank.slocc, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(sloccrank.slocc, name, counted)
+        checks = verify_trials(ladder_state(4, 2), 3, seed=1)
+        assert all(check["failures"] == 0 for check in checks.values())
+        # 3 cuts of 4 qubits; the untransformed state is ranked once, each trial once more
+        assert calls == {"apply_local": 3, "exact_rank": 3 * 4, "exact_det": 1 + 3}
+
+    def test_equation_checked_under_identity_and_the_drawn_swap_set(self, monkeypatch):
+        seen = []
+        real = sloccrank.slocc._predicted_matrix
+        monkeypatch.setattr(sloccrank.slocc, "_predicted_matrix",
+                            lambda state, ops, sigma: seen.append(sigma) or real(state, ops, sigma))
+        verify_trials(ladder_state(6, 2), 4, seed=2)
+        # Each trial draws its operator seed, then its swap set, from one Random(seed).
+        sigmas = enumerate_sigmas(6)
+        master = random.Random(2)
+        drawn = []
+        for _ in range(4):
+            master.randrange(2**32)
+            drawn.append(sigmas[master.randrange(len(sigmas))])
+        assert any(not sigma.is_identity for sigma in drawn)
+        assert seen == [s for sigma in drawn for s in (QubitPermutation(), sigma)]
+
+    @pytest.mark.parametrize("state, det_runs", [
+        (PureState(1, {0: 1, 1: Scalar(-2)}), 0),
+        (ladder_state(5, 2), 0),
+        (ghz_state(4), 2),
+    ])
+    @pytest.mark.parametrize("allow_singular", [False, True])
+    def test_all_checks_pass(self, state, det_runs, allow_singular):
+        rank_check = "rank_monotonicity" if allow_singular else "rank_invariance"
+        assert verify_trials(state, 2, seed=3, allow_singular=allow_singular) == {
+            "matrix_equation": {"runs": 4, "failures": 0},
+            rank_check: {"runs": 2, "failures": 0},
+            "det_relation": {"runs": det_runs, "failures": 0},
+        }
 
 
 class TestRandomOperators:
