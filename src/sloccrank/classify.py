@@ -7,10 +7,13 @@ signature mismatch is a proof of inequivalence.
 
 The three built-in tables cover the parameterized four-qubit families
 ``L_a2b2``, ``span_0kPsi``, ``L_ab3`` and ``L_abc2`` (the latter two share a
-table, with c locked to a).  Regions are verified by sampling: boundary
-constraints such as a = -b are imposed by construction on exact rationals,
-generic constraints draw random nonzero rationals, and a separate pool of
-unconstrained draws must never land outside the listed cells.
+table, with c locked to a).  Each cell is a region of the two-parameter
+plane, stated once in ``_REGIONS`` by its key (such as ``"xy=0 & x≠y"``),
+which is at the same time the printed label, the membership test and the
+draw.  Regions are verified by sampling: boundary constraints such as
+a = -b are imposed by construction on exact rationals, generic constraints
+draw random nonzero rationals, and a separate pool of unconstrained draws
+must land in exactly one listed cell and show its signature.
 """
 
 from __future__ import annotations
@@ -119,249 +122,101 @@ def dicke_rank_scan(n: int) -> list[DickeScanRow]:
 # --- table reproduction ----------------------------------------------------
 
 Params = dict[str, Fraction]
+_Point = tuple[Fraction, Fraction]
 
 
-@dataclass(frozen=True)
-class _Cell:
-    region: str
-    signature: tuple[int, ...]
-    # predicate/sampler are None for a region listed as empty
-    predicate: Callable[[Params], bool] | None
-    sampler: Callable[[random.Random], Params] | None
-
-
-@dataclass(frozen=True)
-class _Group:
-    """One parameterized family within a table."""
-
-    family: str | None
-    build: Callable[[Params], PureState]
-    unconstrained: Callable[[random.Random], Params]
-    cells: tuple[_Cell, ...]
-
-
-@dataclass(frozen=True)
-class _TableLayout:
-    sigmas: tuple[QubitPermutation, ...]
-    groups: tuple[_Group, ...]
-
-
-def _random_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-2, 2), rng.choice((1, 2)))
-
-
-def _nonzero_fraction(rng: random.Random) -> Fraction:
+def _nonzero(rng: random.Random) -> Fraction:
     while True:
         value = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
         if value:
             return value
 
 
-def _two_free(names: tuple[str, str]) -> Callable[[random.Random], Params]:
-    first, second = names
-
-    def draw(rng: random.Random) -> Params:
-        return {first: _random_fraction(rng), second: _random_fraction(rng)}
-
-    return draw
+def _one_zero(rng: random.Random) -> _Point:
+    zero_first = rng.random() < 0.5
+    value = _nonzero(rng)
+    return (Fraction(0), value) if zero_first else (value, Fraction(0))
 
 
-def _sample_both_zero(names):
-    def draw(rng: random.Random) -> Params:
-        return {names[0]: Fraction(0), names[1]: Fraction(0)}
-
-    return draw
+def _equal_up_to_sign(rng: random.Random) -> _Point:
+    value = _nonzero(rng)
+    return value, value if rng.random() < 0.5 else -value
 
 
-def _sample_one_zero(names):
-    def draw(rng: random.Random) -> Params:
-        zero_first = rng.random() < 0.5
-        value = _nonzero_fraction(rng)
-        if zero_first:
-            return {names[0]: Fraction(0), names[1]: value}
-        return {names[0]: value, names[1]: Fraction(0)}
-
-    return draw
+def _distinct_nonzero(rng: random.Random, forbid_sign: bool = False) -> _Point:
+    x = _nonzero(rng)
+    while True:
+        y = _nonzero(rng)
+        if y != x and not (forbid_sign and y == -x):
+            return x, y
 
 
-def _sample_equal_up_to_sign(names):
-    def draw(rng: random.Random) -> Params:
-        value = _nonzero_fraction(rng)
-        sign = 1 if rng.random() < 0.5 else -1
-        return {names[0]: value, names[1]: sign * value}
+# Each region of the (x, y) parameter plane: its membership test and a draw
+# of an exact rational point inside it (None for a region listed as empty).
+# A group's cell label is the key with x, y replaced by its parameter symbols.
+_REGIONS: dict[str, tuple[Callable[[Fraction, Fraction], bool],
+                          Callable[[random.Random], _Point] | None]] = {
+    "∅": (lambda x, y: False, None),
+    "x=y=0": (lambda x, y: x == 0 and y == 0, lambda rng: (Fraction(0), Fraction(0))),
+    "x=0 & y≠0": (lambda x, y: x == 0 and y != 0, lambda rng: (Fraction(0), _nonzero(rng))),
+    "x≠0 & y=0": (lambda x, y: x != 0 and y == 0, lambda rng: (_nonzero(rng), Fraction(0))),
+    "xy=0 & x≠y": (lambda x, y: x * y == 0 and x != y, _one_zero),
+    "x=y≠0": (lambda x, y: x == y != 0, lambda rng: (_nonzero(rng),) * 2),
+    "x=±y & x≠0": (lambda x, y: x != 0 and (x == y or x == -y), _equal_up_to_sign),
+    "xy≠0 & x≠y": (lambda x, y: x * y != 0 and x != y, _distinct_nonzero),
+    "xy≠0 & x≠±y": (lambda x, y: x * y != 0 and x != y and x != -y,
+                    lambda rng: _distinct_nonzero(rng, forbid_sign=True)),
+    # Quirk, kept so that each seed draws the same points: the draw skips
+    # x = y, so only unconstrained draws reach this region's line x = y ≠ 0.
+    "xy≠0": (lambda x, y: x * y != 0, _distinct_nonzero),
+}
 
-    return draw
+_SYMBOLS = {"alpha": "α", "beta": "β"}
 
+_SWAP_14 = QubitPermutation(((1, 4),))
 
-def _sample_equal_nonzero(names):
-    def draw(rng: random.Random) -> Params:
-        value = _nonzero_fraction(rng)
-        return {names[0]: value, names[1]: value}
-
-    return draw
-
-
-def _sample_generic(names, forbid_sign: bool):
-    def draw(rng: random.Random) -> Params:
-        first = _nonzero_fraction(rng)
-        while True:
-            second = _nonzero_fraction(rng)
-            if second == first:
-                continue
-            if forbid_sign and second == -first:
-                continue
-            return {names[0]: first, names[1]: second}
-
-    return draw
-
-
-def _sample_first_nonzero(names):
-    def draw(rng: random.Random) -> Params:
-        return {names[0]: _nonzero_fraction(rng), names[1]: Fraction(0)}
-
-    return draw
-
-
-def _sample_second_nonzero(names):
-    def draw(rng: random.Random) -> Params:
-        return {names[0]: Fraction(0), names[1]: _nonzero_fraction(rng)}
-
-    return draw
-
-
-def _verstraete_layout() -> _TableLayout:
-    names = ("a", "b")
-    cells = (
-        _Cell(
-            "a=b=0", (2, 1),
-            lambda p: p["a"] == 0 and p["b"] == 0,
-            _sample_both_zero(names),
-        ),
-        _Cell(
-            "ab=0 & a≠b", (3, 3),
-            lambda p: p["a"] * p["b"] == 0 and p["a"] != p["b"],
-            _sample_one_zero(names),
-        ),
-        _Cell(
-            "a=±b & a≠0", (4, 2),
-            lambda p: p["a"] != 0 and (p["a"] == p["b"] or p["a"] == -p["b"]),
-            _sample_equal_up_to_sign(names),
-        ),
-        _Cell(
-            "ab≠0 & a≠±b", (4, 3),
-            lambda p: p["a"] * p["b"] != 0 and p["a"] != p["b"] and p["a"] != -p["b"],
-            _sample_generic(names, forbid_sign=True),
-        ),
-    )
-    group = _Group(
-        family=None,
-        build=lambda p: family_state("L_a2b2", a=p["a"], b=p["b"]),
-        unconstrained=_two_free(names),
-        cells=cells,
-    )
-    return _TableLayout(sigmas=(IDENTITY, QubitPermutation(((1, 4),))), groups=(group,))
-
-
-def _lamata_layout() -> _TableLayout:
-    names = ("alpha", "beta")
-    cells = (
-        _Cell(
-            "α=β=0", (1, 2),
-            lambda p: p["alpha"] == 0 and p["beta"] == 0,
-            _sample_both_zero(names),
-        ),
-        _Cell(
-            "α=β≠0", (1, 4),
-            lambda p: p["alpha"] == p["beta"] != 0,
-            _sample_equal_nonzero(names),
-        ),
-        _Cell(
-            "αβ=0 & α≠β", (2, 3),
-            lambda p: p["alpha"] * p["beta"] == 0 and p["alpha"] != p["beta"],
-            _sample_one_zero(names),
-        ),
-        _Cell(
-            "αβ≠0 & α≠β", (2, 4),
-            lambda p: p["alpha"] * p["beta"] != 0 and p["alpha"] != p["beta"],
-            _sample_generic(names, forbid_sign=False),
-        ),
-    )
-    group = _Group(
-        family=None,
-        build=lambda p: family_state("span_0kPsi", alpha=p["alpha"], beta=p["beta"]),
-        unconstrained=_two_free(names),
-        cells=cells,
-    )
-    return _TableLayout(sigmas=(IDENTITY, QubitPermutation(((1, 4),))), groups=(group,))
-
-
-def _chterental_layout() -> _TableLayout:
-    names = ("a", "b")
-    lab3_cells = (
-        _Cell("∅", (1,), None, None),
-        _Cell(
-            "a=b=0", (2,),
-            lambda p: p["a"] == 0 and p["b"] == 0,
-            _sample_both_zero(names),
-        ),
-        _Cell(
-            "ab=0 & a≠b", (3,),
-            lambda p: p["a"] * p["b"] == 0 and p["a"] != p["b"],
-            _sample_one_zero(names),
-        ),
-        _Cell(
-            "ab≠0", (4,),
-            lambda p: p["a"] * p["b"] != 0,
-            _sample_generic(names, forbid_sign=False),
-        ),
-    )
-    labc2_cells = (
-        _Cell(
-            "a=b=0", (1,),
-            lambda p: p["a"] == 0 and p["b"] == 0,
-            _sample_both_zero(names),
-        ),
-        _Cell(
-            "a=0 & b≠0", (2,),
-            lambda p: p["a"] == 0 and p["b"] != 0,
-            _sample_second_nonzero(names),
-        ),
-        _Cell(
-            "a≠0 & b=0", (3,),
-            lambda p: p["a"] != 0 and p["b"] == 0,
-            _sample_first_nonzero(names),
-        ),
-        _Cell(
-            "ab≠0", (4,),
-            lambda p: p["a"] * p["b"] != 0,
-            _sample_generic(names, forbid_sign=False),
-        ),
-    )
-    groups = (
-        _Group(
-            family="L_ab3",
-            build=lambda p: family_state("L_ab3", a=p["a"], b=p["b"]),
-            unconstrained=_two_free(names),
-            cells=lab3_cells,
-        ),
-        _Group(
-            # the table fixes c = a for this family
-            family="L_abc2",
-            build=lambda p: family_state("L_abc2", a=p["a"], b=p["b"], c=p["a"]),
-            unconstrained=_two_free(names),
-            cells=labc2_cells,
-        ),
-    )
-    return _TableLayout(sigmas=(IDENTITY,), groups=groups)
-
-
-_TABLES: dict[str, Callable[[], _TableLayout]] = {
-    "verstraete": _verstraete_layout,
-    "lamata": _lamata_layout,
-    "chterental": _chterental_layout,
+# table id -> (swap sets, groups); a group is (family shown, parameter names,
+# builder, cells) and a cell is (region, signature).
+_TABLES = {
+    "verstraete": ((IDENTITY, _SWAP_14), (
+        (None, ("a", "b"), lambda p: family_state("L_a2b2", **p), (
+            ("x=y=0", (2, 1)),
+            ("xy=0 & x≠y", (3, 3)),
+            ("x=±y & x≠0", (4, 2)),
+            ("xy≠0 & x≠±y", (4, 3)),
+        )),
+    )),
+    "lamata": ((IDENTITY, _SWAP_14), (
+        (None, ("alpha", "beta"), lambda p: family_state("span_0kPsi", **p), (
+            ("x=y=0", (1, 2)),
+            ("x=y≠0", (1, 4)),
+            ("xy=0 & x≠y", (2, 3)),
+            ("xy≠0 & x≠y", (2, 4)),
+        )),
+    )),
+    "chterental": ((IDENTITY,), (
+        ("L_ab3", ("a", "b"), lambda p: family_state("L_ab3", **p), (
+            ("∅", (1,)),
+            ("x=y=0", (2,)),
+            ("xy=0 & x≠y", (3,)),
+            ("xy≠0", (4,)),
+        )),
+        # the table fixes c = a for this family
+        ("L_abc2", ("a", "b"), lambda p: family_state("L_abc2", **p, c=p["a"]), (
+            ("x=y=0", (1,)),
+            ("x=0 & y≠0", (2,)),
+            ("x≠0 & y=0", (3,)),
+            ("xy≠0", (4,)),
+        )),
+    )),
 }
 
 TABLE_IDS = tuple(sorted(_TABLES))
+
+
+def _label(region: str, names: tuple[str, str]) -> str:
+    x, y = (_SYMBOLS.get(name, name) for name in names)
+    return region.translate({ord("x"): x, ord("y"): y})
 
 
 @dataclass
@@ -431,58 +286,50 @@ def classify_table(table: str, samples_per_cell: int, seed: int) -> TableReport:
         raise ValueError(f"unknown table {table!r}; expected one of {list(TABLE_IDS)}")
     if samples_per_cell < 1:
         raise ValueError("samples_per_cell must be at least 1")
-    layout = _TABLES[table]()
+    sigmas, groups = _TABLES[table]
     rng = random.Random(seed)
     cell_reports: list[CellReport] = []
-    empty_cells: list[tuple[CellReport, str | None]] = []
 
-    for group in layout.groups:
-        for cell in group.cells:
-            if cell.sampler is None:
-                report = CellReport(cell.region, cell.signature, 0, True, family=group.family)
-                cell_reports.append(report)
-                empty_cells.append((report, group.family))
-                continue
-            passed = True
+    for family, names, build, cells in groups:
+        for region, signature in cells:
+            draw = _REGIONS[region][1]
+            # a region listed as empty gets no samples; the unconstrained draws check it
+            samples = samples_per_cell if draw else 0
             witness = None
-            for _ in range(samples_per_cell):
-                params = cell.sampler(rng)
-                signature = rank_signature(group.build(params), layout.sigmas).ranks
-                if signature != cell.signature:
-                    passed = False
-                    witness = {"params": _params_repr(params), "signature": list(signature)}
+            for _ in range(samples):
+                params = dict(zip(names, draw(rng)))
+                ranks = rank_signature(build(params), sigmas).ranks
+                if ranks != signature:
+                    witness = {"params": _params_repr(params), "signature": list(ranks)}
                     break
-            cell_reports.append(
-                CellReport(cell.region, cell.signature, samples_per_cell, passed,
-                           family=group.family, witness=witness)
-            )
+            cell_reports.append(CellReport(_label(region, names), signature, samples,
+                                           witness is None, family=family, witness=witness))
 
     hits: dict[str, int] = {}
     failures: list[dict] = []
     draws = samples_per_cell * 10
-    for group in layout.groups:
+    for family, names, build, cells in groups:
         for _ in range(draws):
-            params = group.unconstrained(rng)
-            signature = rank_signature(group.build(params), layout.sigmas).ranks
-            key = _hit_key(group.family, signature)
+            point = tuple(Fraction(rng.randint(-2, 2), rng.choice((1, 2))) for _ in names)
+            params = dict(zip(names, point))
+            ranks = rank_signature(build(params), sigmas).ranks
+            key = _hit_key(family, ranks)
             hits[key] = hits.get(key, 0) + 1
-            matches = [
-                cell for cell in group.cells
-                if cell.predicate is not None and cell.predicate(params)
-            ]
-            if len(matches) != 1 or signature != matches[0].signature:
+            matches = [(region, signature) for region, signature in cells
+                       if _REGIONS[region][0](*point)]
+            if len(matches) != 1 or ranks != matches[0][1]:
                 failures.append(
                     {
-                        "family": group.family,
+                        "family": family,
                         "params": _params_repr(params),
-                        "signature": list(signature),
-                        "matched_regions": [cell.region for cell in matches],
+                        "signature": list(ranks),
+                        "matched_regions": [_label(region, names) for region, _ in matches],
                     }
                 )
 
-    for report, family in empty_cells:
-        key = _hit_key(family, report.signature)
-        if key in hits:
+    for report in cell_reports:
+        key = _hit_key(report.family, report.signature)
+        if report.samples == 0 and key in hits:
             report.passed = False
             report.witness = {"unconstrained_hits": hits[key]}
 

@@ -204,13 +204,10 @@ def enumerate_sigmas(n: int) -> list[QubitPermutation]:
     return sigmas
 
 
-def permute_state(state: PureState, sigma: QubitPermutation) -> PureState:
-    """Relabel qubits by ``sigma``: exchange the contents of each (q, t) pair."""
-    n = state.n
+def _relabel(sigma: QubitPermutation, n: int):
+    """The basis-index map of ``sigma``: exchange the bits of each (q, t) pair."""
     if sigma.max_label() > n:
         raise ValueError(f"transposition label {sigma.max_label()} exceeds n={n}")
-    if sigma.is_identity:
-        return state
     masks = [(1 << (n - q), 1 << (n - t)) for q, t in sigma.transpositions]
 
     def relabel(index: int) -> int:
@@ -220,7 +217,15 @@ def permute_state(state: PureState, sigma: QubitPermutation) -> PureState:
                 out ^= mq | mt
         return out
 
-    return PureState(n, {relabel(i): amp for i, amp in state.amps.items()}, allow_zero=True)
+    return relabel
+
+
+def permute_state(state: PureState, sigma: QubitPermutation) -> PureState:
+    """Relabel qubits by ``sigma``: exchange the contents of each (q, t) pair."""
+    relabel = _relabel(sigma, state.n)
+    if sigma.is_identity:
+        return state
+    return PureState(state.n, {relabel(i): amp for i, amp in state.amps.items()}, allow_zero=True)
 
 
 def split_for(sigma: QubitPermutation, n: int) -> BitSplit:
@@ -240,13 +245,14 @@ def coefficient_matrix(state: PureState, sigma: QubitPermutation | None = None) 
     i in binary and whose column bits read j.
     """
     sigma = IDENTITY if sigma is None else sigma
-    permuted = permute_state(state, sigma)
     n = state.n
+    relabel = _relabel(sigma, n)
     col_width = n - n // 2
     ncols = 1 << col_width
     grid = [[ZERO] * ncols for _ in range(1 << (n // 2))]
     colmask = ncols - 1
-    for index, amp in permuted.amps.items():
+    for index, amp in state.amps.items():
+        index = relabel(index)
         grid[index >> col_width][index & colmask] = amp
     return CoeffMatrix(grid, split_for(sigma, n))
 

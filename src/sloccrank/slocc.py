@@ -305,5 +305,8 @@ def save_operators(ops, path) -> None:
 
 def load_operators(path) -> list[LocalOperator]:
     with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+        try:
+            payload = json.load(handle)
+        except RecursionError as exc:
+            raise ValueError("operator file is not valid JSON: nested too deeply") from exc
     return operators_from_json(payload)

@@ -204,6 +204,8 @@ def load_state(path) -> PureState:
             payload = json.load(handle)
         except json.JSONDecodeError as exc:
             raise StateFormatError(f"not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise StateFormatError("not valid JSON: nested too deeply") from exc
     if not isinstance(payload, dict):
         raise StateFormatError("top level must be a JSON object")
     unknown = set(payload) - {"n", "amplitudes"}

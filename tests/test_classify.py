@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
 
+import sloccrank.classify
 from sloccrank.classify import (
     DickeScanRow,
     FamilySignature,
@@ -15,6 +19,7 @@ from sloccrank.classify import (
     family_of,
     rank_signature,
 )
+from sloccrank.classify import _REGIONS, _TABLES
 from sloccrank.coeffmatrix import IDENTITY, QubitPermutation, enumerate_sigmas
 from sloccrank.slocc import apply_local, random_invertible_ops
 from sloccrank.states import basis_state, dicke_state, family_state, ghz_state, ladder_state
@@ -159,6 +164,37 @@ EXPECTED_CELLS = {
 }
 
 
+def _groups():
+    for table, (_, groups) in _TABLES.items():
+        for family, names, _, cells in groups:
+            yield f"{table}/{family or names[0]}", [region for region, _ in cells]
+
+
+class TestRegions:
+    """Within each group, the listed regions partition the parameter plane."""
+
+    @pytest.mark.parametrize("group, regions", list(_groups()))
+    def test_each_draw_lies_in_its_own_region_only(self, group, regions):
+        rng = random.Random(group)
+        for region in regions:
+            draw = _REGIONS[region][1]
+            if draw is None:
+                continue
+            for _ in range(200):
+                point = draw(rng)
+                inside = [other for other in regions if _REGIONS[other][0](*point)]
+                assert inside == [region], (region, point)
+
+    @pytest.mark.parametrize("group, regions", list(_groups()))
+    def test_unconstrained_grid_matches_exactly_one_nonempty_cell(self, group, regions):
+        grid = sorted({Fraction(k, d) for k in range(-2, 3) for d in (1, 2)})
+        for x in grid:
+            for y in grid:
+                inside = [region for region in regions if _REGIONS[region][0](x, y)]
+                assert len(inside) == 1, (x, y, inside)
+                assert _REGIONS[inside[0]][1] is not None, (x, y, inside)
+
+
 class TestTables:
     @pytest.mark.parametrize("table", ["verstraete", "lamata", "chterental"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -211,3 +247,39 @@ class TestTables:
             classify_table("unknown", 5, 0)
         with pytest.raises(ValueError):
             classify_table("lamata", 0, 0)
+
+
+def _tables_digest() -> str:
+    """sha256 of every table's JSON report for samples {1, 5} and seeds 0-9."""
+    lines = [
+        json.dumps(classify_table(table, samples, seed).to_json_dict())
+        for table in ("chterental", "lamata", "verstraete")
+        for samples in (1, 5)
+        for seed in range(10)
+    ]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+class TestPinnedReports:
+    """Reports, byte for byte, including the failure fields of a broken engine.
+
+    A change to how regions are stated or sampled must leave these alone:
+    the RNG draws stay in the same order, so each seed gives the same points.
+    """
+
+    def test_passing_reports(self):
+        assert _tables_digest() == "09fb231f9f52dbeaefefde8dd5f2724b77e743847053dc50508ff55a4dafbff4"
+
+    def test_failing_reports(self, monkeypatch):
+        # one less in the first rank fails every cell (witness), every
+        # unconstrained draw (matched_regions) and, via L_ab3's rank-1 hits,
+        # the empty cell
+        real = sloccrank.classify.rank_signature
+
+        def wrong(state, sigmas):
+            signature = real(state, sigmas)
+            ranks = (signature.ranks[0] - 1, *signature.ranks[1:])
+            return FamilySignature(signature.sigmas, ranks)
+
+        monkeypatch.setattr(sloccrank.classify, "rank_signature", wrong)
+        assert _tables_digest() == "47b28806707f8487b665933a881922750898eadc2b6bb630dbf488eb531b21b8"

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import sloccrank
-from sloccrank.cli import main
+from sloccrank.cli import entrypoint, main
 from sloccrank.rank import RankResult
 from sloccrank.scalar import scalar_format, scalar_parse
 from sloccrank.slocc import apply_local, operators_to_json, random_invertible_ops
@@ -299,6 +299,37 @@ class TestErrorPaths:
         assert done.stdout == ""
         assert "qubit count" in done.stderr
         assert not (tmp_path / "unused.json").exists()
+
+
+    def test_deeply_nested_state_file_exits_2(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        env = {**os.environ, "PYTHONPATH": SRC}
+        done = subprocess.run([sys.executable, "-m", "sloccrank.cli", "rank", "--state", str(path)],
+                              env=env, capture_output=True, text=True, timeout=30)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert "nested too deeply" in done.stderr
+        assert "Traceback" not in done.stderr
+
+
+class TestEntrypoint:
+    """``entrypoint`` is what the installed ``sloccrank`` script runs."""
+
+    def test_success_exits_0(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["sloccrank", "permutations", "--n", "4"])
+        with pytest.raises(SystemExit) as exc:
+            entrypoint()
+        assert exc.value.code == 0
+        assert json.loads(capsys.readouterr().out)["count"] == 3
+
+    def test_input_error_exits_2(self, capsys, monkeypatch, tmp_path):
+        missing = str(tmp_path / "none.json")
+        monkeypatch.setattr(sys, "argv", ["sloccrank", "rank", "--state", missing])
+        with pytest.raises(SystemExit) as exc:
+            entrypoint()
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 def _dense6_payload() -> dict:

@@ -193,6 +193,16 @@ class TestCoefficientMatrix:
                     direct = split_matrix(state, split_for(sigma, n))
                     assert coefficient_matrix(state, sigma) == direct
 
+    def test_cut_builds_no_state(self, monkeypatch):
+        state = dense_state(5, 6, field=True)[0]
+        built = []
+        real = PureState.__init__
+        monkeypatch.setattr(PureState, "__init__",
+                            lambda self, *args, **kw: built.append(1) or real(self, *args, **kw))
+        for sigma in enumerate_sigmas(6):
+            assert coefficient_matrix(state, sigma) == split_matrix(state, split_for(sigma, 6))
+        assert built == []
+
     def test_zero_state_maps_to_zero_matrix(self):
         matrix = coefficient_matrix(PureState.zero(3))
         assert all(not e for row in matrix.entries for e in row)

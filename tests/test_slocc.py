@@ -269,6 +269,12 @@ class TestOperatorFiles:
         save_operators(ops, path)
         assert load_operators(path) == ops
 
+    def test_deeply_nested_file(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        with pytest.raises(ValueError, match="nested too deeply"):
+            load_operators(path)
+
     @pytest.mark.parametrize(
         "payload",
         [

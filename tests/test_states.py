@@ -234,6 +234,12 @@ class TestStateFiles:
         with pytest.raises(StateFormatError):
             load_state(path)
 
+    def test_deeply_nested_json(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        with pytest.raises(StateFormatError, match="nested too deeply"):
+            load_state(path)
+
     def test_zero_state_not_serializable(self, tmp_path):
         with pytest.raises(StateFormatError):
             save_state(PureState.zero(2), tmp_path / "z.json")
