@@ -29,7 +29,15 @@ from .coeffmatrix import (
     enumerate_sigmas,
     permute_state,
 )
-from .rank import NumericFailure, RankResult, ShapeError, exact_det, exact_rank, numeric_rank
+from .rank import (
+    NumericFailure,
+    RankResult,
+    ShapeError,
+    cut_ranks,
+    exact_det,
+    exact_rank,
+    numeric_rank,
+)
 from .scalar import (
     GaussRational,
     ParseError,
@@ -92,6 +100,7 @@ __all__ = [
     "basis_state",
     "classify_table",
     "coefficient_matrix",
+    "cut_ranks",
     "dicke_rank_scan",
     "dicke_state",
     "enumerate_sigmas",

@@ -2,15 +2,16 @@
 
 Machine-readable JSON goes to stdout, human-readable notes to stderr.
 Exit codes: 0 when the command succeeded and every check passed, 1 when a
-verification or table check failed, 2 for usage or input errors.  All
-randomness flows from the --seed flag, so identical invocations produce
-byte-identical stdout.
+verification or table check failed or stdout was closed before the JSON was
+written, 2 for usage or input errors.  All randomness flows from the --seed
+flag, so identical invocations produce byte-identical stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import chain
 
@@ -32,6 +33,9 @@ from .states import (
 )
 
 _GEN_FAMILIES = ("basis", "ghz", "w", "dicke", "ladder", *_FAMILY_PARAMS)
+# The most --trials or --samples a command takes: the work grows linearly in
+# the count, so a larger one would only keep the command busy for hours.
+MAX_REPEATS = 1000
 
 
 class UsageError(Exception):
@@ -75,14 +79,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="randomized checks of the transformation identities")
     verify.add_argument("--state", required=True)
-    verify.add_argument("--trials", type=int, required=True)
+    verify.add_argument("--trials", type=int, required=True, help=f"trial count, 1..{MAX_REPEATS}")
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--allow-singular", action="store_true",
                         help="draw unconstrained operators and check rank monotonicity")
 
     table = sub.add_parser("table", help="reproduce one of the built-in family tables")
     table.add_argument("--id", required=True, choices=TABLE_IDS)
-    table.add_argument("--samples", type=int, required=True, help="samples per cell")
+    table.add_argument("--samples", type=int, required=True, help=f"samples per cell, 1..{MAX_REPEATS}")
     table.add_argument("--seed", type=int, default=0)
 
     scan = sub.add_parser("dicke-scan", help="rank and row structure of the Dicke states")
@@ -105,6 +109,11 @@ def _parse_sigma(text: str) -> QubitPermutation:
         return QubitPermutation.from_text(text)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def _check_repeats(flag: str, count: int) -> None:
+    if not 1 <= count <= MAX_REPEATS:
+        raise UsageError(f"{flag} must be in 1..{MAX_REPEATS}, got {count}")
 
 
 def _cmd_gen(args) -> tuple[dict, int]:
@@ -177,8 +186,7 @@ def _cmd_permutations(args) -> tuple[dict, int]:
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
-    if args.trials < 1:
-        raise UsageError("--trials must be at least 1")
+    _check_repeats("--trials", args.trials)
     state = load_state(args.state)
     checks = verify_trials(state, args.trials, args.seed, args.allow_singular)
     failed = any(check["failures"] for check in checks.values())
@@ -196,8 +204,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
 
 def _cmd_table(args) -> tuple[dict, int]:
-    if args.samples < 1:
-        raise UsageError("--samples must be at least 1")
+    _check_repeats("--samples", args.samples)
     report = classify_table(args.id, args.samples, args.seed)
     _log(f"table {args.id}: {'PASS' if report.passed else 'FAIL'}")
     return report.to_json_dict(), 0 if report.passed else 1
@@ -248,7 +255,14 @@ def main(argv=None) -> int:
             ValueError, OSError) as exc:
         _log(f"error: {exc}")
         return 2
-    print(json.dumps(payload))
+    try:
+        print(json.dumps(payload))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (as in ``| head``).  Point stdout at devnull so
+        # the flush at interpreter exit cannot raise again, and exit quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

@@ -237,6 +237,20 @@ def split_for(sigma: QubitPermutation, n: int) -> BitSplit:
     )
 
 
+def _cut_index(sigma: QubitPermutation, n: int) -> tuple[list[int], list[int]]:
+    """Row and column parts of the basis indices of the cut by ``sigma``.
+
+    Entry (i, j) of the cut holds the amplitude at index rows[i] | cols[j].
+    A relabeling only moves bits, and row bits and column bits never share a
+    position, so relabel(i << w | j) = relabel(i << w) | relabel(j) with w the
+    column width: the cut costs one relabel call per row and per column.
+    """
+    relabel = _relabel(sigma, n)
+    width = n - n // 2
+    rows = [relabel(i << width) for i in range(1 << (n // 2))]
+    return rows, [relabel(j) for j in range(1 << width)]
+
+
 def coefficient_matrix(state: PureState, sigma: QubitPermutation | None = None) -> CoeffMatrix:
     """Reshape ``state`` after relabeling by ``sigma`` (identity by default).
 
@@ -246,14 +260,14 @@ def coefficient_matrix(state: PureState, sigma: QubitPermutation | None = None) 
     """
     sigma = IDENTITY if sigma is None else sigma
     n = state.n
-    relabel = _relabel(sigma, n)
-    col_width = n - n // 2
-    ncols = 1 << col_width
-    grid = [[ZERO] * ncols for _ in range(1 << (n // 2))]
-    colmask = ncols - 1
+    rows, cols = _cut_index(sigma, n)
+    width = n - n // 2
+    mask = len(cols) - 1
+    grid = [[ZERO] * len(cols) for _ in rows]
     for index, amp in state.amps.items():
-        index = relabel(index)
-        grid[index >> col_width][index & colmask] = amp
+        # The relabeling is an involution, so amplitude x sits at relabel(x).
+        index = rows[index >> width] | cols[index & mask]
+        grid[index >> width][index & mask] = amp
     return CoeffMatrix(grid, split_for(sigma, n))
 
 

@@ -6,13 +6,24 @@ Z[i, sqrt2], the integers of Q(zeta_8).  The matrix is then eliminated, with
 first-nonzero pivoting, over F_p for word-size primes p = 1 (mod 8), where
 i -> w^2 and sqrt2 -> w + 1/w for a primitive 8th root of unity w mod p.
 A rank mod p never exceeds the true rank, so for every column prefix the
-engine keeps the largest rank any prime has shown.  Primes are added until
-their product exceeds B^2, where B bounds every conjugate of every minor
-that could still be missing (Hadamard's inequality on the entries' integer
-coordinates).  A minor that vanishes mod all those primes then has a norm
-divisible by their product yet smaller than it, so the minor is zero: every
-prefix rank, hence the rank and the pivot columns, is exact.  No tolerance
-is involved.
+engine keeps the largest rank any prime has shown.
+
+Stop rule.  Let d in {1, 2, 4} be the degree of the smallest of Q, Q(i),
+Q(sqrt2), Q(i*sqrt2) holding every entry, and P the Hadamard bound (from the
+entries' integer coordinates) on |s(m)|^2 for every conjugate s(m) of every
+minor m that could still be missing.  Primes are added until their product
+M satisfies M^2 > P^d.  Proof: each p = 1 (mod 8) splits completely, so a
+minor m that vanishes mod p lies in a prime of norm p and p divides
+N_{K/Q}(m); M then divides that norm, which is at most P^(d/2) < M, so
+m = 0.  Every prefix rank, hence the rank and the pivot columns, is exact.
+No tolerance is involved.
+
+``cut_ranks`` ranks every cut of a state on the same core: the state is
+scaled to Z[i, sqrt2] once, by one common denominator, reduced once per
+prime to a residue vector (made on first use and kept for that call), and
+each cut reads its residue rows and its e^2 sums through an index table
+made from the cut's row and column parts, the ones ``coefficient_matrix``
+places amplitudes by.
 
 ``exact_det`` runs fraction-free (Bareiss) elimination over Q(i, sqrt2).
 The numeric rank goes through an SVD of the complex-double image of the
@@ -25,14 +36,16 @@ import math
 import threading
 from dataclasses import dataclass
 
-from .coeffmatrix import CoeffMatrix
+from .coeffmatrix import CoeffMatrix, _cut_index
 from .scalar import ONE, ZERO, Scalar
+from .states import PureState
 
 __all__ = [
     "RankResult",
     "ShapeError",
     "NumericFailure",
     "exact_rank",
+    "cut_ranks",
     "exact_det",
     "numeric_rank",
     "to_complex_array",
@@ -114,31 +127,49 @@ def _field(k: int) -> tuple[int, int, int]:
 # --- exact rank --------------------------------------------------------------
 
 
-def _integer_rows(grid) -> list[list[tuple[int, int, int, int]]]:
-    """Entries as (Re a, Im a, Re b, Im b) for a + b*sqrt2, each row scaled to ints.
+def _integers(coords) -> list[tuple[int, int, int, int]]:
+    """(a, b, c, d, den) coordinates over the lcm of the dens, as (a, b, c, d) ints.
 
-    Scaling a row by a nonzero integer changes neither the rank nor the pivots.
+    Scaling by a nonzero integer changes neither a rank nor the pivots.
     """
-    rows = []
-    for row in grid:
-        coords = [x.coords for x in row]
-        scale = math.lcm(*(x[4] for x in coords))
-        scaled = []
-        for a, b, c, d, den in coords:
-            k = scale // den
-            scaled.append((a * k, b * k, c * k, d * k))
-        rows.append(scaled)
-    return rows
+    # A list, not a generator: a star-argument tuple built from a generator is
+    # resized, which strands one tuple in CPython's free lists per call.
+    scale = math.lcm(*[x[4] for x in coords])
+    out = []
+    for a, b, c, d, den in coords:
+        k = scale // den
+        out.append((a * k, b * k, c * k, d * k))
+    return out
 
 
-def _pivots_mod(rows, p: int, i_p: int, s_p: int) -> list[int]:
-    """Pivot columns of the F_p image under first-nonzero pivoting.
+def _degree(entries) -> int:
+    """[K : Q] for the smallest of Q, Q(i), Q(sqrt2), Q(i*sqrt2) holding every entry.
+
+    An entry (a, b, c, d) is a + b*i + (c + d*i)*sqrt2: the field is Q when
+    every b, c and d is zero, and has degree 2 when only one of b, c, d is
+    ever nonzero.
+    """
+    parts = sum(map(any, list(zip(*entries))[1:]))
+    return 1 << min(parts, 2)
+
+
+def _residues(entries, p: int, i_p: int, s_p: int) -> list[int]:
+    """Each entry's image in F_p, where i -> i_p and sqrt2 -> s_p."""
+    return [(a + b * i_p + (c + d * i_p) * s_p) % p for a, b, c, d in entries]
+
+
+def _squares(entries) -> list[int]:
+    """e^2 per entry, where e = |a| + |b| + 2(|c| + |d|) bounds every conjugate's modulus."""
+    return [(abs(a) + abs(b) + 2 * (abs(c) + abs(d))) ** 2 for a, b, c, d in entries]
+
+
+def _pivots_mod(rows, p: int) -> list[int]:
+    """Pivot columns of residue rows mod p under first-nonzero pivoting.
 
     ``active`` holds the nonzero rows not yet used as pivots, trimmed to the
     columns not yet eliminated; elimination ends when it runs empty.
     """
-    images = ([(a + b * i_p + (c + d * i_p) * s_p) % p for a, b, c, d in row] for row in rows)
-    active = [row for row in images if any(row)]
+    active = [row for row in rows if any(row)]
     pivots = []
     col = 0
     while active:
@@ -164,26 +195,56 @@ def _pivots_mod(rows, p: int, i_p: int, s_p: int) -> list[int]:
     return pivots
 
 
-def _minor_bounds(rows) -> list[int]:
-    """out[k] bounds |N(m)| for every nonzero k x k minor m, k <= min(rows, cols).
+def _minor_bounds(row_sums, col_sums) -> list[int]:
+    """out[k] bounds |s(m)|^2 for every conjugate s(m) of every nonzero k x k minor m.
 
-    Each conjugate of an entry a + b*sqrt2 has modulus at most
-    e = |Re a| + |Im a| + 2(|Re b| + |Im b|).  By Hadamard, each conjugate of
-    m has squared modulus at most the product of the k largest row sums of
-    e^2, and likewise of column sums; a row or column of a nonzero minor has
-    a sum of at least 1.  N(m) is the product of the four conjugates.
+    By Hadamard, |s(m)|^2 is at most the product of the k largest row sums of
+    e^2, and likewise of the column sums; a row or column of a nonzero minor
+    has a sum of at least 1.
     """
-    squares = [
-        [(abs(a) + abs(b) + 2 * (abs(c) + abs(d))) ** 2 for a, b, c, d in row] for row in rows
-    ]
-    size = min(len(squares), len(squares[0]))
+    size = min(len(row_sums), len(col_sums))
     products = []
-    for sums in ([sum(row) for row in squares], [sum(col) for col in zip(*squares)]):
+    for sums in (row_sums, col_sums):
         out = [1]
         for value in sorted(sums, reverse=True)[:size]:
             out.append(out[-1] * max(value, 1))
         products.append(out)
-    return [min(by_row, by_col) ** 2 for by_row, by_col in zip(*products)]
+    return [min(by_row, by_col) for by_row, by_col in zip(*products)]
+
+
+def _certified_rank(residues, square_sums, degree: int, ncols: int) -> RankResult:
+    """Rank and pivots from residue rows, certified by the degree-aware stop rule.
+
+    ``residues(k)`` gives the matrix's rows modulo the k-th prime and
+    ``square_sums()`` the row and column sums of e^2; every entry lies in a
+    field of degree ``degree``.
+    """
+    # best[c]: the largest rank of columns 0..c seen modulo any prime so far.
+    best = [0] * ncols
+    modulus = 1
+    bounds = None
+    k = 0
+    while True:
+        rows = residues(k)
+        p = _field(k)[0]
+        k += 1
+        modulus *= p
+        found = set(_pivots_mod(rows, p))
+        rank = 0
+        for c in range(ncols):
+            rank += c in found
+            best[c] = max(best[c], rank)
+        # Columns 0..c hold rank at most min(c+1, rows); below that, a
+        # minor of size best[c]+1 may have vanished modulo every prime so far.
+        missing = max((b + 1 for c, b in enumerate(best) if b < min(c + 1, len(rows))), default=0)
+        if not missing:
+            break
+        if bounds is None:
+            bounds = _minor_bounds(*square_sums())
+        if modulus * modulus > bounds[missing] ** degree:
+            break
+    pivot_columns = tuple(c for c in range(ncols) if best[c] > (best[c - 1] if c else 0))
+    return RankResult(best[-1], pivot_columns)
 
 
 def exact_rank(matrix) -> RankResult:
@@ -195,33 +256,59 @@ def exact_rank(matrix) -> RankResult:
     grid = _grid(matrix)
     if not grid or not grid[0]:
         return RankResult(0, ())
-    rows = _integer_rows(grid)
-    nrows, ncols = len(rows), len(rows[0])
-    # best[c]: the largest rank of columns 0..c seen modulo any prime so far.
-    best = [0] * ncols
-    modulus = 1
-    bounds = None
-    k = 0
-    while True:
-        p, i_p, s_p = _field(k)
-        k += 1
-        modulus *= p
-        found = set(_pivots_mod(rows, p, i_p, s_p))
-        rank = 0
-        for c in range(ncols):
-            rank += c in found
-            best[c] = max(best[c], rank)
-        # Columns 0..c hold rank at most min(c+1, nrows); below that, a
-        # minor of size best[c]+1 may have vanished modulo every prime so far.
-        missing = max((b + 1 for c, b in enumerate(best) if b < min(c + 1, nrows)), default=0)
-        if not missing:
-            break
-        if bounds is None:
-            bounds = _minor_bounds(rows)
-        if modulus > bounds[missing]:
-            break
-    pivot_columns = tuple(c for c in range(ncols) if best[c] > (best[c - 1] if c else 0))
-    return RankResult(best[-1], pivot_columns)
+    rows = [_integers([x.coords for x in row]) for row in grid]
+
+    def residues(k):
+        field = _field(k)
+        return [_residues(row, *field) for row in rows]
+
+    def square_sums():
+        squares = [_squares(row) for row in rows]
+        return [sum(row) for row in squares], [sum(col) for col in zip(*squares)]
+
+    degree = _degree([x for row in rows for x in row])
+    return _certified_rank(residues, square_sums, degree, len(grid[0]))
+
+
+def cut_ranks(state: PureState, sigmas) -> list[RankResult]:
+    """``exact_rank(coefficient_matrix(state, sigma))`` for each sigma, from one scaling.
+
+    The state is scaled to Z[i, sqrt2] once, by the lcm of its denominators,
+    and reduced once per prime to a residue vector; each cut reads its rows
+    and its e^2 sums through the cut's index table.
+    """
+    n = state.n
+    indices = list(state.amps)
+    entries = _integers([state.amps[j].coords for j in indices])
+    degree = _degree(entries)
+    squares = [0] * (1 << n)
+    for j, square in zip(indices, _squares(entries)):
+        squares[j] = square
+    vectors: list[list[int]] = []
+
+    def vector(k):
+        while len(vectors) <= k:
+            vec = [0] * (1 << n)
+            for j, r in zip(indices, _residues(entries, *_field(len(vectors)))):
+                vec[j] = r
+            vectors.append(vec)
+        return vectors[k]
+
+    out = []
+    for sigma in sigmas:
+        rows, cols = _cut_index(sigma, n)
+        table = [[row | col for col in cols] for row in rows]
+
+        def residues(k, table=table):
+            vec = vector(k)
+            return [[vec[j] for j in row] for row in table]
+
+        def square_sums(table=table):
+            return ([sum(squares[j] for j in row) for row in table],
+                    [sum(squares[j] for j in col) for col in zip(*table)])
+
+        out.append(_certified_rank(residues, square_sums, degree, len(table[0])))
+    return out
 
 
 def exact_det(matrix) -> Scalar:

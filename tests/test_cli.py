@@ -13,11 +13,11 @@ from pathlib import Path
 import pytest
 
 import sloccrank
-from sloccrank.cli import entrypoint, main
+from sloccrank.cli import MAX_REPEATS, entrypoint, main
 from sloccrank.rank import RankResult
 from sloccrank.scalar import scalar_format, scalar_parse
 from sloccrank.slocc import apply_local, operators_to_json, random_invertible_ops
-from sloccrank.states import PureState
+from sloccrank.states import PureState, basis_state, ghz_state, save_state
 
 SRC = str(Path(sloccrank.__file__).resolve().parents[1])
 
@@ -300,6 +300,50 @@ class TestErrorPaths:
         assert "qubit count" in done.stderr
         assert not (tmp_path / "unused.json").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["table", "--id", "verstraete", "--samples", "100000000"],
+        ["table", "--id", "lamata", "--samples", str(MAX_REPEATS + 1)],
+        ["verify", "--state", "ghz4.json", "--trials", "100000000"],
+        ["verify", "--state", "ghz4.json", "--trials", str(MAX_REPEATS + 1)],
+    ])
+    def test_oversized_repeat_count_exits_at_once(self, tmp_path, argv):
+        save_state(ghz_state(4), tmp_path / "ghz4.json")
+        env = {**os.environ, "PYTHONPATH": SRC}
+        done = subprocess.run([sys.executable, "-m", "sloccrank.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=30)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert f"must be in 1..{MAX_REPEATS}" in done.stderr
+        assert "Traceback" not in done.stderr
+
+    def test_repeat_limit_is_inclusive(self, capsys, tmp_path):
+        path = str(tmp_path / "b2.json")
+        save_state(basis_state(2, 0), path)
+        code, out, _ = run(capsys, "verify", "--state", path, "--trials", str(MAX_REPEATS))
+        assert code == 0
+        assert json.loads(out)["checks"]["rank_invariance"]["runs"] == MAX_REPEATS
+
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_closed_stdout_exits_quietly(self, n):
+        # n=4 fits the pipe buffer and fails at the flush; n=16 fails inside print.
+        env = {**os.environ, "PYTHONPATH": SRC}
+        command = [sys.executable, "-m", "sloccrank.cli", "permutations", "--n", str(n)]
+        with subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert b"Traceback" not in err
+        assert b"BrokenPipe" not in err
+
+    def test_stdout_closed_after_the_first_bytes(self):
+        env = {**os.environ, "PYTHONPATH": SRC}
+        command = [sys.executable, "-m", "sloccrank.cli", "permutations", "--n", "16"]
+        with subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.read(80).startswith(b'{"n": 16, "count": 6435')
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert b"Traceback" not in err
 
     def test_deeply_nested_state_file_exits_2(self, tmp_path):
         path = tmp_path / "deep.json"

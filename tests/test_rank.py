@@ -18,18 +18,27 @@ from hypothesis import strategies as st
 
 import sloccrank
 import sloccrank.rank as rank_module
-from sloccrank.coeffmatrix import coefficient_matrix, enumerate_sigmas
+from sloccrank.classify import rank_signature
+from sloccrank.coeffmatrix import (
+    IDENTITY,
+    CoeffMatrix,
+    QubitPermutation,
+    coefficient_matrix,
+    enumerate_sigmas,
+)
 from sloccrank.rank import (
     RankResult,
     ShapeError,
     _field,
     _is_prime,
+    cut_ranks,
     exact_det,
     exact_rank,
     numeric_rank,
     to_complex_array,
 )
-from sloccrank.scalar import GaussRational, I, SQRT2, Scalar, ZERO
+from sloccrank.scalar import GaussRational, I, SQRT2, Scalar, ZERO, scalar_parse
+from sloccrank.slocc import LocalOperator, apply_local
 from sloccrank.states import PureState, basis_state, dicke_state, ghz_state, ladder_state
 
 from conftest import dense_state, random_gauss_int, random_scalar, random_state
@@ -180,6 +189,142 @@ class TestModularEngine:
             grid = [[random_scalar(rng) for _ in range(cols)] for _ in range(rows)]
             grid.append([a + b for a, b in zip(grid[0], grid[-1])])
             assert exact_rank(grid) == reference_rank(grid)
+
+
+def short_root(p: int, t: int) -> tuple[int, int]:
+    """(a, b) with a = b*t (mod p) and |a|, |b| < sqrt(p), by Euclid stopped half-way.
+
+    Each remainder r_k of p and t satisfies r_k = t_k * t (mod p).
+    """
+    r0, r1, t0, t1 = p, t, 0, 1
+    while r1 * r1 >= p:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return r1, t1
+
+
+def first_prime_zero(ring: str) -> Scalar:
+    """A short nonzero element of ``ring`` that maps to 0 modulo the first prime."""
+    p, i_p, s_p = _field(0)
+    if ring == "Z":
+        return Scalar(p)
+    unit, t = {"Z[i]": (I, i_p), "Z[sqrt2]": (SQRT2, s_p), "Z[sqrt-2]": (I * SQRT2, i_p * s_p % p)}[ring]
+    a, b = short_root(p, t)
+    return a - b * unit
+
+
+def residue(x: Scalar, k: int = 0) -> int:
+    p, i_p, s_p = _field(k)
+    a, b, c, d, den = x.coords
+    return (a + b * i_p + (c + d * i_p) * s_p) * pow(den, -1, p) % p
+
+
+class TestDegreeRule:
+    """Entries that vanish modulo the first prime yet are as short as their ring allows.
+
+    Each matrix here has a nonzero minor that vanishes mod the first prime.
+    The stop rule needs modulus^2 > P^d with d the degree of the entries'
+    field; a rule that undercounts d, or P, stops after the first prime with
+    too small a rank.
+    """
+
+    def test_short_kernel_element_of_degree_four(self):
+        # LLL-short in the kernel of the first prime's embedding: e has 17
+        # bits, so P = e^2 and the d = 2 rule (or B in place of B^2) stops.
+        x = scalar_parse("18021+38612i+(-10362+9205i)*s2")
+        a, b, c, d, _ = x.coords
+        assert residue(x) == 0
+        assert (abs(a) + abs(b) + 2 * (abs(c) + abs(d))).bit_length() == 17
+        assert exact_rank([[x]]) == RankResult(1, (0,))
+        assert cut_ranks(PureState(1, {1: x}), [IDENTITY]) == [RankResult(1, (1,))]
+
+    @pytest.mark.parametrize("ring", ["Z", "Z[i]", "Z[sqrt2]", "Z[sqrt-2]"])
+    def test_entry_in_each_subring(self, ring):
+        x = first_prime_zero(ring)
+        assert x and residue(x) == 0
+        assert max(abs(v) for v in x.coords).bit_length() <= (62 if ring == "Z" else 32)
+        assert exact_rank([[x]]) == RankResult(1, (0,))
+        assert exact_rank([[x, ZERO], [ZERO, Scalar(1)]]) == RankResult(2, (0, 1))
+        assert cut_ranks(PureState(1, {0: x}), [IDENTITY]) == [RankResult(1, (0,))]
+
+    def test_degree_reads_every_entry(self):
+        x = first_prime_zero("Z[i]")
+        assert exact_rank([[ZERO], [x]]) == RankResult(1, (0,))
+        assert exact_rank(scalar_grid([[1, 0], [0, x]])) == RankResult(2, (0, 1))
+        assert cut_ranks(PureState(2, {0: 1, 3: x}), [IDENTITY]) == [RankResult(2, (0, 1))]
+
+    def test_square_sums_follow_the_cut(self):
+        # Amplitudes 0..3 fill one row of the identity cut but the 2 x 2 block
+        # [[s, 1], [c, s]] of the cut 1:3, whose determinant s^2 - c is p1.
+        # Read through the identity table, the e^2 sums bound that block's
+        # minors by about 2*p1, and the rule would stop after one prime.
+        p = _field(0)[0]
+        s = math.isqrt(p) + 1
+        c = s * s - p
+        state = PureState(4, {0: s, 1: 1, 2: c, 3: s})
+        sigmas = [IDENTITY, QubitPermutation([(1, 3)])]
+        results = cut_ranks(state, sigmas)
+        assert [r.rank for r in results] == [1, 2]
+        for sigma, result in zip(sigmas, results):
+            assert result == reference_rank(coefficient_matrix(state, sigma))
+
+
+def _draw(kind: str, rng: random.Random) -> Scalar:
+    def small() -> int:
+        return rng.randint(-3, 3)
+
+    if kind == "rational":
+        return Scalar(Fraction(small(), rng.randint(1, 4)))
+    if kind == "gauss":
+        return Scalar(GaussRational(small(), small()))
+    if kind == "sqrt2":
+        return Scalar(small(), small())
+    if kind == "i*sqrt2":
+        return Scalar(small(), GaussRational(0, small()))
+    return random_scalar(rng, 4)  # fractions, i and sqrt2 parts, mixed denominators
+
+
+def dense_state_of_kind(seed: int, n: int, kind: str) -> PureState:
+    """A sparse state of ``kind`` entries made dense by invertible operators of the same kind."""
+    rng = random.Random(seed)
+    indices = rng.sample(range(1 << n), min(rng.randint(1, 8), 1 << n))
+    sparse = PureState(n, {index: _draw(kind, rng) for index in indices}, allow_zero=True)
+    if sparse.is_zero:
+        sparse = PureState(n, {indices[0]: 1})
+    ops = []
+    while len(ops) < n:
+        op = LocalOperator([[_draw(kind, rng) for _ in range(2)] for _ in range(2)])
+        if op.det():
+            ops.append(op)
+    return apply_local(sparse, ops)
+
+
+class TestStateRoute:
+    """``cut_ranks`` reads every cut from one scaled residue vector per prime."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["rational", "gauss", "sqrt2", "i*sqrt2", "mixed"]))
+    def test_equals_matrix_route_and_reference(self, n, seed, kind):
+        state = dense_state_of_kind(seed, n, kind)
+        sigmas = enumerate_sigmas(n) if n > 1 else [IDENTITY]
+        for sigma, result in zip(sigmas, cut_ranks(state, sigmas), strict=True):
+            matrix = coefficient_matrix(state, sigma)
+            assert result == exact_rank(matrix) == reference_rank(matrix)
+
+    def test_zero_state(self):
+        assert cut_ranks(PureState.zero(4), enumerate_sigmas(4)) == [RankResult(0, ())] * 3
+
+    def test_signature_builds_no_coefficient_matrix(self, monkeypatch):
+        state = dense_state(5, 6, field=True)[0]
+        sigmas = enumerate_sigmas(6)
+        expected = tuple(exact_rank(coefficient_matrix(state, sigma)).rank for sigma in sigmas)
+        built = []
+        real = CoeffMatrix.__init__
+        monkeypatch.setattr(CoeffMatrix, "__init__",
+                            lambda self, *args, **kw: built.append(1) or real(self, *args, **kw))
+        assert rank_signature(state, sigmas).ranks == expected
+        assert built == []
 
 
 class TestPrimeFields:
