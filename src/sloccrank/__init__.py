@@ -33,10 +33,11 @@ from .rank import (
     NumericFailure,
     RankResult,
     ShapeError,
-    cut_ranks,
+    StateCut,
     exact_det,
     exact_rank,
     numeric_rank,
+    state_cuts,
 )
 from .scalar import (
     GaussRational,
@@ -92,6 +93,7 @@ __all__ = [
     "RankResult",
     "Scalar",
     "ShapeError",
+    "StateCut",
     "StateFormatError",
     "TABLE_IDS",
     "TableReport",
@@ -100,7 +102,6 @@ __all__ = [
     "basis_state",
     "classify_table",
     "coefficient_matrix",
-    "cut_ranks",
     "dicke_rank_scan",
     "dicke_state",
     "enumerate_sigmas",
@@ -124,6 +125,7 @@ __all__ = [
     "save_state",
     "scalar_format",
     "scalar_parse",
+    "state_cuts",
     "verify_det_relation",
     "verify_matrix_equation",
     "verify_trials",

@@ -25,7 +25,7 @@ from math import comb
 from typing import Callable, NamedTuple
 
 from .coeffmatrix import IDENTITY, QubitPermutation, coefficient_matrix
-from .rank import cut_ranks, exact_rank
+from .rank import exact_rank, state_cuts
 from .states import PureState, dicke_state, family_state
 
 __all__ = [
@@ -58,7 +58,7 @@ class FamilySignature:
 
 def rank_signature(state: PureState, sigmas) -> FamilySignature:
     sigmas = tuple(sigmas)
-    ranks = tuple(result.rank for result in cut_ranks(state, sigmas))
+    ranks = tuple(exact_rank(cut).rank for cut in state_cuts(state, sigmas))
     return FamilySignature(sigmas, ranks)
 
 

@@ -260,14 +260,14 @@ def coefficient_matrix(state: PureState, sigma: QubitPermutation | None = None) 
     """
     sigma = IDENTITY if sigma is None else sigma
     n = state.n
-    rows, cols = _cut_index(sigma, n)
-    width = n - n // 2
-    mask = len(cols) - 1
-    grid = [[ZERO] * len(cols) for _ in rows]
+    relabel = _relabel(sigma, n)
+    col_width = n - n // 2
+    ncols = 1 << col_width
+    grid = [[ZERO] * ncols for _ in range(1 << (n // 2))]
+    colmask = ncols - 1
     for index, amp in state.amps.items():
-        # The relabeling is an involution, so amplitude x sits at relabel(x).
-        index = rows[index >> width] | cols[index & mask]
-        grid[index >> width][index & mask] = amp
+        index = relabel(index)
+        grid[index >> col_width][index & colmask] = amp
     return CoeffMatrix(grid, split_for(sigma, n))
 
 

@@ -18,12 +18,12 @@ N_{K/Q}(m); M then divides that norm, which is at most P^(d/2) < M, so
 m = 0.  Every prefix rank, hence the rank and the pivot columns, is exact.
 No tolerance is involved.
 
-``cut_ranks`` ranks every cut of a state on the same core: the state is
+``exact_rank`` also takes the cuts ``state_cuts`` makes of a state, and
+ranks them on the same core without laying any matrix out: the state is
 scaled to Z[i, sqrt2] once, by one common denominator, reduced once per
-prime to a residue vector (made on first use and kept for that call), and
+prime to a residue vector (made on first use and shared by the cuts), and
 each cut reads its residue rows and its e^2 sums through an index table
-made from the cut's row and column parts, the ones ``coefficient_matrix``
-places amplitudes by.
+built from the cut's row and column parts of the basis indices.
 
 ``exact_det`` runs fraction-free (Bareiss) elimination over Q(i, sqrt2).
 The numeric rank goes through an SVD of the complex-double image of the
@@ -34,9 +34,10 @@ from __future__ import annotations
 
 import math
 import threading
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .coeffmatrix import CoeffMatrix, _cut_index
+from .coeffmatrix import CoeffMatrix, QubitPermutation, _cut_index
 from .scalar import ONE, ZERO, Scalar
 from .states import PureState
 
@@ -44,8 +45,9 @@ __all__ = [
     "RankResult",
     "ShapeError",
     "NumericFailure",
+    "StateCut",
     "exact_rank",
-    "cut_ranks",
+    "state_cuts",
     "exact_det",
     "numeric_rank",
     "to_complex_array",
@@ -247,12 +249,91 @@ def _certified_rank(residues, square_sums, degree: int, ncols: int) -> RankResul
     return RankResult(best[-1], pivot_columns)
 
 
+class _ScaledState:
+    """A state scaled to Z[i, sqrt2] by the lcm of its denominators.
+
+    ``squares[j]`` is e^2 of amplitude j (0 where there is none), and
+    ``vector(k)`` the amplitudes' residues modulo the k-th prime, made on
+    first use and kept.
+    """
+
+    __slots__ = ("state", "degree", "squares", "_indices", "_entries", "_vectors")
+
+    def __init__(self, state: PureState) -> None:
+        self.state = state
+        self._indices = list(state.amps)
+        self._entries = _integers([state.amps[j].coords for j in self._indices])
+        self.degree = _degree(self._entries)
+        self.squares = [0] * (1 << state.n)
+        for j, square in zip(self._indices, _squares(self._entries)):
+            self.squares[j] = square
+        self._vectors: list[list[int]] = []
+
+    def vector(self, k: int) -> list[int]:
+        while len(self._vectors) <= k:
+            vec = [0] * (1 << self.state.n)
+            for j, r in zip(self._indices, _residues(self._entries, *_field(len(self._vectors)))):
+                vec[j] = r
+            self._vectors.append(vec)
+        return self._vectors[k]
+
+
+class StateCut:
+    """The coefficient matrix of a state under ``sigma``, not laid out.
+
+    Entry (i, j) is the amplitude at basis index ``table[i][j]``.  Cuts made
+    by :func:`state_cuts` share one scaling of their state, so ``exact_rank``
+    reduces the state once per prime however many cuts it ranks.
+    ``entries`` lays the matrix out, equal to
+    ``coefficient_matrix(state, sigma).entries``.
+    """
+
+    __slots__ = ("sigma", "table", "_scaled")
+
+    def __init__(self, scaled: _ScaledState, sigma: QubitPermutation) -> None:
+        rows, cols = _cut_index(sigma, scaled.state.n)
+        self.sigma = sigma
+        self.table = [[row | col for col in cols] for row in rows]
+        self._scaled = scaled
+
+    @property
+    def entries(self) -> tuple[tuple[Scalar, ...], ...]:
+        amps = self._scaled.state.amps
+        return tuple(tuple(amps.get(j, ZERO) for j in row) for row in self.table)
+
+
+def state_cuts(state: PureState, sigmas) -> Iterator[StateCut]:
+    """The cut of ``state`` by each sigma, in order, all from one scaling of the state.
+
+    The scaling is done here; each cut's index table is built as the
+    iterator reaches it, so only one table need be alive at a time.
+    """
+    scaled = _ScaledState(state)
+    return (StateCut(scaled, sigma) for sigma in sigmas)
+
+
 def exact_rank(matrix) -> RankResult:
     """Rank over Q(i, sqrt2) and the echelon pivot columns, certified exact.
 
     The pivot columns are those that raise the rank of the columns before
     them, as first-nonzero elimination finds them.  No threshold is involved.
+    ``matrix`` is a ``CoeffMatrix`` or a grid of scalars, each row scaled on
+    its own, or a :class:`StateCut`, read from its state's shared scaling.
     """
+    if isinstance(matrix, StateCut):
+        scaled, table = matrix._scaled, matrix.table
+
+        def residues(k):
+            vec = scaled.vector(k)
+            return [[vec[j] for j in row] for row in table]
+
+        def square_sums():
+            squares = scaled.squares
+            return ([sum(squares[j] for j in row) for row in table],
+                    [sum(squares[j] for j in col) for col in zip(*table)])
+
+        return _certified_rank(residues, square_sums, scaled.degree, len(table[0]))
+
     grid = _grid(matrix)
     if not grid or not grid[0]:
         return RankResult(0, ())
@@ -268,47 +349,6 @@ def exact_rank(matrix) -> RankResult:
 
     degree = _degree([x for row in rows for x in row])
     return _certified_rank(residues, square_sums, degree, len(grid[0]))
-
-
-def cut_ranks(state: PureState, sigmas) -> list[RankResult]:
-    """``exact_rank(coefficient_matrix(state, sigma))`` for each sigma, from one scaling.
-
-    The state is scaled to Z[i, sqrt2] once, by the lcm of its denominators,
-    and reduced once per prime to a residue vector; each cut reads its rows
-    and its e^2 sums through the cut's index table.
-    """
-    n = state.n
-    indices = list(state.amps)
-    entries = _integers([state.amps[j].coords for j in indices])
-    degree = _degree(entries)
-    squares = [0] * (1 << n)
-    for j, square in zip(indices, _squares(entries)):
-        squares[j] = square
-    vectors: list[list[int]] = []
-
-    def vector(k):
-        while len(vectors) <= k:
-            vec = [0] * (1 << n)
-            for j, r in zip(indices, _residues(entries, *_field(len(vectors)))):
-                vec[j] = r
-            vectors.append(vec)
-        return vectors[k]
-
-    out = []
-    for sigma in sigmas:
-        rows, cols = _cut_index(sigma, n)
-        table = [[row | col for col in cols] for row in rows]
-
-        def residues(k, table=table):
-            vec = vector(k)
-            return [[vec[j] for j in row] for row in table]
-
-        def square_sums(table=table):
-            return ([sum(squares[j] for j in row) for row in table],
-                    [sum(squares[j] for j in col) for col in zip(*table)])
-
-        out.append(_certified_rank(residues, square_sums, degree, len(table[0])))
-    return out
 
 
 def exact_det(matrix) -> Scalar:

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sloccrank
+import sloccrank.classify as classify_module
 import sloccrank.rank as rank_module
 from sloccrank.classify import rank_signature
 from sloccrank.coeffmatrix import (
@@ -29,12 +30,13 @@ from sloccrank.coeffmatrix import (
 from sloccrank.rank import (
     RankResult,
     ShapeError,
+    StateCut,
     _field,
     _is_prime,
-    cut_ranks,
     exact_det,
     exact_rank,
     numeric_rank,
+    state_cuts,
     to_complex_array,
 )
 from sloccrank.scalar import GaussRational, I, SQRT2, Scalar, ZERO, scalar_parse
@@ -191,6 +193,10 @@ class TestModularEngine:
             assert exact_rank(grid) == reference_rank(grid)
 
 
+def cut_ranks(state: PureState, sigmas) -> list[RankResult]:
+    return [exact_rank(cut) for cut in state_cuts(state, sigmas)]
+
+
 def short_root(p: int, t: int) -> tuple[int, int]:
     """(a, b) with a = b*t (mod p) and |a|, |b| < sqrt(p), by Euclid stopped half-way.
 
@@ -300,7 +306,7 @@ def dense_state_of_kind(seed: int, n: int, kind: str) -> PureState:
 
 
 class TestStateRoute:
-    """``cut_ranks`` reads every cut from one scaled residue vector per prime."""
+    """``state_cuts`` reads every cut from one scaled residue vector per prime."""
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
@@ -308,9 +314,10 @@ class TestStateRoute:
     def test_equals_matrix_route_and_reference(self, n, seed, kind):
         state = dense_state_of_kind(seed, n, kind)
         sigmas = enumerate_sigmas(n) if n > 1 else [IDENTITY]
-        for sigma, result in zip(sigmas, cut_ranks(state, sigmas), strict=True):
+        for sigma, cut in zip(sigmas, state_cuts(state, sigmas), strict=True):
             matrix = coefficient_matrix(state, sigma)
-            assert result == exact_rank(matrix) == reference_rank(matrix)
+            assert cut.sigma == sigma and cut.entries == matrix.entries
+            assert exact_rank(cut) == exact_rank(matrix) == reference_rank(matrix)
 
     def test_zero_state(self):
         assert cut_ranks(PureState.zero(4), enumerate_sigmas(4)) == [RankResult(0, ())] * 3
@@ -325,6 +332,24 @@ class TestStateRoute:
                             lambda self, *args, **kw: built.append(1) or real(self, *args, **kw))
         assert rank_signature(state, sigmas).ranks == expected
         assert built == []
+
+    def test_signature_ranks_each_cut_through_exact_rank(self, monkeypatch):
+        # rank_signature calls classify.exact_rank once per cut, so a fault
+        # put there shows in every signature.
+        state = dense_state(2, 6, field=True)[0]
+        sigmas = enumerate_sigmas(6)
+        expected = rank_signature(state, sigmas).ranks
+        seen = []
+        real = classify_module.exact_rank
+
+        def off_by_one(cut):
+            seen.append(cut)
+            return RankResult(real(cut).rank + 1, ())
+
+        monkeypatch.setattr(classify_module, "exact_rank", off_by_one)
+        assert rank_signature(state, sigmas).ranks == tuple(r + 1 for r in expected)
+        assert [cut.sigma for cut in seen] == sigmas
+        assert all(isinstance(cut, StateCut) for cut in seen)
 
 
 class TestPrimeFields:
