@@ -237,18 +237,24 @@ def split_for(sigma: QubitPermutation, n: int) -> BitSplit:
     )
 
 
-def _cut_index(sigma: QubitPermutation, n: int) -> tuple[list[int], list[int]]:
-    """Row and column parts of the basis indices of the cut by ``sigma``.
+def _cut_table(sigma: QubitPermutation, n: int) -> list[list[int]]:
+    """The basis index of each entry of the cut by ``sigma``, row by row.
 
-    Entry (i, j) of the cut holds the amplitude at index rows[i] | cols[j].
-    A relabeling only moves bits, and row bits and column bits never share a
+    Entry (i, j) of the cut holds the amplitude at index table[i][j].  A
+    relabeling only moves bits, and row bits and column bits never share a
     position, so relabel(i << w | j) = relabel(i << w) | relabel(j) with w the
-    column width: the cut costs one relabel call per row and per column.
+    column width: the table costs one relabel call per row and per column.
     """
     relabel = _relabel(sigma, n)
     width = n - n // 2
     rows = [relabel(i << width) for i in range(1 << (n // 2))]
-    return rows, [relabel(j) for j in range(1 << width)]
+    cols = [relabel(j) for j in range(1 << width)]
+    return [[row | col for col in cols] for row in rows]
+
+
+def _lay_out(values, table) -> tuple[tuple[Scalar, ...], ...]:
+    """The matrix whose entry (i, j) is ``values[table[i][j]]``, zero where there is none."""
+    return tuple(tuple(values.get(j, ZERO) for j in row) for row in table)
 
 
 def coefficient_matrix(state: PureState, sigma: QubitPermutation | None = None) -> CoeffMatrix:
@@ -259,16 +265,7 @@ def coefficient_matrix(state: PureState, sigma: QubitPermutation | None = None) 
     i in binary and whose column bits read j.
     """
     sigma = IDENTITY if sigma is None else sigma
-    n = state.n
-    relabel = _relabel(sigma, n)
-    col_width = n - n // 2
-    ncols = 1 << col_width
-    grid = [[ZERO] * ncols for _ in range(1 << (n // 2))]
-    colmask = ncols - 1
-    for index, amp in state.amps.items():
-        index = relabel(index)
-        grid[index >> col_width][index & colmask] = amp
-    return CoeffMatrix(grid, split_for(sigma, n))
+    return CoeffMatrix(_lay_out(state.amps, _cut_table(sigma, state.n)), split_for(sigma, state.n))
 
 
 def split_matrix(state: PureState, split: BitSplit) -> CoeffMatrix:

@@ -1,29 +1,28 @@
 """Exact rank and determinant of scalar matrices, plus a floating cross-check.
 
 ``exact_rank`` is a multi-prime modular engine whose answer is proven exact.
-Each row is scaled by the lcm of its denominators, so every entry lies in
-Z[i, sqrt2], the integers of Q(zeta_8).  The matrix is then eliminated, with
-first-nonzero pivoting, over F_p for word-size primes p = 1 (mod 8), where
-i -> w^2 and sqrt2 -> w + 1/w for a primitive 8th root of unity w mod p.
-A rank mod p never exceeds the true rank, so for every column prefix the
-engine keeps the largest rank any prime has shown.
+It reads every matrix as a vector of values through an index table: a
+state's cut (from ``state_cuts``) reads the state's amplitudes through the
+cut's table of basis indices, and a grid is flattened row by row.  The
+vector is scaled by the lcm of its denominators, so every value lies in
+Z[i, sqrt2], the integers of Q(zeta_8); scaling by a nonzero integer changes
+no rank and no pivot.  It is reduced once per prime to a residue vector,
+made on first use and shared by all the cuts of one state.  The matrix read
+through the table is then eliminated, with first-nonzero pivoting, over F_p
+for word-size primes p = 1 (mod 8), where i -> w^2 and sqrt2 -> w + 1/w for
+a primitive 8th root of unity w mod p.  A rank mod p never exceeds the true
+rank, so for every column prefix the engine keeps the largest rank any prime
+has shown.
 
 Stop rule.  Let d in {1, 2, 4} be the degree of the smallest of Q, Q(i),
 Q(sqrt2), Q(i*sqrt2) holding every entry, and P the Hadamard bound (from the
-entries' integer coordinates) on |s(m)|^2 for every conjugate s(m) of every
-minor m that could still be missing.  Primes are added until their product
-M satisfies M^2 > P^d.  Proof: each p = 1 (mod 8) splits completely, so a
-minor m that vanishes mod p lies in a prime of norm p and p divides
-N_{K/Q}(m); M then divides that norm, which is at most P^(d/2) < M, so
-m = 0.  Every prefix rank, hence the rank and the pivot columns, is exact.
-No tolerance is involved.
-
-``exact_rank`` also takes the cuts ``state_cuts`` makes of a state, and
-ranks them on the same core without laying any matrix out: the state is
-scaled to Z[i, sqrt2] once, by one common denominator, reduced once per
-prime to a residue vector (made on first use and shared by the cuts), and
-each cut reads its residue rows and its e^2 sums through an index table
-built from the cut's row and column parts of the basis indices.
+entries' integer coordinates, summed along the table's rows and columns) on
+|s(m)|^2 for every conjugate s(m) of every minor m that could still be
+missing.  Primes are added until their product M satisfies M^2 > P^d.
+Proof: each p = 1 (mod 8) splits completely, so a minor m that vanishes
+mod p lies in a prime of norm p and p divides N_{K/Q}(m); M then divides
+that norm, which is at most P^(d/2) < M, so m = 0.  Every prefix rank, hence
+the rank and the pivot columns, is exact.  No tolerance is involved.
 
 ``exact_det`` runs fraction-free (Bareiss) elimination over Q(i, sqrt2).
 The numeric rank goes through an SVD of the complex-double image of the
@@ -36,10 +35,14 @@ import math
 import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .coeffmatrix import CoeffMatrix, QubitPermutation, _cut_index
+from .coeffmatrix import CoeffMatrix, QubitPermutation, _cut_table, _lay_out
 from .scalar import ONE, ZERO, Scalar
 from .states import PureState
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RankResult",
@@ -129,21 +132,6 @@ def _field(k: int) -> tuple[int, int, int]:
 # --- exact rank --------------------------------------------------------------
 
 
-def _integers(coords) -> list[tuple[int, int, int, int]]:
-    """(a, b, c, d, den) coordinates over the lcm of the dens, as (a, b, c, d) ints.
-
-    Scaling by a nonzero integer changes neither a rank nor the pivots.
-    """
-    # A list, not a generator: a star-argument tuple built from a generator is
-    # resized, which strands one tuple in CPython's free lists per call.
-    scale = math.lcm(*[x[4] for x in coords])
-    out = []
-    for a, b, c, d, den in coords:
-        k = scale // den
-        out.append((a * k, b * k, c * k, d * k))
-    return out
-
-
 def _degree(entries) -> int:
     """[K : Q] for the smallest of Q, Q(i), Q(sqrt2), Q(i*sqrt2) holding every entry.
 
@@ -153,16 +141,6 @@ def _degree(entries) -> int:
     """
     parts = sum(map(any, list(zip(*entries))[1:]))
     return 1 << min(parts, 2)
-
-
-def _residues(entries, p: int, i_p: int, s_p: int) -> list[int]:
-    """Each entry's image in F_p, where i -> i_p and sqrt2 -> s_p."""
-    return [(a + b * i_p + (c + d * i_p) * s_p) % p for a, b, c, d in entries]
-
-
-def _squares(entries) -> list[int]:
-    """e^2 per entry, where e = |a| + |b| + 2(|c| + |d|) bounds every conjugate's modulus."""
-    return [(abs(a) + abs(b) + 2 * (abs(c) + abs(d))) ** 2 for a, b, c, d in entries]
 
 
 def _pivots_mod(rows, p: int) -> list[int]:
@@ -214,20 +192,21 @@ def _minor_bounds(row_sums, col_sums) -> list[int]:
     return [min(by_row, by_col) for by_row, by_col in zip(*products)]
 
 
-def _certified_rank(residues, square_sums, degree: int, ncols: int) -> RankResult:
-    """Rank and pivots from residue rows, certified by the degree-aware stop rule.
+def _certified_rank(scaled: _Scaled, table) -> RankResult:
+    """Rank and pivots of the matrix ``scaled`` holds at ``table``, by the degree-aware stop rule.
 
-    ``residues(k)`` gives the matrix's rows modulo the k-th prime and
-    ``square_sums()`` the row and column sums of e^2; every entry lies in a
-    field of degree ``degree``.
+    Entry (i, j) is value ``table[i][j]`` of ``scaled``; its residue rows and
+    its row and column sums of e^2 are read through the table.
     """
+    ncols = len(table[0])
     # best[c]: the largest rank of columns 0..c seen modulo any prime so far.
     best = [0] * ncols
     modulus = 1
     bounds = None
     k = 0
     while True:
-        rows = residues(k)
+        vec = scaled.vector(k)
+        rows = [[vec[j] for j in row] for row in table]
         p = _field(k)[0]
         k += 1
         modulus *= p
@@ -242,40 +221,52 @@ def _certified_rank(residues, square_sums, degree: int, ncols: int) -> RankResul
         if not missing:
             break
         if bounds is None:
-            bounds = _minor_bounds(*square_sums())
-        if modulus * modulus > bounds[missing] ** degree:
+            squares = scaled.squares()
+            bounds = _minor_bounds([sum(squares[j] for j in row) for row in table],
+                                   [sum(squares[j] for j in col) for col in zip(*table)])
+        if modulus * modulus > bounds[missing] ** scaled.degree:
             break
     pivot_columns = tuple(c for c in range(ncols) if best[c] > (best[c - 1] if c else 0))
     return RankResult(best[-1], pivot_columns)
 
 
-class _ScaledState:
-    """A state scaled to Z[i, sqrt2] by the lcm of its denominators.
+class _Scaled:
+    """Values at indices 0..size-1, scaled to Z[i, sqrt2] by the lcm of their denominators.
 
-    ``squares[j]`` is e^2 of amplitude j (0 where there is none), and
-    ``vector(k)`` the amplitudes' residues modulo the k-th prime, made on
-    first use and kept.
+    ``values`` keeps the unscaled values (an index absent from it holds 0),
+    ``degree`` is the degree of the smallest field holding them all, and
+    ``vector(k)`` and ``squares()`` are made on first use and kept.
     """
 
-    __slots__ = ("state", "degree", "squares", "_indices", "_entries", "_vectors")
+    __slots__ = ("values", "degree", "_entries", "_squares", "_vectors")
 
-    def __init__(self, state: PureState) -> None:
-        self.state = state
-        self._indices = list(state.amps)
-        self._entries = _integers([state.amps[j].coords for j in self._indices])
-        self.degree = _degree(self._entries)
-        self.squares = [0] * (1 << state.n)
-        for j, square in zip(self._indices, _squares(self._entries)):
-            self.squares[j] = square
+    def __init__(self, values: dict[int, Scalar], size: int) -> None:
+        self.values = values
+        coords = [x.coords for x in values.values()]
+        # A list, not a generator: a star-argument tuple built from a generator
+        # is resized, which strands one tuple in CPython's free lists per call.
+        scale = math.lcm(*[x[4] for x in coords])
+        entries = [(0, 0, 0, 0)] * size
+        for j, (a, b, c, d, den) in zip(values, coords):
+            k = scale // den
+            entries[j] = (a * k, b * k, c * k, d * k)
+        self._entries = entries
+        self.degree = _degree(entries)
+        self._squares: list[int] | None = None
         self._vectors: list[list[int]] = []
 
     def vector(self, k: int) -> list[int]:
+        """The values' residues modulo the k-th prime."""
         while len(self._vectors) <= k:
-            vec = [0] * (1 << self.state.n)
-            for j, r in zip(self._indices, _residues(self._entries, *_field(len(self._vectors)))):
-                vec[j] = r
-            self._vectors.append(vec)
+            p, i_p, s_p = _field(len(self._vectors))
+            self._vectors.append([(a + b * i_p + (c + d * i_p) * s_p) % p for a, b, c, d in self._entries])
         return self._vectors[k]
+
+    def squares(self) -> list[int]:
+        """e^2 per value, where e = |a| + |b| + 2(|c| + |d|) bounds the modulus of every conjugate."""
+        if self._squares is None:
+            self._squares = [(abs(a) + abs(b) + 2 * (abs(c) + abs(d))) ** 2 for a, b, c, d in self._entries]
+        return self._squares
 
 
 class StateCut:
@@ -290,16 +281,14 @@ class StateCut:
 
     __slots__ = ("sigma", "table", "_scaled")
 
-    def __init__(self, scaled: _ScaledState, sigma: QubitPermutation) -> None:
-        rows, cols = _cut_index(sigma, scaled.state.n)
+    def __init__(self, scaled: _Scaled, sigma: QubitPermutation, table: list[list[int]]) -> None:
         self.sigma = sigma
-        self.table = [[row | col for col in cols] for row in rows]
+        self.table = table
         self._scaled = scaled
 
     @property
     def entries(self) -> tuple[tuple[Scalar, ...], ...]:
-        amps = self._scaled.state.amps
-        return tuple(tuple(amps.get(j, ZERO) for j in row) for row in self.table)
+        return _lay_out(self._scaled.values, self.table)
 
 
 def state_cuts(state: PureState, sigmas) -> Iterator[StateCut]:
@@ -308,8 +297,8 @@ def state_cuts(state: PureState, sigmas) -> Iterator[StateCut]:
     The scaling is done here; each cut's index table is built as the
     iterator reaches it, so only one table need be alive at a time.
     """
-    scaled = _ScaledState(state)
-    return (StateCut(scaled, sigma) for sigma in sigmas)
+    scaled = _Scaled(state.amps, 1 << state.n)
+    return (StateCut(scaled, sigma, _cut_table(sigma, state.n)) for sigma in sigmas)
 
 
 def exact_rank(matrix) -> RankResult:
@@ -317,38 +306,22 @@ def exact_rank(matrix) -> RankResult:
 
     The pivot columns are those that raise the rank of the columns before
     them, as first-nonzero elimination finds them.  No threshold is involved.
-    ``matrix`` is a ``CoeffMatrix`` or a grid of scalars, each row scaled on
-    its own, or a :class:`StateCut`, read from its state's shared scaling.
+    ``matrix`` is a :class:`StateCut`, read from its state's shared scaling,
+    or a ``CoeffMatrix`` or grid of scalars, flattened row by row into one
+    scaling of its own; a grid whose rows differ in length is a ``ShapeError``.
     """
     if isinstance(matrix, StateCut):
         scaled, table = matrix._scaled, matrix.table
-
-        def residues(k):
-            vec = scaled.vector(k)
-            return [[vec[j] for j in row] for row in table]
-
-        def square_sums():
-            squares = scaled.squares
-            return ([sum(squares[j] for j in row) for row in table],
-                    [sum(squares[j] for j in col) for col in zip(*table)])
-
-        return _certified_rank(residues, square_sums, scaled.degree, len(table[0]))
-
-    grid = _grid(matrix)
-    if not grid or not grid[0]:
-        return RankResult(0, ())
-    rows = [_integers([x.coords for x in row]) for row in grid]
-
-    def residues(k):
-        field = _field(k)
-        return [_residues(row, *field) for row in rows]
-
-    def square_sums():
-        squares = [_squares(row) for row in rows]
-        return [sum(row) for row in squares], [sum(col) for col in zip(*squares)]
-
-    degree = _degree([x for row in rows for x in row])
-    return _certified_rank(residues, square_sums, degree, len(grid[0]))
+    else:
+        grid = _grid(matrix)
+        width = len(grid[0]) if grid else 0
+        if any(len(row) != width for row in grid):
+            raise ShapeError(f"rows of a matrix must have one length, got {sorted({len(row) for row in grid})}")
+        if not width:
+            return RankResult(0, ())
+        scaled = _Scaled(dict(enumerate(x for row in grid for x in row)), len(grid) * width)
+        table = [range(i * width, (i + 1) * width) for i in range(len(grid))]
+    return _certified_rank(scaled, table)
 
 
 def exact_det(matrix) -> Scalar:

@@ -15,7 +15,7 @@ import json
 import random
 
 from .coeffmatrix import IDENTITY, QubitPermutation, coefficient_matrix, enumerate_sigmas
-from .rank import ShapeError, exact_det, exact_rank
+from .rank import ShapeError, exact_det, exact_rank, state_cuts
 from .scalar import GaussRational, ONE, ParseError, Scalar, ZERO, as_scalar, scalar_format, scalar_parse
 from .states import PureState
 
@@ -205,7 +205,7 @@ def verify_trials(state: PureState, trials: int, seed: int, allow_singular: bool
     """
     n = state.n
     sigmas = enumerate_sigmas(n) if n >= 2 else [IDENTITY]
-    base_ranks = tuple(exact_rank(coefficient_matrix(state, s)).rank for s in sigmas)
+    base_ranks = tuple(exact_rank(cut).rank for cut in state_cuts(state, sigmas))
     base_det = exact_det(coefficient_matrix(state)) if n % 2 == 0 else None
     master = random.Random(seed)
     equation_failures = rank_failures = det_failures = 0
@@ -217,7 +217,7 @@ def verify_trials(state: PureState, trials: int, seed: int, allow_singular: bool
         for s in (IDENTITY, sigma):
             if coefficient_matrix(transformed, s).entries != _predicted_matrix(state, ops, s):
                 equation_failures += 1
-        after = tuple(exact_rank(coefficient_matrix(transformed, s)).rank for s in sigmas)
+        after = tuple(exact_rank(cut).rank for cut in state_cuts(transformed, sigmas))
         if allow_singular:
             rank_failures += any(a > b for a, b in zip(after, base_ranks))
         else:

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import ast
+import importlib
+import inspect
 import math
 import os
 import random
 import subprocess
 import sys
 import threading
+import typing
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,6 +30,8 @@ from sloccrank.coeffmatrix import (
     QubitPermutation,
     coefficient_matrix,
     enumerate_sigmas,
+    split_for,
+    split_matrix,
 )
 from sloccrank.rank import (
     RankResult,
@@ -185,6 +191,11 @@ class TestModularEngine:
         assert exact_rank([]) == RankResult(0, ())
         assert exact_rank([[]]) == RankResult(0, ())
 
+    @pytest.mark.parametrize("grid", [[[1], [2, 3]], [[0, 1], [1]], [[1, 2], [3]], [[], [1]]])
+    def test_ragged_grid_raises(self, grid):
+        with pytest.raises(ShapeError):
+            exact_rank(scalar_grid(grid))
+
     def test_wide_high_rank_matches_reference(self):
         rng = random.Random(41)
         for rows, cols in ((3, 7), (7, 3), (6, 6)):
@@ -316,7 +327,8 @@ class TestStateRoute:
         sigmas = enumerate_sigmas(n) if n > 1 else [IDENTITY]
         for sigma, cut in zip(sigmas, state_cuts(state, sigmas), strict=True):
             matrix = coefficient_matrix(state, sigma)
-            assert cut.sigma == sigma and cut.entries == matrix.entries
+            assert cut.sigma == sigma
+            assert cut.entries == matrix.entries == split_matrix(state, split_for(sigma, n)).entries
             assert exact_rank(cut) == exact_rank(matrix) == reference_rank(matrix)
 
     def test_zero_state(self):
@@ -484,6 +496,21 @@ class TestNumericRank:
         code = "import sys, sloccrank; sys.exit('numpy' in sys.modules)"
         env = {**os.environ, "PYTHONPATH": SRC}
         assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+    @pytest.mark.parametrize("module", ["scalar", "states", "coeffmatrix", "rank", "slocc", "classify", "cli"])
+    def test_annotations_resolve_as_a_type_checker_reads_them(self, module):
+        # Names a module imports only under TYPE_CHECKING (numpy in rank, kept
+        # off the import path) are bound here as a type checker binds them.
+        module = importlib.import_module(f"sloccrank.{module}")
+        names: dict = {}
+        for node in ast.parse(Path(module.__file__).read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+                exec(compile(ast.Module(node.body, []), module.__file__, "exec"), names)
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            methods = [v for v in vars(obj).values() if inspect.isfunction(v)] if inspect.isclass(obj) else []
+            for fn in [obj, *methods] if callable(obj) else []:
+                typing.get_type_hints(fn, localns=names)
 
     def test_agrees_with_exact_on_random_states(self):
         rng = random.Random(37)

@@ -8,7 +8,7 @@ import pytest
 
 import sloccrank.slocc
 from sloccrank.coeffmatrix import QubitPermutation, coefficient_matrix, enumerate_sigmas
-from sloccrank.rank import ShapeError, exact_det, exact_rank
+from sloccrank.rank import ShapeError, StateCut, exact_det, exact_rank
 from sloccrank.scalar import Scalar
 from sloccrank.slocc import (
     LocalOperator,
@@ -178,6 +178,15 @@ class TestVerifyTrials:
         assert all(check["failures"] == 0 for check in checks.values())
         # 3 cuts of 4 qubits; the untransformed state is ranked once, each trial once more
         assert calls == {"apply_local": 3, "exact_rank": 3 * 4, "exact_det": 1 + 3}
+
+    def test_each_state_is_scaled_once_for_all_its_cuts(self, monkeypatch):
+        scaled, ranked = [], []
+        real_scaled, real_rank = sloccrank.rank._Scaled, sloccrank.slocc.exact_rank
+        monkeypatch.setattr(sloccrank.rank, "_Scaled", lambda *args: scaled.append(1) or real_scaled(*args))
+        monkeypatch.setattr(sloccrank.slocc, "exact_rank", lambda cut: ranked.append(cut) or real_rank(cut))
+        verify_trials(ladder_state(4, 2), 3, seed=1)
+        assert len(scaled) == 1 + 3
+        assert len(ranked) == 3 * 4 and all(isinstance(cut, StateCut) for cut in ranked)
 
     def test_equation_checked_under_identity_and_the_drawn_swap_set(self, monkeypatch):
         seen = []
