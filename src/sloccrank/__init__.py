@@ -33,7 +33,6 @@ from .rank import (
     NumericFailure,
     RankResult,
     ShapeError,
-    StateCut,
     exact_det,
     exact_rank,
     numeric_rank,
@@ -93,7 +92,6 @@ __all__ = [
     "RankResult",
     "Scalar",
     "ShapeError",
-    "StateCut",
     "StateFormatError",
     "TABLE_IDS",
     "TableReport",

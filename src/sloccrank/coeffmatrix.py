@@ -150,30 +150,49 @@ class BitSplit:
 
 
 class CoeffMatrix:
-    """Dense scalar matrix reshaped from a state, tagged with its bit split."""
+    """The coefficient matrix of a state under one bipartition, laid out only when read.
 
-    __slots__ = ("entries", "split")
+    Entry (i, j) is the amplitude ``values[table[i][j]]``, zero where there is
+    none, and ``split`` names the qubits behind the rows and the columns.
+    ``entries`` lays the matrix out as scalars; the rank engine reads
+    ``values`` through ``table`` instead.  Cuts made by ``rank.state_cuts``
+    also share one scaling of their state in ``_scaled``, so ``exact_rank``
+    reduces the state once per prime however many of its cuts it ranks.
+    The split may be given as the sigma that makes it from the default
+    split; it is then built when first read, so ranking a cut never builds
+    it.  The builders, :func:`coefficient_matrix` and :func:`split_matrix`,
+    make a table of the split's shape.
+    """
 
-    def __init__(self, entries, split: BitSplit) -> None:
-        rows = tuple(tuple(row) for row in entries)
-        if len(rows) != 1 << len(split.row_bits):
-            raise ValueError("row count does not match the bit split")
-        width = 1 << len(split.col_bits)
-        if any(len(row) != width for row in rows):
-            raise ValueError("column count does not match the bit split")
-        self.entries = rows
-        self.split = split
+    __slots__ = ("values", "table", "_split", "_scaled")
+
+    def __init__(self, values: dict[int, Scalar], table, split: BitSplit | QubitPermutation) -> None:
+        self.values = values
+        self.table = table
+        self._split = split
+        self._scaled = None
+
+    @property
+    def split(self) -> BitSplit:
+        if isinstance(self._split, QubitPermutation):
+            self._split = split_for(self._split, (self.rows * self.cols).bit_length() - 1)
+        return self._split
+
+    @property
+    def entries(self) -> tuple[tuple[Scalar, ...], ...]:
+        values = self.values
+        return tuple(tuple(values.get(j, ZERO) for j in row) for row in self.table)
 
     @property
     def rows(self) -> int:
-        return len(self.entries)
+        return len(self.table)
 
     @property
     def cols(self) -> int:
-        return len(self.entries[0])
+        return len(self.table[0])
 
     def entry(self, i: int, j: int) -> Scalar:
-        return self.entries[i][j]
+        return self.values.get(self.table[i][j], ZERO)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CoeffMatrix):
@@ -252,39 +271,33 @@ def _cut_table(sigma: QubitPermutation, n: int) -> list[list[int]]:
     return [[row | col for col in cols] for row in rows]
 
 
-def _lay_out(values, table) -> tuple[tuple[Scalar, ...], ...]:
-    """The matrix whose entry (i, j) is ``values[table[i][j]]``, zero where there is none."""
-    return tuple(tuple(values.get(j, ZERO) for j in row) for row in table)
-
-
 def coefficient_matrix(state: PureState, sigma: QubitPermutation | None = None) -> CoeffMatrix:
     """Reshape ``state`` after relabeling by ``sigma`` (identity by default).
 
     Row index bits are the first n//2 qubits of the relabeled state, in
     ascending index order; entry (i, j) is the amplitude whose row bits read
-    i in binary and whose column bits read j.
+    i in binary and whose column bits read j.  Nothing is laid out here.
     """
     sigma = IDENTITY if sigma is None else sigma
-    return CoeffMatrix(_lay_out(state.amps, _cut_table(sigma, state.n)), split_for(sigma, state.n))
+    return CoeffMatrix(state.amps, _cut_table(sigma, state.n), sigma)
 
 
 def split_matrix(state: PureState, split: BitSplit) -> CoeffMatrix:
     """Reshape ``state`` along an explicit bipartition.
 
-    This is the direct-extraction route (no relabeling pass); it is kept
-    internal to the library and the test suite as an independent check on
-    :func:`coefficient_matrix`.
+    This is the direct-extraction route (no relabeling pass, row-major
+    positions); it is kept internal to the library and the test suite as an
+    independent check on :func:`coefficient_matrix`.
     """
     n = state.n
     if split.n != n:
         raise ValueError(f"split covers {split.n} qubits but the state has {n}")
-    grid = [[ZERO] * (1 << len(split.col_bits)) for _ in range(1 << len(split.row_bits))]
+    bits = split.row_bits + split.col_bits
+    values = {}
     for index, amp in state.amps.items():
-        r = 0
-        for q in split.row_bits:
-            r = (r << 1) | ((index >> (n - q)) & 1)
-        c = 0
-        for q in split.col_bits:
-            c = (c << 1) | ((index >> (n - q)) & 1)
-        grid[r][c] = amp
-    return CoeffMatrix(grid, split)
+        position = 0
+        for q in bits:
+            position = (position << 1) | ((index >> (n - q)) & 1)
+        values[position] = amp
+    width = 1 << len(split.col_bits)
+    return CoeffMatrix(values, [range(r * width, (r + 1) * width) for r in range(1 << len(split.row_bits))], split)

@@ -1,14 +1,16 @@
 """Exact rank and determinant of scalar matrices, plus a floating cross-check.
 
 ``exact_rank`` is a multi-prime modular engine whose answer is proven exact.
-It reads every matrix as a vector of values through an index table: a
-state's cut (from ``state_cuts``) reads the state's amplitudes through the
-cut's table of basis indices, and a grid is flattened row by row.  The
-vector is scaled by the lcm of its denominators, so every value lies in
-Z[i, sqrt2], the integers of Q(zeta_8); scaling by a nonzero integer changes
-no rank and no pivot.  It is reduced once per prime to a residue vector,
-made on first use and shared by all the cuts of one state.  The matrix read
-through the table is then eliminated, with first-nonzero pivoting, over F_p
+It reads every matrix as a vector of values through an index table.  A
+``CoeffMatrix`` is one already: the state's amplitudes, read through the
+cut's table of basis indices, and it is never laid out as scalars here.  A
+raw grid is flattened row by row.  The vector is scaled by the lcm of its
+denominators, so every value lies in Z[i, sqrt2], the integers of
+Q(zeta_8); scaling by a nonzero integer changes no rank and no pivot.  It is
+reduced once per prime to a residue vector, made on first use; the cuts
+from ``state_cuts`` share one scaling, hence one residue vector per prime,
+for their whole state.  The matrix read through the table is then
+eliminated, with first-nonzero pivoting, over F_p
 for word-size primes p = 1 (mod 8), where i -> w^2 and sqrt2 -> w + 1/w for
 a primitive 8th root of unity w mod p.  A rank mod p never exceeds the true
 rank, so for every column prefix the engine keeps the largest rank any prime
@@ -25,7 +27,9 @@ that norm, which is at most P^(d/2) < M, so m = 0.  Every prefix rank, hence
 the rank and the pivot columns, is exact.  No tolerance is involved.
 
 ``exact_det`` runs fraction-free (Bareiss) elimination over Q(i, sqrt2).
-The numeric rank goes through an SVD of the complex-double image of the
+Every function here takes a ``CoeffMatrix`` or a grid of ints, Fractions
+or scalars, and a grid entry of any other type is a ``TypeError``.  The
+numeric rank goes through an SVD of the complex-double image of the
 matrix and acts as an independent oracle for the exact path.
 """
 
@@ -37,8 +41,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .coeffmatrix import CoeffMatrix, QubitPermutation, _cut_table, _lay_out
-from .scalar import ONE, ZERO, Scalar
+from .coeffmatrix import CoeffMatrix, coefficient_matrix
+from .scalar import ONE, ZERO, Scalar, as_scalar
 from .states import PureState
 
 if TYPE_CHECKING:
@@ -48,7 +52,6 @@ __all__ = [
     "RankResult",
     "ShapeError",
     "NumericFailure",
-    "StateCut",
     "exact_rank",
     "state_cuts",
     "exact_det",
@@ -74,7 +77,7 @@ class NumericFailure(RuntimeError):
 def _grid(matrix) -> list[list[Scalar]]:
     if isinstance(matrix, CoeffMatrix):
         return [list(row) for row in matrix.entries]
-    return [list(row) for row in matrix]
+    return [[as_scalar(x) for x in row] for row in matrix]
 
 
 # --- prime fields ------------------------------------------------------------
@@ -269,36 +272,17 @@ class _Scaled:
         return self._squares
 
 
-class StateCut:
-    """The coefficient matrix of a state under ``sigma``, not laid out.
+def state_cuts(state: PureState, sigmas) -> Iterator[CoeffMatrix]:
+    """``coefficient_matrix(state, sigma)`` for each sigma, in order, all sharing one scaling of the state.
 
-    Entry (i, j) is the amplitude at basis index ``table[i][j]``.  Cuts made
-    by :func:`state_cuts` share one scaling of their state, so ``exact_rank``
-    reduces the state once per prime however many cuts it ranks.
-    ``entries`` lays the matrix out, equal to
-    ``coefficient_matrix(state, sigma).entries``.
-    """
-
-    __slots__ = ("sigma", "table", "_scaled")
-
-    def __init__(self, scaled: _Scaled, sigma: QubitPermutation, table: list[list[int]]) -> None:
-        self.sigma = sigma
-        self.table = table
-        self._scaled = scaled
-
-    @property
-    def entries(self) -> tuple[tuple[Scalar, ...], ...]:
-        return _lay_out(self._scaled.values, self.table)
-
-
-def state_cuts(state: PureState, sigmas) -> Iterator[StateCut]:
-    """The cut of ``state`` by each sigma, in order, all from one scaling of the state.
-
-    The scaling is done here; each cut's index table is built as the
-    iterator reaches it, so only one table need be alive at a time.
+    Each cut's index table is built as the iterator reaches it, so only one
+    table need be alive at a time.
     """
     scaled = _Scaled(state.amps, 1 << state.n)
-    return (StateCut(scaled, sigma, _cut_table(sigma, state.n)) for sigma in sigmas)
+    for sigma in sigmas:
+        cut = coefficient_matrix(state, sigma)
+        cut._scaled = scaled
+        yield cut
 
 
 def exact_rank(matrix) -> RankResult:
@@ -306,22 +290,22 @@ def exact_rank(matrix) -> RankResult:
 
     The pivot columns are those that raise the rank of the columns before
     them, as first-nonzero elimination finds them.  No threshold is involved.
-    ``matrix`` is a :class:`StateCut`, read from its state's shared scaling,
-    or a ``CoeffMatrix`` or grid of scalars, flattened row by row into one
-    scaling of its own; a grid whose rows differ in length is a ``ShapeError``.
+    ``matrix`` is a :class:`CoeffMatrix`, read through its table from its
+    state's shared scaling (``state_cuts``) or a scaling of its own values,
+    or a grid, flattened row by row into one scaling of its own; a grid
+    whose rows differ in length is a ``ShapeError``.
     """
-    if isinstance(matrix, StateCut):
-        scaled, table = matrix._scaled, matrix.table
-    else:
-        grid = _grid(matrix)
-        width = len(grid[0]) if grid else 0
-        if any(len(row) != width for row in grid):
-            raise ShapeError(f"rows of a matrix must have one length, got {sorted({len(row) for row in grid})}")
-        if not width:
-            return RankResult(0, ())
-        scaled = _Scaled(dict(enumerate(x for row in grid for x in row)), len(grid) * width)
-        table = [range(i * width, (i + 1) * width) for i in range(len(grid))]
-    return _certified_rank(scaled, table)
+    if isinstance(matrix, CoeffMatrix):
+        scaled = matrix._scaled or _Scaled(matrix.values, matrix.rows * matrix.cols)
+        return _certified_rank(scaled, matrix.table)
+    grid = _grid(matrix)
+    width = len(grid[0]) if grid else 0
+    if any(len(row) != width for row in grid):
+        raise ShapeError(f"rows of a matrix must have one length, got {sorted({len(row) for row in grid})}")
+    if not width:
+        return RankResult(0, ())
+    scaled = _Scaled(dict(enumerate(x for row in grid for x in row)), len(grid) * width)
+    return _certified_rank(scaled, [range(i * width, (i + 1) * width) for i in range(len(grid))])
 
 
 def exact_det(matrix) -> Scalar:

@@ -212,8 +212,10 @@ def load_state(path) -> PureState:
     if unknown:
         raise StateFormatError(f"unknown key(s): {', '.join(sorted(unknown))}")
     n = payload.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_QUBITS:
-        raise StateFormatError(f"'n' must be an integer in 1..{MAX_QUBITS}")
+    try:
+        check_qubits(n)
+    except ValueError as exc:
+        raise StateFormatError(f"'n': {exc}") from exc
     entries = payload.get("amplitudes")
     if not isinstance(entries, list) or not entries:
         raise StateFormatError("'amplitudes' must be a nonempty array")

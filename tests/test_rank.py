@@ -36,7 +36,6 @@ from sloccrank.coeffmatrix import (
 from sloccrank.rank import (
     RankResult,
     ShapeError,
-    StateCut,
     _field,
     _is_prime,
     exact_det,
@@ -327,23 +326,38 @@ class TestStateRoute:
         sigmas = enumerate_sigmas(n) if n > 1 else [IDENTITY]
         for sigma, cut in zip(sigmas, state_cuts(state, sigmas), strict=True):
             matrix = coefficient_matrix(state, sigma)
-            assert cut.sigma == sigma
+            assert cut.split == split_for(sigma, n)
             assert cut.entries == matrix.entries == split_matrix(state, split_for(sigma, n)).entries
             assert exact_rank(cut) == exact_rank(matrix) == reference_rank(matrix)
 
     def test_zero_state(self):
         assert cut_ranks(PureState.zero(4), enumerate_sigmas(4)) == [RankResult(0, ())] * 3
 
-    def test_signature_builds_no_coefficient_matrix(self, monkeypatch):
+    def test_signature_lays_out_no_cut(self, monkeypatch):
         state = dense_state(5, 6, field=True)[0]
         sigmas = enumerate_sigmas(6)
         expected = tuple(exact_rank(coefficient_matrix(state, sigma)).rank for sigma in sigmas)
-        built = []
-        real = CoeffMatrix.__init__
-        monkeypatch.setattr(CoeffMatrix, "__init__",
-                            lambda self, *args, **kw: built.append(1) or real(self, *args, **kw))
+        laid_out = []
+        real = CoeffMatrix.entries
+        monkeypatch.setattr(CoeffMatrix, "entries", property(lambda self: laid_out.append(1) or real.fget(self)))
         assert rank_signature(state, sigmas).ranks == expected
-        assert built == []
+        assert laid_out == []
+
+    def test_sparse_sixteen_qubit_cut_is_ranked_unlaid(self, monkeypatch):
+        monkeypatch.setattr(CoeffMatrix, "entries", property(lambda self: pytest.fail("entries were laid out")))
+        matrix = coefficient_matrix(ghz_state(16), QubitPermutation([(1, 9)]))
+        assert exact_rank(matrix).rank == 2
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_engine_takes_a_state_cut(self, n):
+        state = dense_state(n, n, field=True)[0]
+        sigmas = enumerate_sigmas(n) if n > 1 else [IDENTITY]
+        for sigma, cut in zip(sigmas, state_cuts(state, sigmas), strict=True):
+            matrix = coefficient_matrix(state, sigma)
+            if n % 2 == 0:
+                assert exact_det(cut) == exact_det(matrix)
+            assert numeric_rank(cut) == numeric_rank(matrix)
+            assert np.array_equal(to_complex_array(cut), to_complex_array(matrix))
 
     def test_signature_ranks_each_cut_through_exact_rank(self, monkeypatch):
         # rank_signature calls classify.exact_rank once per cut, so a fault
@@ -360,8 +374,26 @@ class TestStateRoute:
 
         monkeypatch.setattr(classify_module, "exact_rank", off_by_one)
         assert rank_signature(state, sigmas).ranks == tuple(r + 1 for r in expected)
-        assert [cut.sigma for cut in seen] == sigmas
-        assert all(isinstance(cut, StateCut) for cut in seen)
+        assert [cut.split for cut in seen] == [split_for(sigma, 6) for sigma in sigmas]
+        assert seen[0]._scaled is not None and all(cut._scaled is seen[0]._scaled for cut in seen)
+
+
+class TestGridEntries:
+    """A raw grid holds ints, Fractions or scalars; every engine reads them as scalars."""
+
+    def test_int_and_fraction_entries(self):
+        assert exact_rank([[1, 2], [2, 4]]) == RankResult(1, (0,))
+        assert exact_rank([[Fraction(1, 2), 1], [1, Scalar(2)]]) == RankResult(1, (0,))
+        assert numeric_rank([[1, 2], [2, 4]]) == 1
+        det = exact_det([[5]])
+        assert isinstance(det, Scalar) and det == Scalar(5)
+        assert exact_det([[Fraction(1, 2), 1], [3, Scalar(4)]]) == Scalar(-1)
+
+    @pytest.mark.parametrize("engine", [exact_rank, exact_det, numeric_rank, to_complex_array])
+    @pytest.mark.parametrize("entry", [1.5, 1j, "1"], ids=["float", "complex", "str"])
+    def test_other_entries_raise_type_error(self, engine, entry):
+        with pytest.raises(TypeError):
+            engine([[entry]])
 
 
 class TestPrimeFields:

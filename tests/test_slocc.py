@@ -8,7 +8,7 @@ import pytest
 
 import sloccrank.slocc
 from sloccrank.coeffmatrix import QubitPermutation, coefficient_matrix, enumerate_sigmas
-from sloccrank.rank import ShapeError, StateCut, exact_det, exact_rank
+from sloccrank.rank import ShapeError, exact_det, exact_rank
 from sloccrank.scalar import Scalar
 from sloccrank.slocc import (
     LocalOperator,
@@ -186,7 +186,10 @@ class TestVerifyTrials:
         monkeypatch.setattr(sloccrank.slocc, "exact_rank", lambda cut: ranked.append(cut) or real_rank(cut))
         verify_trials(ladder_state(4, 2), 3, seed=1)
         assert len(scaled) == 1 + 3
-        assert len(ranked) == 3 * 4 and all(isinstance(cut, StateCut) for cut in ranked)
+        # 3 cuts per state, the untransformed one first: each state's cuts share one scaling
+        assert len(ranked) == 3 * 4
+        assert [len({id(cut._scaled) for cut in ranked[k:k + 3]}) for k in range(0, 12, 3)] == [1] * 4
+        assert len({id(cut._scaled) for cut in ranked}) == 4 and ranked[0]._scaled is not None
 
     def test_equation_checked_under_identity_and_the_drawn_swap_set(self, monkeypatch):
         seen = []
