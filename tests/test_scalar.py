@@ -105,6 +105,94 @@ def test_parse_errors(text):
     assert err.value.position >= 0
 
 
+# --- the text grammar, generated ---------------------------------------------
+#
+# Valid texts are built token by token with random whitespace between any two
+# tokens, and each text's value is summed independently, coordinate by
+# coordinate (1, i, s2, i*s2), with Fraction.
+
+_ws = st.text(alphabet=" \t\n\x0b\x1c\x85\xa0\u2003\u3000", max_size=2)
+
+
+@st.composite
+def gauss_terms(draw):
+    """One Gaussian term as (text, coordinate, value); coordinate 0 is 1, 1 is i."""
+    if draw(st.integers(0, 3)) == 0:
+        return "i", 1, Fraction(1)
+    num = draw(st.integers(0, 99))
+    text, value = "0" * draw(st.integers(0, 1)) + str(num), Fraction(num)
+    if draw(st.booleans()):
+        den = draw(st.integers(1, 12))
+        text += draw(_ws) + "/" + draw(_ws) + str(den)
+        value /= den
+    imag = draw(st.booleans())
+    if imag:
+        text += draw(_ws) + "i"
+    return text, int(imag), value
+
+
+@st.composite
+def scalar_texts(draw):
+    """A valid scalar text and its value as four Fractions."""
+    value = [Fraction(0)] * 4
+    parts = [draw(_ws)]
+    for k in range(draw(st.integers(1, 4))):
+        sign = draw(st.sampled_from(("", "+", "-") if k == 0 else ("+", "-")))
+        factor = -1 if sign == "-" else 1
+        parts += [sign, draw(_ws)]
+        kind = draw(st.sampled_from(("term", "term*s2", "s2", "(sum)*s2")))
+        if kind == "s2":
+            parts.append("s2")
+            value[2] += factor
+        elif kind == "(sum)*s2":
+            parts += ["(", draw(_ws)]
+            for j in range(draw(st.integers(1, 4))):
+                inner = draw(st.sampled_from(("", "+", "-") if j == 0 else ("+", "-")))
+                term, slot, amount = draw(gauss_terms())
+                parts += [inner, draw(_ws), term, draw(_ws)]
+                value[2 + slot] += factor * (-amount if inner == "-" else amount)
+            parts += [")", draw(_ws), "*", draw(_ws), "s2"]
+        else:
+            term, slot, amount = draw(gauss_terms())
+            parts.append(term)
+            if kind == "term*s2":
+                parts += [draw(_ws), "*", draw(_ws), "s2"]
+                slot += 2
+            value[slot] += factor * amount
+        parts.append(draw(_ws))
+    return "".join(parts), tuple(value)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("2 i", (0, 2, 0, 0)),
+    ("1 / 2", (Fraction(1, 2), 0, 0, 0)),
+    ("i", (0, 1, 0, 0)),
+    ("s2", (0, 0, 1, 0)),
+    ("+1", (1, 0, 0, 0)),
+    ("\t+ 1 -\u3000s2 ", (1, 0, -1, 0)),
+    ("(1/2 + 1/3i - 1/6 + 1/4 i) * s2", (0, 0, Fraction(1, 3), Fraction(7, 12))),
+    ("1/2 + 1/3 - 1/6 i - 1/4i + 1/12", (Fraction(11, 12), Fraction(-5, 12), 0, 0)),
+])
+def test_parse_grammar_examples(text, value):
+    assert as_fractions(scalar_parse(text)) == value
+
+
+@given(scalar_texts())
+def test_parse_generated_texts(case):
+    text, value = case
+    parsed = scalar_parse(text)
+    assert_canonical(parsed)
+    assert as_fractions(parsed) == value
+
+
+@given(st.text(alphabet="0123456789/is2*()+- \tx", max_size=30))
+def test_any_text_parses_or_fails_at_a_position(text):
+    try:
+        scalar_parse(text)
+    except ParseError as err:
+        assert 0 <= err.position <= len(text)
+
+
 def test_format_examples():
     assert scalar_format(Scalar(Fraction(1, 2))) == "1/2"
     assert scalar_format(Scalar(0, GaussRational(0, 1))) == "i*s2"
