@@ -9,13 +9,23 @@ zero is exact (which is what makes elimination over these scalars
 decisive), and each operation costs at most one gcd, none when the
 denominator is 1.
 
-The text grammar used by state files and the command line writes sqrt(2) as
-``s2``: for example ``1/2``, ``-2i``, ``i*s2``, ``-1/3+2i+(1+i)*s2``.
+The text grammar of state files and the command line writes sqrt(2) as
+``s2``, as in ``-1/3+2i+(1+i)*s2``; a ``sign`` is ``+`` or ``-``::
+
+    scalar  := sign? summand (sign summand)*
+    summand := term ("*" "s2")? | "s2" | "(" sign? term (sign term)* ")" "*" "s2"
+    term    := digits ("/" digits)? "i"? | "i"
+
+Digits are ASCII ``0-9``, a denominator is nonzero, and a literal longer than
+the interpreter converts to int is rejected.  Whitespace (``str.isspace``) may
+stand between any two tokens.  Sums do not nest, so the grammar is regular
+and is read with a few compiled patterns and one loop.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 __all__ = [
@@ -36,7 +46,7 @@ _gcd = math.gcd
 
 
 class ParseError(ValueError):
-    """Malformed scalar text; ``position`` is the offset of the bad character."""
+    """Malformed scalar text; ``position`` is where the failing token starts."""
 
     def __init__(self, message: str, position: int) -> None:
         super().__init__(f"{message} (at position {position})")
@@ -234,143 +244,72 @@ def as_scalar(value) -> Scalar:
     return s
 
 
-class _Parser:
-    """Recursive-descent parser for the scalar text grammar.
+# One compiled pattern per piece of the grammar; each skips the whitespace in and before it.
+_SIGN = re.compile(r"\s*([+-]?)")
+_TERM = re.compile(r"\s*(?:([0-9]+)(?:\s*/\s*([0-9]*))?)?(?:\s*(i))?")
+_OPEN = re.compile(r"\s*\(")
+_CLOSE = re.compile(r"\s*\)\s*(?:\*\s*(s2)?)?")
+_TIMES_S2 = re.compile(r"\s*\*\s*(s2)?")
+_S2 = re.compile(r"\s*s2")
+_END = re.compile(r"\s*\Z")
 
-    Terms are summed straight into the four integer coordinates over one
-    common denominator; the result is reduced once at the end.
-    """
 
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-        self.coords = [0, 0, 0, 0]
-        self.den = 1
-
-    def fail(self, message: str):
-        raise ParseError(message, self.pos)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, literal: str) -> None:
-        self.skip_ws()
-        if not self.text.startswith(literal, self.pos):
-            self.fail(f"expected {literal!r}")
-        self.pos += len(literal)
-
-    def add(self, slot: int, num: int, den: int) -> None:
-        """Add num/den to coordinate ``slot`` (0: 1, 1: i, 2: s2, 3: i*s2)."""
-        common = math.lcm(self.den, den)
-        if common != self.den:
-            self.coords = [x * (common // self.den) for x in self.coords]
-            self.den = common
-        self.coords[slot] += num * (common // den)
-
-    def parse(self) -> Scalar:
-        self.skip_ws()
-        if not self.peek():
-            self.fail("empty scalar")
-        sign = self.read_sign(optional=True)
-        while True:
-            self.read_atom(sign)
-            self.skip_ws()
-            if not self.peek():
-                break
-            if self.peek() not in "+-":
-                self.fail("expected '+' or '-'")
-            sign = self.read_sign(optional=False)
-        return _make(*self.coords, self.den)
-
-    def read_sign(self, optional: bool) -> int:
-        self.skip_ws()
-        ch = self.peek()
-        if ch == "+":
-            self.pos += 1
-            return 1
-        if ch == "-":
-            self.pos += 1
-            return -1
-        if optional:
-            return 1
-        self.fail("expected sign")
-
-    def read_atom(self, sign: int) -> None:
-        """One summand: a Gaussian term, optionally tagged with ``*s2``."""
-        self.skip_ws()
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            terms = self.read_gauss()
-            self.expect(")")
-            self.expect("*")
-            self.expect("s2")
-            for num, den, imag in terms:
-                self.add(2 + imag, sign * num, den)
-            return
-        if ch == "s":
-            self.expect("s2")
-            self.add(2, sign, 1)
-            return
-        num, den, imag = self.read_term()
-        self.skip_ws()
-        if self.peek() == "*":
-            self.pos += 1
-            self.expect("s2")
-            self.add(2 + imag, sign * num, den)
-            return
-        self.add(imag, sign * num, den)
-
-    def read_gauss(self) -> list[tuple[int, int, int]]:
-        terms = []
-        sign = self.read_sign(optional=True)
-        while True:
-            num, den, imag = self.read_term()
-            terms.append((sign * num, den, imag))
-            self.skip_ws()
-            if self.peek() not in "+-":
-                return terms
-            sign = self.read_sign(optional=False)
-
-    def read_term(self) -> tuple[int, int, int]:
-        """A rational or imaginary term as (numerator, denominator, is_imaginary)."""
-        self.skip_ws()
-        if self.peek() == "i":
-            self.pos += 1
-            return 1, 1, 1
-        num = self.read_int()
-        den = 1
-        self.skip_ws()
-        if self.peek() == "/":
-            self.pos += 1
-            den_pos = self.pos
-            den = self.read_int()
-            if den <= 0:
-                self.pos = den_pos
-                self.fail("denominator must be positive")
-        self.skip_ws()
-        if self.peek() == "i":
-            self.pos += 1
-            return num, den, 1
-        return num, den, 0
-
-    def read_int(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
-            self.pos += 1
-        if self.pos == start:
-            self.fail("expected a number")
-        return int(self.text[start : self.pos])
+def _int(match: re.Match, group: int) -> int:
+    try:
+        return int(match[group])
+    except ValueError:  # no digits, or more than the interpreter converts from text
+        message = "number has too many digits" if match[group] else "expected a number"
+        raise ParseError(message, match.start(group)) from None
 
 
 def scalar_parse(text: str) -> Scalar:
-    """Parse scalar text: sums of Gaussian terms, ``*s2`` marking sqrt(2) parts."""
-    return _Parser(text).parse()
+    """Parse scalar text written in the grammar of the module docstring."""
+    if _END.match(text):
+        raise ParseError("empty scalar", len(text))
+    terms = []  # (coordinate, signed numerator, denominator): 0 is 1, 1 i, 2 s2, 3 i*s2
+    shift, outer = 0, 1  # inside a parenthesised sum: 2, and the sign before it
+    match = _SIGN.match(text)  # the first sign of a sum may be absent
+    while True:
+        sign = -outer if match[1] == "-" else outer
+        pos = match.end()
+        if not shift and (match := _OPEN.match(text, pos)):
+            shift, outer = 2, sign
+            match = _SIGN.match(text, match.end())
+            continue
+        if not shift and (match := _S2.match(text, pos)):
+            terms.append((2, sign, 1))
+        else:
+            match = _TERM.match(text, pos)
+            if match[1] is None and match[3] is None:
+                raise ParseError("expected a number", match.end())
+            num = 1 if match[1] is None else _int(match, 1)
+            den = 1 if match[2] is None else _int(match, 2)
+            if not den:
+                raise ParseError("denominator must be positive", match.start(2))
+            coordinate = shift + (match[3] is not None)
+            if not shift and (tagged := _TIMES_S2.match(text, match.end())):
+                if not tagged[1]:
+                    raise ParseError("expected 's2'", tagged.end())
+                coordinate, match = coordinate + 2, tagged
+            terms.append((coordinate, sign * num, den))
+        if shift and (closed := _CLOSE.match(text, match.end())):
+            if not closed[1]:
+                raise ParseError("expected '*s2'", closed.end())
+            shift, outer, match = 0, 1, closed
+        pos = match.end()
+        match = _SIGN.match(text, pos)
+        if match[1]:
+            continue
+        if shift:
+            raise ParseError("expected '+', '-' or ')'", match.end())
+        if _END.match(text, pos):
+            break
+        raise ParseError("expected '+' or '-'", match.end())
+    den = math.lcm(*[d for _, _, d in terms])
+    coords = [0, 0, 0, 0]
+    for coordinate, num, d in terms:
+        coords[coordinate] += num * (den // d)
+    return _make(*coords, den)
 
 
 def _format_ratio(num: int, den: int) -> str:

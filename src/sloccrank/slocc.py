@@ -233,29 +233,28 @@ def verify_trials(state: PureState, trials: int, seed: int, allow_singular: bool
     }
 
 
-def _random_operator(rng: random.Random, pool: int) -> LocalOperator:
+_POOL = 3  # random operator entries have re, im in [-3, 3]
+
+
+def _random_operator(rng: random.Random) -> LocalOperator:
     def entry() -> Scalar:
-        return GaussRational(rng.randint(-pool, pool), rng.randint(-pool, pool))
+        return GaussRational(rng.randint(-_POOL, _POOL), rng.randint(-_POOL, _POOL))
 
     return LocalOperator(((entry(), entry()), (entry(), entry())))
 
 
-def random_local_ops(n: int, seed: int, pool: int = 3) -> list[LocalOperator]:
+def random_local_ops(n: int, seed: int) -> list[LocalOperator]:
     """n independent Gaussian-integer operators; singular ones are allowed."""
-    if pool < 1:
-        raise ValueError("pool must be at least 1")
     rng = random.Random(seed)
-    return [_random_operator(rng, pool) for _ in range(n)]
+    return [_random_operator(rng) for _ in range(n)]
 
 
-def random_invertible_ops(n: int, seed: int, pool: int = 3) -> list[LocalOperator]:
+def random_invertible_ops(n: int, seed: int) -> list[LocalOperator]:
     """n Gaussian-integer operators, each resampled until its det is nonzero."""
-    if pool < 3:
-        raise ValueError("pool must be at least 3")
     rng = random.Random(seed)
     ops = []
     while len(ops) < n:
-        candidate = _random_operator(rng, pool)
+        candidate = _random_operator(rng)
         if candidate.is_invertible:
             ops.append(candidate)
     return ops

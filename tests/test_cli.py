@@ -345,6 +345,23 @@ class TestErrorPaths:
         assert proc.returncode == 1
         assert b"Traceback" not in err
 
+    @pytest.mark.parametrize("value, flags, message", [
+        ("1" * 5000, [], "amplitude 0: bad scalar"),
+        ("1" + "0" * 400, ["--numeric"], "beyond double range"),
+        ("1" + "0" * 308 + "+1" + "0" * 308 + "*s2", ["--numeric"], "beyond double range"),
+    ], ids=["over-long-literal", "numeric-overflow", "numeric-inf"])
+    def test_out_of_range_amplitude_exits_2(self, tmp_path, value, flags, message):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"n": 2, "amplitudes": [{"index": 0, "value": value},
+                                                           {"index": 3, "value": "1"}]}))
+        env = {**os.environ, "PYTHONPATH": SRC}
+        done = subprocess.run([sys.executable, "-m", "sloccrank.cli", "rank", "--state", str(path),
+                               *flags], env=env, capture_output=True, text=True, timeout=30)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert message in done.stderr
+        assert "Traceback" not in done.stderr
+
     def test_deeply_nested_state_file_exits_2(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 200_000 + "]" * 200_000)

@@ -34,6 +34,7 @@ from sloccrank.coeffmatrix import (
     split_matrix,
 )
 from sloccrank.rank import (
+    NumericFailure,
     RankResult,
     ShapeError,
     _field,
@@ -515,6 +516,17 @@ class TestNumericRank:
 
     def test_zero_matrix(self):
         assert numeric_rank(coefficient_matrix(PureState.zero(4))) == 0
+
+    # 10**400 overflows the float division; 10**308 + 10**308*sqrt2 rounds to
+    # inf, which the SVD reads as rank 0.
+    @pytest.mark.parametrize("big", [10**400, 10**308 + 10**308 * SQRT2], ids=["overflow", "inf"])
+    def test_entry_beyond_double_range_is_a_numeric_failure(self, big):
+        matrix = coefficient_matrix(PureState(2, {0: big, 3: 1}))
+        assert exact_rank(matrix).rank == 2
+        with pytest.raises(NumericFailure, match="beyond double range"):
+            to_complex_array(matrix)
+        with pytest.raises(NumericFailure, match="beyond double range"):
+            numeric_rank(matrix)
 
     @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
     def test_rejects_bad_tolerance(self, tol):

@@ -97,12 +97,25 @@ def test_parse_whitespace_and_bare_forms():
 @pytest.mark.parametrize(
     "text",
     ["", "1+", "2//3", "(1+i", "(1+i)*", "(1+i)s2", "1x", "1/0", "--1", "i2", "1/-2",
-     "2\u00b2", "\u0663/\u0664"],
+     "2\u00b2", "\u0663/\u0664", "\u0663", "1/\u0664", "2\u0663i"],
 )
 def test_parse_errors(text):
     with pytest.raises(ParseError) as err:
         scalar_parse(text)
     assert err.value.position >= 0
+
+
+# 5000 digits is over the interpreter's default limit on int-string conversion.
+@pytest.mark.parametrize("text, position", [
+    ("1" * 5000, 0),
+    ("2 + " + "1" * 5000 + "i", 4),
+    ("1/" + "7" * 5000, 2),
+    ("(1+" + "3" * 5000 + ")*s2", 3),
+], ids=["alone", "imaginary", "denominator", "in-parens"])
+def test_over_long_literal_is_a_parse_error(text, position):
+    with pytest.raises(ParseError, match="too many digits") as err:
+        scalar_parse(text)
+    assert err.value.position == position
 
 
 # --- the text grammar, generated ---------------------------------------------

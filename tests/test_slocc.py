@@ -235,12 +235,6 @@ class TestRandomOperators:
     def test_seeds_differ(self):
         assert random_invertible_ops(3, 42) != random_invertible_ops(3, 43)
 
-    def test_pool_bounds(self):
-        with pytest.raises(ValueError):
-            random_invertible_ops(3, 0, pool=2)
-        with pytest.raises(ValueError):
-            random_local_ops(3, 0, pool=0)
-
 
 class TestRankUnderOperators:
     def test_invariance_under_invertible_ops(self):

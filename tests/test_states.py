@@ -228,6 +228,12 @@ class TestStateFiles:
         with pytest.raises(StateFormatError):
             load_state(path)
 
+    def test_over_long_literal_rejected(self, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"n": 2, "amplitudes": [{"index": 0, "value": "1" * 5000}]}))
+        with pytest.raises(StateFormatError, match="amplitude 0: bad scalar .*too many digits"):
+            load_state(path)
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("not json at all")
