@@ -21,13 +21,11 @@ from .classify import (
     rank_signature,
 )
 from .coeffmatrix import (
-    BitSplit,
     CoeffMatrix,
     IDENTITY,
     QubitPermutation,
     coefficient_matrix,
     enumerate_sigmas,
-    permute_state,
 )
 from .rank import (
     NumericFailure,
@@ -76,7 +74,6 @@ from .states import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BitSplit",
     "CellReport",
     "CoeffMatrix",
     "DickeScanRow",
@@ -115,7 +112,6 @@ __all__ = [
     "numeric_rank",
     "operators_from_json",
     "operators_to_json",
-    "permute_state",
     "random_invertible_ops",
     "random_local_ops",
     "rank_signature",

@@ -23,13 +23,9 @@ from .states import PureState, check_qubits
 __all__ = [
     "QubitPermutation",
     "IDENTITY",
-    "BitSplit",
     "CoeffMatrix",
     "enumerate_sigmas",
-    "permute_state",
     "coefficient_matrix",
-    "split_for",
-    "split_matrix",
 ]
 
 
@@ -117,90 +113,64 @@ class QubitPermutation:
 IDENTITY = QubitPermutation()
 
 
-class BitSplit:
-    """Ordered assignment of qubit labels to matrix row and column slots."""
-
-    __slots__ = ("row_bits", "col_bits")
-
-    def __init__(self, row_bits, col_bits) -> None:
-        row_bits = tuple(row_bits)
-        col_bits = tuple(col_bits)
-        n = len(row_bits) + len(col_bits)
-        if sorted(row_bits + col_bits) != list(range(1, n + 1)):
-            raise ValueError("row and column bits must partition 1..n")
-        if len(row_bits) != n // 2:
-            raise ValueError(f"row part must hold n//2 = {n // 2} qubits")
-        self.row_bits = row_bits
-        self.col_bits = col_bits
-
-    @property
-    def n(self) -> int:
-        return len(self.row_bits) + len(self.col_bits)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BitSplit):
-            return NotImplemented
-        return self.row_bits == other.row_bits and self.col_bits == other.col_bits
-
-    def __hash__(self):
-        return hash((self.row_bits, self.col_bits))
-
-    def __repr__(self) -> str:
-        return f"BitSplit(rows={self.row_bits}, cols={self.col_bits})"
-
-
 class CoeffMatrix:
-    """The coefficient matrix of a state under one bipartition, laid out only when read.
+    """The coefficient matrix of a state under the cut ``sigma``, laid out only when read.
 
-    Entry (i, j) is the amplitude ``values[table[i][j]]``, zero where there is
-    none, and ``split`` names the qubits behind the rows and the columns.
-    ``entries`` lays the matrix out as scalars; the rank engine reads
-    ``values`` through ``table`` instead.  Cuts made by ``rank.state_cuts``
+    A cut is the state's amplitude map ``values`` plus ``(n, sigma)``:
+    entry (i, j) of the 2^(n//2) by 2^(n - n//2) matrix is the amplitude at
+    the basis index whose relabeling by ``sigma`` reads i << (n - n//2) | j,
+    zero where there is none.  :meth:`positions` places each amplitude in
+    the matrix in O(terms), so the rank engine ranks the cut from its
+    nonzero block and never touches the 2^n zeros around it; ``entries``
+    lays the whole matrix out as scalars.  Cuts made by ``rank.state_cuts``
     also share one scaling of their state in ``_scaled``, so ``exact_rank``
     reduces the state once per prime however many of its cuts it ranks.
-    The split may be given as the sigma that makes it from the default
-    split; it is then built when first read, so ranking a cut never builds
-    it.  The builders, :func:`coefficient_matrix` and :func:`split_matrix`,
-    make a table of the split's shape.
     """
 
-    __slots__ = ("values", "table", "_split", "_scaled")
+    __slots__ = ("values", "n", "sigma", "_scaled")
 
-    def __init__(self, values: dict[int, Scalar], table, split: BitSplit | QubitPermutation) -> None:
+    def __init__(self, values: dict[int, Scalar], n: int, sigma: QubitPermutation) -> None:
+        if sigma.max_label() > n:
+            raise ValueError(f"transposition label {sigma.max_label()} exceeds n={n}")
         self.values = values
-        self.table = table
-        self._split = split
+        self.n = n
+        self.sigma = sigma
         self._scaled = None
 
-    @property
-    def split(self) -> BitSplit:
-        if isinstance(self._split, QubitPermutation):
-            self._split = split_for(self._split, (self.rows * self.cols).bit_length() - 1)
-        return self._split
+    def positions(self) -> list[int]:
+        """The row-major position in the matrix of each amplitude, in the order of ``values``.
+
+        A relabeling only moves bits, and row bits and column bits never
+        share a position, so relabel(r << w | c) = relabel(r << w) |
+        relabel(c) with w the column width.  Only the row parts and the
+        column parts that occur are relabeled, at most once per row and
+        once per column, so the cost is O(terms) plus those calls.
+        """
+        relabel = _relabel(self.sigma, self.n)
+        width = self.n - self.n // 2
+        mask = (1 << width) - 1
+        rows = {r: relabel(r << width) for r in {index >> width for index in self.values}}
+        cols = {c: relabel(c) for c in {index & mask for index in self.values}}
+        return [rows[index >> width] | cols[index & mask] for index in self.values]
 
     @property
     def entries(self) -> tuple[tuple[Scalar, ...], ...]:
-        values = self.values
-        return tuple(tuple(values.get(j, ZERO) for j in row) for row in self.table)
+        flat = [ZERO] * (self.rows * self.cols)
+        for position, value in zip(self.positions(), self.values.values()):
+            flat[position] = value
+        cols = self.cols
+        return tuple(tuple(flat[k:k + cols]) for k in range(0, len(flat), cols))
 
     @property
     def rows(self) -> int:
-        return len(self.table)
+        return 1 << (self.n // 2)
 
     @property
     def cols(self) -> int:
-        return len(self.table[0])
-
-    def entry(self, i: int, j: int) -> Scalar:
-        return self.values.get(self.table[i][j], ZERO)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CoeffMatrix):
-            return NotImplemented
-        return self.entries == other.entries and self.split == other.split
+        return 1 << (self.n - self.n // 2)
 
     def __repr__(self) -> str:
-        return f"CoeffMatrix({self.rows}x{self.cols}, row_bits={self.split.row_bits})"
+        return f"CoeffMatrix({self.rows}x{self.cols}, sigma={self.sigma.to_text()!r})"
 
 
 def enumerate_sigmas(n: int) -> list[QubitPermutation]:
@@ -225,8 +195,6 @@ def enumerate_sigmas(n: int) -> list[QubitPermutation]:
 
 def _relabel(sigma: QubitPermutation, n: int):
     """The basis-index map of ``sigma``: exchange the bits of each (q, t) pair."""
-    if sigma.max_label() > n:
-        raise ValueError(f"transposition label {sigma.max_label()} exceeds n={n}")
     masks = [(1 << (n - q), 1 << (n - t)) for q, t in sigma.transpositions]
 
     def relabel(index: int) -> int:
@@ -239,38 +207,6 @@ def _relabel(sigma: QubitPermutation, n: int):
     return relabel
 
 
-def permute_state(state: PureState, sigma: QubitPermutation) -> PureState:
-    """Relabel qubits by ``sigma``: exchange the contents of each (q, t) pair."""
-    relabel = _relabel(sigma, state.n)
-    if sigma.is_identity:
-        return state
-    return PureState(state.n, {relabel(i): amp for i, amp in state.amps.items()}, allow_zero=True)
-
-
-def split_for(sigma: QubitPermutation, n: int) -> BitSplit:
-    """The bipartition induced by applying ``sigma`` to the default split."""
-    half = n // 2
-    return BitSplit(
-        [sigma.image(slot) for slot in range(1, half + 1)],
-        [sigma.image(slot) for slot in range(half + 1, n + 1)],
-    )
-
-
-def _cut_table(sigma: QubitPermutation, n: int) -> list[list[int]]:
-    """The basis index of each entry of the cut by ``sigma``, row by row.
-
-    Entry (i, j) of the cut holds the amplitude at index table[i][j].  A
-    relabeling only moves bits, and row bits and column bits never share a
-    position, so relabel(i << w | j) = relabel(i << w) | relabel(j) with w the
-    column width: the table costs one relabel call per row and per column.
-    """
-    relabel = _relabel(sigma, n)
-    width = n - n // 2
-    rows = [relabel(i << width) for i in range(1 << (n // 2))]
-    cols = [relabel(j) for j in range(1 << width)]
-    return [[row | col for col in cols] for row in rows]
-
-
 def coefficient_matrix(state: PureState, sigma: QubitPermutation | None = None) -> CoeffMatrix:
     """Reshape ``state`` after relabeling by ``sigma`` (identity by default).
 
@@ -278,26 +214,4 @@ def coefficient_matrix(state: PureState, sigma: QubitPermutation | None = None) 
     ascending index order; entry (i, j) is the amplitude whose row bits read
     i in binary and whose column bits read j.  Nothing is laid out here.
     """
-    sigma = IDENTITY if sigma is None else sigma
-    return CoeffMatrix(state.amps, _cut_table(sigma, state.n), sigma)
-
-
-def split_matrix(state: PureState, split: BitSplit) -> CoeffMatrix:
-    """Reshape ``state`` along an explicit bipartition.
-
-    This is the direct-extraction route (no relabeling pass, row-major
-    positions); it is kept internal to the library and the test suite as an
-    independent check on :func:`coefficient_matrix`.
-    """
-    n = state.n
-    if split.n != n:
-        raise ValueError(f"split covers {split.n} qubits but the state has {n}")
-    bits = split.row_bits + split.col_bits
-    values = {}
-    for index, amp in state.amps.items():
-        position = 0
-        for q in bits:
-            position = (position << 1) | ((index >> (n - q)) & 1)
-        values[position] = amp
-    width = 1 << len(split.col_bits)
-    return CoeffMatrix(values, [range(r * width, (r + 1) * width) for r in range(1 << len(split.row_bits))], split)
+    return CoeffMatrix(state.amps, state.n, IDENTITY if sigma is None else sigma)

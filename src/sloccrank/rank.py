@@ -1,16 +1,20 @@
 """Exact rank and determinant of scalar matrices, plus a floating cross-check.
 
 ``exact_rank`` is a multi-prime modular engine whose answer is proven exact.
-It reads every matrix as a vector of values through an index table.  A
-``CoeffMatrix`` is one already: the state's amplitudes, read through the
-cut's table of basis indices, and it is never laid out as scalars here.  A
-raw grid is flattened row by row.  The vector is scaled by the lcm of its
-denominators, so every value lies in Z[i, sqrt2], the integers of
-Q(zeta_8); scaling by a nonzero integer changes no rank and no pivot.  It is
-reduced once per prime to a residue vector, made on first use; the cuts
-from ``state_cuts`` share one scaling, hence one residue vector per prime,
-for their whole state.  The matrix read through the table is then
-eliminated, with first-nonzero pivoting, over F_p
+It ranks a matrix from its block of nonzero rows and nonzero columns:
+deleting zero rows and zero columns changes neither the rank nor which
+nonzero columns are pivots, and the block's pivots map back through the
+sorted column list.  A ``CoeffMatrix`` gives the row-major position of each
+of its state's amplitudes, in O(terms), and is never laid out as scalars
+here; a raw grid gives the positions of its nonzero entries.  The values
+are scaled by the lcm of their denominators, so every value lies in
+Z[i, sqrt2], the integers of Q(zeta_8); scaling by a nonzero integer
+changes no rank and no pivot.  One more slot holds 0, the entry of every
+empty cell of the block.  The values are reduced once per prime to a
+residue vector, made on first use; the cuts from ``state_cuts`` share one
+scaling, hence one residue vector per prime, for their whole state.  The
+block, read from that vector through a table of slots, is then eliminated,
+with first-nonzero pivoting, over F_p
 for word-size primes p = 1 (mod 8), where i -> w^2 and sqrt2 -> w + 1/w for
 a primitive 8th root of unity w mod p.  A rank mod p never exceeds the true
 rank, so for every column prefix the engine keeps the largest rank any prime
@@ -18,13 +22,17 @@ has shown.
 
 Stop rule.  Let d in {1, 2, 4} be the degree of the smallest of Q, Q(i),
 Q(sqrt2), Q(i*sqrt2) holding every entry, and P the Hadamard bound (from the
-entries' integer coordinates, summed along the table's rows and columns) on
+entries' integer coordinates, summed along the block's rows and columns) on
 |s(m)|^2 for every conjugate s(m) of every minor m that could still be
 missing.  Primes are added until their product M satisfies M^2 > P^d.
 Proof: each p = 1 (mod 8) splits completely, so a minor m that vanishes
 mod p lies in a prime of norm p and p divides N_{K/Q}(m); M then divides
 that norm, which is at most P^(d/2) < M, so m = 0.  Every prefix rank, hence
-the rank and the pivot columns, is exact.  No tolerance is involved.
+the rank and the pivot columns, is exact.  No tolerance is involved.  The
+rule holds on the block as it does on the whole matrix: a zero row or
+column would enter the Hadamard bound with the factor 1 (``_minor_bounds``
+counts every sum as at least 1), and the cap min(c+1, rows) on the rank of
+columns 0..c only tightens when the rows counted are the nonzero ones.
 
 ``exact_det`` runs fraction-free (Bareiss) elimination over Q(i, sqrt2).
 Every function here takes a ``CoeffMatrix`` or a grid of ints, Fractions
@@ -37,7 +45,7 @@ from __future__ import annotations
 
 import math
 import threading
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -234,25 +242,26 @@ def _certified_rank(scaled: _Scaled, table) -> RankResult:
 
 
 class _Scaled:
-    """Values at indices 0..size-1, scaled to Z[i, sqrt2] by the lcm of their denominators.
+    """Values scaled to Z[i, sqrt2] by the lcm of their denominators, plus one zero slot.
 
-    ``values`` keeps the unscaled values (an index absent from it holds 0),
-    ``degree`` is the degree of the smallest field holding them all, and
-    ``vector(k)`` and ``squares()`` are made on first use and kept.
+    Slot k holds ``values[k]`` and slot ``len(values)`` holds 0, the entry a
+    block takes where the matrix has no value.  ``degree`` is the degree of
+    the smallest field holding them all, and ``vector(k)`` and ``squares()``
+    are made on first use and kept.
     """
 
-    __slots__ = ("values", "degree", "_entries", "_squares", "_vectors")
+    __slots__ = ("degree", "_entries", "_squares", "_vectors")
 
-    def __init__(self, values: dict[int, Scalar], size: int) -> None:
-        self.values = values
-        coords = [x.coords for x in values.values()]
+    def __init__(self, values: Iterable[Scalar]) -> None:
+        coords = [x.coords for x in values]
         # A list, not a generator: a star-argument tuple built from a generator
         # is resized, which strands one tuple in CPython's free lists per call.
         scale = math.lcm(*[x[4] for x in coords])
-        entries = [(0, 0, 0, 0)] * size
-        for j, (a, b, c, d, den) in zip(values, coords):
+        entries = []
+        for a, b, c, d, den in coords:
             k = scale // den
-            entries[j] = (a * k, b * k, c * k, d * k)
+            entries.append((a * k, b * k, c * k, d * k))
+        entries.append((0, 0, 0, 0))
         self._entries = entries
         self.degree = _degree(entries)
         self._squares: list[int] | None = None
@@ -273,12 +282,8 @@ class _Scaled:
 
 
 def state_cuts(state: PureState, sigmas) -> Iterator[CoeffMatrix]:
-    """``coefficient_matrix(state, sigma)`` for each sigma, in order, all sharing one scaling of the state.
-
-    Each cut's index table is built as the iterator reaches it, so only one
-    table need be alive at a time.
-    """
-    scaled = _Scaled(state.amps, 1 << state.n)
+    """``coefficient_matrix(state, sigma)`` for each sigma, in order, all sharing one scaling of the state."""
+    scaled = _Scaled(state.amps.values())
     for sigma in sigmas:
         cut = coefficient_matrix(state, sigma)
         cut._scaled = scaled
@@ -290,22 +295,34 @@ def exact_rank(matrix) -> RankResult:
 
     The pivot columns are those that raise the rank of the columns before
     them, as first-nonzero elimination finds them.  No threshold is involved.
-    ``matrix`` is a :class:`CoeffMatrix`, read through its table from its
-    state's shared scaling (``state_cuts``) or a scaling of its own values,
-    or a grid, flattened row by row into one scaling of its own; a grid
-    whose rows differ in length is a ``ShapeError``.
+    ``matrix`` is a :class:`CoeffMatrix`, whose amplitudes are read from
+    its state's shared scaling (``state_cuts``) or a scaling of their own,
+    or a grid, whose nonzero entries are scaled together; a grid whose rows
+    differ in length is a ``ShapeError``.  Either way only the block of
+    nonzero rows and nonzero columns is eliminated.
     """
     if isinstance(matrix, CoeffMatrix):
-        scaled = matrix._scaled or _Scaled(matrix.values, matrix.rows * matrix.cols)
-        return _certified_rank(scaled, matrix.table)
-    grid = _grid(matrix)
-    width = len(grid[0]) if grid else 0
-    if any(len(row) != width for row in grid):
-        raise ShapeError(f"rows of a matrix must have one length, got {sorted({len(row) for row in grid})}")
-    if not width:
+        scaled = matrix._scaled or _Scaled(matrix.values.values())
+        positions, width = matrix.positions(), matrix.cols
+    else:
+        grid = _grid(matrix)
+        width = len(grid[0]) if grid else 0
+        if any(len(row) != width for row in grid):
+            raise ShapeError(f"rows of a matrix must have one length, got {sorted({len(row) for row in grid})}")
+        flat = [x for row in grid for x in row]
+        positions = [k for k, x in enumerate(flat) if x]
+        scaled = _Scaled([flat[k] for k in positions])
+    if not positions:
         return RankResult(0, ())
-    scaled = _Scaled(dict(enumerate(x for row in grid for x in row)), len(grid) * width)
-    return _certified_rank(scaled, [range(i * width, (i + 1) * width) for i in range(len(grid))])
+    # The block: the sorted nonzero rows and columns, and in each of its
+    # cells the slot of the value there, or the zero slot.
+    slot = dict(zip(positions, range(len(positions)))).get
+    zero = len(positions)
+    rows = sorted({position // width for position in positions})
+    cols = sorted({position % width for position in positions})
+    table = [[slot(r * width + c, zero) for c in cols] for r in rows]
+    result = _certified_rank(scaled, table)
+    return RankResult(result.rank, tuple(cols[c] for c in result.pivot_columns))
 
 
 def exact_det(matrix) -> Scalar:

@@ -306,6 +306,8 @@ def load_operators(path) -> list[LocalOperator]:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
+        except ValueError as exc:  # bad syntax, or an integer over the int-string limit
+            raise ValueError(f"operator file is not valid JSON: {exc}") from exc
         except RecursionError as exc:
             raise ValueError("operator file is not valid JSON: nested too deeply") from exc
     return operators_from_json(payload)

@@ -202,7 +202,7 @@ def load_state(path) -> PureState:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad syntax, or an integer over the int-string limit
             raise StateFormatError(f"not valid JSON: {exc}") from exc
         except RecursionError as exc:
             raise StateFormatError("not valid JSON: nested too deeply") from exc

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from sloccrank.coeffmatrix import QubitPermutation
 from sloccrank.scalar import GaussRational, Scalar
 from sloccrank.slocc import LocalOperator, apply_local, random_invertible_ops
 from sloccrank.states import PureState, basis_state
@@ -91,3 +92,35 @@ def dense_state(seed: int, n: int, field: bool) -> tuple[PureState, int]:
     else:
         sparse = random_state(rng, n)
     return apply_local(sparse, random_invertible_ops(n, seed)), len(sparse.amps)
+
+
+def cut_qubits(sigma: QubitPermutation, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The qubits behind the rows and behind the columns of the cut by ``sigma``.
+
+    Slot k of the default split (rows 1..n//2, columns n//2+1..n) holds
+    qubit ``sigma.image(k)``.
+    """
+    half = n // 2
+    return (tuple(sigma.image(k) for k in range(1, half + 1)),
+            tuple(sigma.image(k) for k in range(half + 1, n + 1)))
+
+
+def split_matrix(state: PureState, row_bits, col_bits) -> tuple[tuple[Scalar, ...], ...]:
+    """The coefficient matrix of ``state`` with ``row_bits`` indexing its rows and ``col_bits`` its columns.
+
+    The independent reshaping reference: an amplitude's row-major position
+    is read bit by bit from its basis index, qubit by qubit, with no
+    relabeling pass, and the whole matrix is laid out.
+    """
+    n = state.n
+    bits = tuple(row_bits) + tuple(col_bits)
+    if sorted(bits) != list(range(1, n + 1)):
+        raise ValueError("row and column bits must partition 1..n")
+    flat = [Scalar(0)] * (1 << n)
+    for index, amp in state.amps.items():
+        position = 0
+        for q in bits:
+            position = (position << 1) | ((index >> (n - q)) & 1)
+        flat[position] = amp
+    width = 1 << len(col_bits)
+    return tuple(tuple(flat[k:k + width]) for k in range(0, 1 << n, width))

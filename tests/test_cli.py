@@ -362,6 +362,19 @@ class TestErrorPaths:
         assert message in done.stderr
         assert "Traceback" not in done.stderr
 
+    @pytest.mark.parametrize("key", ["n", "index"])
+    def test_over_long_json_integer_exits_2(self, tmp_path, key):
+        fields = {"n": "2", "index": "0", key: "1" * 5000}
+        path = tmp_path / "long.json"
+        path.write_text(f'{{"n": {fields["n"]}, "amplitudes": [{{"index": {fields["index"]}, "value": "1"}}]}}')
+        env = {**os.environ, "PYTHONPATH": SRC}
+        done = subprocess.run([sys.executable, "-m", "sloccrank.cli", "rank", "--state", str(path)],
+                              env=env, capture_output=True, text=True, timeout=30)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert "not valid JSON: Exceeds the limit" in done.stderr
+        assert "Traceback" not in done.stderr
+
     def test_deeply_nested_state_file_exits_2(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 200_000 + "]" * 200_000)

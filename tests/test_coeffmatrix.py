@@ -12,14 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sloccrank.coeffmatrix import (
-    BitSplit,
     IDENTITY,
+    CoeffMatrix,
     QubitPermutation,
     coefficient_matrix,
     enumerate_sigmas,
-    permute_state,
-    split_for,
-    split_matrix,
 )
 from sloccrank.rank import exact_rank, to_complex_array
 from sloccrank.scalar import Scalar
@@ -32,7 +29,7 @@ from sloccrank.states import (
     ghz_state,
 )
 
-from conftest import dense_state, random_scalar, random_state
+from conftest import cut_qubits, dense_state, random_scalar, random_state, split_matrix
 
 
 class TestQubitPermutation:
@@ -90,7 +87,7 @@ class TestEnumeration:
         for n in range(2, 9):
             seen = set()
             for sigma in enumerate_sigmas(n):
-                row_set = frozenset(split_for(sigma, n).row_bits)
+                row_set = frozenset(cut_qubits(sigma, n)[0])
                 assert row_set not in seen
                 if n % 2 == 0:
                     complement = frozenset(range(1, n + 1)) - row_set
@@ -123,15 +120,23 @@ class TestEnumeration:
             enumerate_sigmas(MAX_QUBITS + 1)
 
 
+def permuted(state: PureState, sigma: QubitPermutation) -> PureState:
+    """``state`` with the qubits of each pair of ``sigma`` exchanged: each amplitude moved to its position in the cut."""
+    return PureState(state.n, dict(zip(coefficient_matrix(state, sigma).positions(), state.amps.values())),
+                     allow_zero=True)
+
+
 class TestPermuteState:
+    """A cut places each amplitude at its basis index with the qubits of each pair exchanged."""
+
     def test_identity_returns_same_state(self):
         state = ghz_state(4)
-        assert permute_state(state, IDENTITY) is state
+        assert coefficient_matrix(state).positions() == list(state.amps)
+        assert permuted(state, IDENTITY) == state
 
     def test_swap_example(self):
         state = basis_state(4, 0b1100)
-        swapped = permute_state(state, QubitPermutation(((1, 4),)))
-        assert set(swapped.amps) == {0b0101}
+        assert coefficient_matrix(state, QubitPermutation(((1, 4),))).positions() == [0b0101]
 
     def test_involution(self):
         rng = random.Random(11)
@@ -140,15 +145,16 @@ class TestPermuteState:
             for _ in range(10):
                 state = random_state(rng, n)
                 sigma = sigmas[rng.randrange(len(sigmas))]
-                assert permute_state(permute_state(state, sigma), sigma) == state
+                assert permuted(permuted(state, sigma), sigma) == state
 
     def test_label_out_of_range(self):
-        with pytest.raises(ValueError):
-            permute_state(ghz_state(3), QubitPermutation(((1, 4),)))
+        with pytest.raises(ValueError, match="exceeds n=3"):
+            coefficient_matrix(ghz_state(3), QubitPermutation(((1, 4),)))
 
     def test_zero_state_passes_through(self):
         zero = PureState.zero(4)
-        assert permute_state(zero, QubitPermutation(((1, 4),))).is_zero
+        assert coefficient_matrix(zero, QubitPermutation(((1, 4),))).positions() == []
+        assert permuted(zero, QubitPermutation(((1, 4),))).is_zero
 
 
 class TestCoefficientMatrix:
@@ -167,7 +173,7 @@ class TestCoefficientMatrix:
         for i in range(4):
             for j in range(4):
                 expected = Scalar(1) if (i, j) in ((0, 0), (3, 3)) else Scalar(0)
-                assert matrix.entry(i, j) == expected
+                assert matrix.entries[i][j] == expected
 
     def test_span_family_swap_gives_diagonal(self):
         # derived by hand: swapping qubits 1 and 4 sends the four kets to
@@ -177,12 +183,16 @@ class TestCoefficientMatrix:
         diag = [Scalar(1), Scalar(1), Scalar(2), Scalar(3)]
         for i in range(4):
             for j in range(4):
-                assert matrix.entry(i, j) == (diag[i] if i == j else Scalar(0))
+                assert matrix.entries[i][j] == (diag[i] if i == j else Scalar(0))
 
     def test_split_metadata(self):
-        matrix = coefficient_matrix(ghz_state(5), QubitPermutation(((1, 4),)))
-        assert matrix.split.row_bits == (4, 2)
-        assert matrix.split.col_bits == (3, 1, 5)
+        state = dense_state(3, 5, field=True)[0]
+        sigma = QubitPermutation(((1, 4),))
+        matrix = coefficient_matrix(state, sigma)
+        assert (matrix.n, matrix.sigma, matrix.rows, matrix.cols) == (5, sigma, 4, 8)
+        assert cut_qubits(sigma, 5) == ((4, 2), (3, 1, 5))
+        assert matrix.entries == split_matrix(state, (4, 2), (3, 1, 5))
+        assert repr(matrix) == "CoeffMatrix(4x8, sigma='1:4')"
 
     def test_agrees_with_direct_split_extraction(self):
         rng = random.Random(23)
@@ -190,8 +200,8 @@ class TestCoefficientMatrix:
             for _ in range(5):
                 state = random_state(rng, n)
                 for sigma in enumerate_sigmas(n):
-                    direct = split_matrix(state, split_for(sigma, n))
-                    assert coefficient_matrix(state, sigma) == direct
+                    direct = split_matrix(state, *cut_qubits(sigma, n))
+                    assert coefficient_matrix(state, sigma).entries == direct
 
     def test_cut_builds_no_state(self, monkeypatch):
         state = dense_state(5, 6, field=True)[0]
@@ -200,7 +210,7 @@ class TestCoefficientMatrix:
         monkeypatch.setattr(PureState, "__init__",
                             lambda self, *args, **kw: built.append(1) or real(self, *args, **kw))
         for sigma in enumerate_sigmas(6):
-            assert coefficient_matrix(state, sigma) == split_matrix(state, split_for(sigma, 6))
+            assert coefficient_matrix(state, sigma).entries == split_matrix(state, *cut_qubits(sigma, 6))
         assert built == []
 
     def test_zero_state_maps_to_zero_matrix(self):
@@ -225,23 +235,30 @@ class TestBipartitionCompleteness:
         for _ in range(10):
             state = random_state(rng, n)
             for sigma in enumerate_sigmas(n):
-                rows = frozenset(split_for(sigma, n).row_bits)
+                rows = frozenset(cut_qubits(sigma, n)[0])
                 cols = sorted(all_labels - rows)
-                included = split_matrix(state, BitSplit(sorted(rows), cols))
-                excluded = split_matrix(state, BitSplit(cols, sorted(rows)))
-                transposed = tuple(zip(*included.entries))
-                assert excluded.entries == transposed
+                included = split_matrix(state, sorted(rows), cols)
+                excluded = split_matrix(state, cols, sorted(rows))
+                transposed = tuple(zip(*included))
+                assert excluded == transposed
                 rank = exact_rank(coefficient_matrix(state, sigma)).rank
                 assert exact_rank(included).rank == rank
                 assert exact_rank(excluded).rank == rank
 
 
 class TestBitSplit:
+    """How a cut splits the qubits between its rows and its columns."""
+
     def test_partition_validated(self):
+        # every cut of a state with all 2^n amplitudes puts each in its own cell
+        for n in range(2, 7):
+            state = dense_product_state(n, n)
+            for sigma in enumerate_sigmas(n):
+                assert sorted(coefficient_matrix(state, sigma).positions()) == list(range(1 << n))
+        with pytest.raises(ValueError, match="exceeds n=4"):
+            CoeffMatrix(ghz_state(4).amps, 4, QubitPermutation(((2, 5),)))
         with pytest.raises(ValueError):
-            BitSplit((1, 2), (2, 3))
-        with pytest.raises(ValueError):
-            BitSplit((1, 2, 3), (4,))
+            split_matrix(ghz_state(4), (1, 2), (2, 3))
 
     def test_dicke_matrix_row_count(self):
         matrix = coefficient_matrix(dicke_state(6, 2))
@@ -266,7 +283,7 @@ class TestDenseStates:
     def test_matches_direct_split_on_every_cut(self, n, seed, field):
         state, _ = dense_state(seed, n, field)
         for sigma in enumerate_sigmas(n):
-            assert coefficient_matrix(state, sigma) == split_matrix(state, split_for(sigma, n))
+            assert coefficient_matrix(state, sigma).entries == split_matrix(state, *cut_qubits(sigma, n))
 
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))

@@ -30,8 +30,6 @@ from sloccrank.coeffmatrix import (
     QubitPermutation,
     coefficient_matrix,
     enumerate_sigmas,
-    split_for,
-    split_matrix,
 )
 from sloccrank.rank import (
     NumericFailure,
@@ -49,7 +47,7 @@ from sloccrank.scalar import GaussRational, I, SQRT2, Scalar, ZERO, scalar_parse
 from sloccrank.slocc import LocalOperator, apply_local
 from sloccrank.states import PureState, basis_state, dicke_state, ghz_state, ladder_state
 
-from conftest import dense_state, random_gauss_int, random_scalar, random_state
+from conftest import cut_qubits, dense_state, random_gauss_int, random_scalar, random_state, split_matrix
 
 SRC = str(Path(sloccrank.__file__).resolve().parents[1])
 
@@ -302,8 +300,14 @@ def _draw(kind: str, rng: random.Random) -> Scalar:
 
 
 def dense_state_of_kind(seed: int, n: int, kind: str) -> PureState:
-    """A sparse state of ``kind`` entries made dense by invertible operators of the same kind."""
+    """A sparse state of ``kind`` entries made dense by invertible operators of the same kind.
+
+    Of kind "sparse" it stays sparse: at most 8 terms, so its cuts have zero
+    rows and zero columns before and between their pivots.
+    """
     rng = random.Random(seed)
+    if kind == "sparse":
+        return random_state(rng, n, rational=rng.random() < 0.5)
     indices = rng.sample(range(1 << n), min(rng.randint(1, 8), 1 << n))
     sparse = PureState(n, {index: _draw(kind, rng) for index in indices}, allow_zero=True)
     if sparse.is_zero:
@@ -321,14 +325,14 @@ class TestStateRoute:
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
-           kind=st.sampled_from(["rational", "gauss", "sqrt2", "i*sqrt2", "mixed"]))
+           kind=st.sampled_from(["rational", "gauss", "sqrt2", "i*sqrt2", "mixed", "sparse"]))
     def test_equals_matrix_route_and_reference(self, n, seed, kind):
         state = dense_state_of_kind(seed, n, kind)
         sigmas = enumerate_sigmas(n) if n > 1 else [IDENTITY]
         for sigma, cut in zip(sigmas, state_cuts(state, sigmas), strict=True):
             matrix = coefficient_matrix(state, sigma)
-            assert cut.split == split_for(sigma, n)
-            assert cut.entries == matrix.entries == split_matrix(state, split_for(sigma, n)).entries
+            assert (cut.n, cut.sigma) == (n, sigma)
+            assert cut.entries == matrix.entries == split_matrix(state, *cut_qubits(sigma, n))
             assert exact_rank(cut) == exact_rank(matrix) == reference_rank(matrix)
 
     def test_zero_state(self):
@@ -375,8 +379,47 @@ class TestStateRoute:
 
         monkeypatch.setattr(classify_module, "exact_rank", off_by_one)
         assert rank_signature(state, sigmas).ranks == tuple(r + 1 for r in expected)
-        assert [cut.split for cut in seen] == [split_for(sigma, 6) for sigma in sigmas]
+        assert [cut.sigma for cut in seen] == sigmas
         assert seen[0]._scaled is not None and all(cut._scaled is seen[0]._scaled for cut in seen)
+
+
+class TestNonzeroBlock:
+    """A matrix is ranked from the block of its nonzero rows and nonzero columns.
+
+    Zero rows and zero columns change neither the rank nor which nonzero
+    columns are pivots; the block's pivots map back to the matrix's columns.
+    """
+
+    def test_zero_rows_and_columns_before_and_between_pivots(self):
+        grid = scalar_grid([[0, 0, 1], [0, 0, 0], [0, 2, 0]])
+        assert exact_rank(grid) == reference_rank(grid) == RankResult(2, (1, 2))
+        grid = scalar_grid([[0, 0, 0, 0], [0, 3, 0, 3], [0, 0, 0, 0], [0, 1, 0, 1]])
+        assert exact_rank(grid) == reference_rank(grid) == RankResult(1, (1,))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_padded_grid_equals_reference(self, seed):
+        rng = random.Random(seed)
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        grid = [[random_scalar(rng) if rng.random() < 0.6 else ZERO for _ in range(cols)] for _ in range(rows)]
+        if rows > 1:  # a dependent row, so the stop rule needs its bound
+            grid.append([a + b for a, b in zip(grid[0], grid[-1])])
+        for _ in range(rng.randint(1, 4)):
+            k = rng.randint(0, len(grid[0]))
+            for row in grid:
+                row.insert(k, ZERO)
+        for _ in range(rng.randint(1, 4)):
+            grid.insert(rng.randint(0, len(grid)), [ZERO] * len(grid[0]))
+        assert exact_rank(grid) == reference_rank(grid)
+
+    @pytest.mark.parametrize("family", ["ghz", "w"])
+    def test_every_sixteen_qubit_cut_from_a_scaling_of_terms_plus_one(self, family):
+        state = ghz_state(16) if family == "ghz" else dicke_state(16, 1)
+        cuts = state_cuts(state, enumerate_sigmas(16))
+        first = next(cuts)
+        assert len(first._scaled.vector(0)) == len(first._scaled.squares()) == len(state.amps) + 1
+        ranks = [exact_rank(first).rank, *(exact_rank(cut).rank for cut in cuts)]
+        assert len(ranks) == 6435 and set(ranks) == {2}
 
 
 class TestGridEntries:

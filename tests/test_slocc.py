@@ -275,6 +275,16 @@ class TestOperatorFiles:
         save_operators(ops, path)
         assert load_operators(path) == ops
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"ops": [[["1", "0"], ["0", ' + "1" * 5000 + ']]]}', "Exceeds the limit"),
+        ("not json", "Expecting value"),
+    ], ids=["over-long-integer", "bad-syntax"])
+    def test_unreadable_file_names_the_file(self, tmp_path, text, message):
+        path = tmp_path / "ops.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"operator file is not valid JSON: {message}"):
+            load_operators(path)
+
     def test_deeply_nested_file(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 200_000 + "]" * 200_000)
