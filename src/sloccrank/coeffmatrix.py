@@ -195,13 +195,15 @@ def enumerate_sigmas(n: int) -> list[QubitPermutation]:
 
 def _relabel(sigma: QubitPermutation, n: int):
     """The basis-index map of ``sigma``: exchange the bits of each (q, t) pair."""
-    masks = [(1 << (n - q), 1 << (n - t)) for q, t in sigma.transpositions]
+    # (shift of q's bit, shift of t's bit, both bits): the pair is exchanged
+    # only when its two bits differ, by flipping both.
+    pairs = [(n - q, n - t, 1 << (n - q) | 1 << (n - t)) for q, t in sigma.transpositions]
 
     def relabel(index: int) -> int:
         out = index
-        for mq, mt in masks:
-            if bool(index & mq) != bool(index & mt):
-                out ^= mq | mt
+        for a, b, both in pairs:
+            if (index >> a ^ index >> b) & 1:
+                out ^= both
         return out
 
     return relabel

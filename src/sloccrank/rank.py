@@ -10,11 +10,11 @@ here; a raw grid gives the positions of its nonzero entries.  The values
 are scaled by the lcm of their denominators, so every value lies in
 Z[i, sqrt2], the integers of Q(zeta_8); scaling by a nonzero integer
 changes no rank and no pivot.  One more slot holds 0, the entry of every
-empty cell of the block.  The values are reduced once per prime to a
-residue vector, made on first use; the cuts from ``state_cuts`` share one
-scaling, hence one residue vector per prime, for their whole state.  The
-block, read from that vector through a table of slots, is then eliminated,
-with first-nonzero pivoting, over F_p
+empty cell of the block.  The values are reduced once per prime (or group
+of primes, below) to a residue vector, made on first use; the cuts from
+``state_cuts`` share one scaling, hence one residue vector per prime or
+group, for their whole state.  The block, read from that vector through a
+table of slots, is then eliminated, with first-nonzero pivoting, over F_p
 for word-size primes p = 1 (mod 8), where i -> w^2 and sqrt2 -> w + 1/w for
 a primitive 8th root of unity w mod p.  A rank mod p never exceeds the true
 rank, so for every column prefix the engine keeps the largest rank any prime
@@ -34,6 +34,26 @@ column would enter the Hadamard bound with the factor 1 (``_minor_bounds``
 counts every sum as at least 1), and the cap min(c+1, rows) on the rank of
 columns 0..c only tightens when the rows counted are the nonzero ones.
 
+Prime groups.  The first prime is eliminated alone, so a block of full rank
+costs one word-size elimination.  The further primes the rule asks for are
+eliminated in groups of at most ``_GROUP``, once modulo each group's product
+M.  With i_M and s_M the CRT lifts of the i_p and s_p, a + b*i + (c + d*i)*
+sqrt2 -> a + b*i_M + (c + d*i_M)*s_M mod M is a ring map from Z[i, sqrt2]
+to Z/M that reduces modulo each p of the group to that prime's map, so the
+block's residues mod M reduce to its residues mod each p.  Say every pivot
+the elimination mod M takes is a unit mod M.  A row skipped as a pivot is 0
+mod M in that column, hence 0 mod every p; a unit pivot is nonzero mod every
+p; and row operations mod M reduce to the same operations mod p.  A row
+that is 0 mod p but not mod M is never a pivot mod M, as it could only lead
+with a non-unit.  So modulo each p the elimination picks the same pivot
+rows and columns, and the group counts as that many primes with the same
+pivots.  A pivot that is nonzero but no unit mod M makes ``_pivots_mod``
+raise, and the group's primes are eliminated again one at a time.  Each
+group is sized from the ``missing`` left by the eliminations before it.
+The rank and the pivots are therefore those of one prime at a time, and
+so are the primes spent, unless a group raises a prefix rank: then up to
+``_GROUP`` - 1 of its primes may be more than the rule needs.
+
 ``exact_det`` runs fraction-free (Bareiss) elimination over Q(i, sqrt2).
 Every function here takes a ``CoeffMatrix`` or a grid of ints, Fractions
 or scalars, and a grid entry of any other type is a ``TypeError``.  The
@@ -43,6 +63,7 @@ matrix and acts as an independent oracle for the exact path.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from collections.abc import Iterable, Iterator
@@ -140,7 +161,31 @@ def _field(k: int) -> tuple[int, int, int]:
     return _fields[k]
 
 
+@functools.lru_cache(maxsize=None)
+def _ring(k: int, size: int) -> tuple[int, int, int]:
+    """(M, i_M, s_M): the product M of primes k..k+size-1, and i and sqrt2 in Z/M.
+
+    i_M and s_M are the CRT lifts of every i_p and s_p, so a + b*i_M +
+    (c + d*i_M)*s_M mod M is a ring map from Z[i, sqrt2] to Z/M that
+    reduces modulo each p of the group to that prime's map.
+    """
+    fields = [_field(j) for j in range(k, k + size)]
+    modulus = math.prod(p for p, _, _ in fields)
+    i_m = s_m = 0
+    for p, i_p, s_p in fields:
+        rest = modulus // p
+        unit = rest * pow(rest, -1, p)  # 1 mod p, 0 mod every other prime
+        i_m += i_p * unit
+        s_m += s_p * unit
+    return modulus, i_m % modulus, s_m % modulus
+
+
 # --- exact rank --------------------------------------------------------------
+
+# Most primes eliminated at once, modulo their product: the cost of one
+# elimination grows with the square of the product's length, so an
+# unbounded group loses to several bounded ones on large blocks.
+_GROUP = 4
 
 
 def _degree(entries) -> int:
@@ -158,7 +203,8 @@ def _pivots_mod(rows, p: int) -> list[int]:
     """Pivot columns of residue rows mod p under first-nonzero pivoting.
 
     ``active`` holds the nonzero rows not yet used as pivots, trimmed to the
-    columns not yet eliminated; elimination ends when it runs empty.
+    columns not yet eliminated; elimination ends when it runs empty.  For a
+    composite p, a pivot that is no unit mod p raises ``ValueError``.
     """
     active = [row for row in rows if any(row)]
     pivots = []
@@ -207,7 +253,11 @@ def _certified_rank(scaled: _Scaled, table) -> RankResult:
     """Rank and pivots of the matrix ``scaled`` holds at ``table``, by the degree-aware stop rule.
 
     Entry (i, j) is value ``table[i][j]`` of ``scaled``; its residue rows and
-    its row and column sums of e^2 are read through the table.
+    its row and column sums of e^2 are read through the table.  The first
+    prime is eliminated alone; the further primes the rule asks for are
+    eliminated in groups of at most ``_GROUP``, once modulo each group's
+    product.  A group whose elimination meets a pivot that is no unit modulo
+    that product is eliminated again one prime at a time.
     """
     ncols = len(table[0])
     # best[c]: the largest rank of columns 0..c seen modulo any prime so far.
@@ -215,13 +265,20 @@ def _certified_rank(scaled: _Scaled, table) -> RankResult:
     modulus = 1
     bounds = None
     k = 0
+    size = 1
+    # Primes below this index are eliminated one at a time: a group over them failed.
+    single = 0
     while True:
-        vec = scaled.vector(k)
+        vec = scaled.vector(k, size)
+        group = _ring(k, size)[0]
         rows = [[vec[j] for j in row] for row in table]
-        p = _field(k)[0]
-        k += 1
-        modulus *= p
-        found = set(_pivots_mod(rows, p))
+        try:
+            found = set(_pivots_mod(rows, group))
+        except ValueError:
+            single, size = k + size, 1
+            continue
+        k += size
+        modulus *= group
         rank = 0
         for c in range(ncols):
             rank += c in found
@@ -235,8 +292,14 @@ def _certified_rank(scaled: _Scaled, table) -> RankResult:
             squares = scaled.squares()
             bounds = _minor_bounds([sum(squares[j] for j in row) for row in table],
                                    [sum(squares[j] for j in col) for col in zip(*table)])
-        if modulus * modulus > bounds[missing] ** scaled.degree:
+        target = bounds[missing] ** scaled.degree
+        if modulus * modulus > target:
             break
+        # The next group: as many primes as the rule still asks for, at most _GROUP.
+        size, reach = 0, modulus
+        while reach * reach <= target and size < (1 if k < single else _GROUP):
+            reach *= _field(k + size)[0]
+            size += 1
     pivot_columns = tuple(c for c in range(ncols) if best[c] > (best[c - 1] if c else 0))
     return RankResult(best[-1], pivot_columns)
 
@@ -246,8 +309,8 @@ class _Scaled:
 
     Slot k holds ``values[k]`` and slot ``len(values)`` holds 0, the entry a
     block takes where the matrix has no value.  ``degree`` is the degree of
-    the smallest field holding them all, and ``vector(k)`` and ``squares()``
-    are made on first use and kept.
+    the smallest field holding them all, and ``vector(k, size)`` and
+    ``squares()`` are made on first use and kept.
     """
 
     __slots__ = ("degree", "_entries", "_squares", "_vectors")
@@ -265,14 +328,15 @@ class _Scaled:
         self._entries = entries
         self.degree = _degree(entries)
         self._squares: list[int] | None = None
-        self._vectors: list[list[int]] = []
+        self._vectors: dict[tuple[int, int], list[int]] = {}
 
-    def vector(self, k: int) -> list[int]:
-        """The values' residues modulo the k-th prime."""
-        while len(self._vectors) <= k:
-            p, i_p, s_p = _field(len(self._vectors))
-            self._vectors.append([(a + b * i_p + (c + d * i_p) * s_p) % p for a, b, c, d in self._entries])
-        return self._vectors[k]
+    def vector(self, k: int, size: int = 1) -> list[int]:
+        """The values' residues modulo the product of primes k..k+size-1."""
+        key = (k, size)
+        if key not in self._vectors:
+            m, i_m, s_m = _ring(k, size)
+            self._vectors[key] = [(a + b * i_m + (c + d * i_m) * s_m) % m for a, b, c, d in self._entries]
+        return self._vectors[key]
 
     def squares(self) -> list[int]:
         """e^2 per value, where e = |a| + |b| + 2(|c| + |d|) bounds the modulus of every conjugate."""

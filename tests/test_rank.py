@@ -422,6 +422,106 @@ class TestNonzeroBlock:
         assert len(ranks) == 6435 and set(ranks) == {2}
 
 
+def sum_of_products(rng: random.Random, size: int, terms: int) -> list[list[Scalar]]:
+    """A size x size grid summing ``terms`` outer products of small Gaussian-integer vectors."""
+    us = [[random_gauss_int(rng) for _ in range(size)] for _ in range(terms)]
+    vs = [[random_gauss_int(rng) for _ in range(size)] for _ in range(terms)]
+    return [[sum((u[i] * v[j] for u, v in zip(us, vs)), ZERO) for j in range(size)] for i in range(size)]
+
+
+def record_eliminations(monkeypatch: pytest.MonkeyPatch) -> list[list]:
+    """Patch ``_pivots_mod`` to log [modulus, finished] for each elimination it runs."""
+    calls: list[list] = []
+    real = rank_module._pivots_mod
+
+    def pivots_mod(rows, modulus):
+        calls.append([modulus, False])
+        pivots = real(rows, modulus)
+        calls[-1][1] = True
+        return pivots
+
+    monkeypatch.setattr(rank_module, "_pivots_mod", pivots_mod)
+    return calls
+
+
+class TestPrimeGroups:
+    """Primes after the first are eliminated in groups, once modulo each group's product.
+
+    While every pivot is a unit modulo the product, that elimination is the
+    elimination modulo each prime of the group, with the same pivots; so the
+    grouped engine gives the rank, the pivots and the primes of the
+    one-prime-at-a-time engine (``_GROUP`` = 1).
+    """
+
+    @staticmethod
+    def grouped_and_single(matrix) -> RankResult:
+        """``exact_rank(matrix)`` grouped and one prime at a time: the same result from the same primes.
+
+        The grouped run takes 1 + ceil((k - 1) / _GROUP) eliminations where
+        the other takes k.
+        """
+        with pytest.MonkeyPatch.context() as patch:
+            calls = record_eliminations(patch)
+            grouped = exact_rank(matrix)
+            grouped_primes = math.prod(m for m, finished in calls if finished)
+            eliminations = len(calls)
+            calls.clear()
+            patch.setattr(rank_module, "_GROUP", 1)
+            single = exact_rank(matrix)
+        assert grouped == single
+        assert math.prod(m for m, _ in calls) == grouped_primes
+        assert eliminations == 1 + -(-(len(calls) - 1) // rank_module._GROUP)
+        return grouped
+
+    @settings(max_examples=10, deadline=None)
+    @given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), field=st.booleans())
+    def test_equals_one_prime_at_a_time_on_dense_states(self, n, seed, field):
+        state = dense_state(seed, n, field)[0]
+        for sigma in enumerate_sigmas(n):
+            matrix = coefficient_matrix(state, sigma)
+            assert self.grouped_and_single(matrix) == reference_rank(matrix)
+
+    @pytest.mark.parametrize("terms", [29, 30, 31])
+    def test_equals_one_prime_at_a_time_near_full_rank(self, terms):
+        grid = sum_of_products(random.Random(terms), 32, terms)
+        assert self.grouped_and_single(grid) == reference_rank(grid)
+        assert exact_rank(grid).rank == terms
+
+    def test_composite_pivot_falls_back_to_one_prime_at_a_time(self, monkeypatch):
+        # p1 is a nonzero entry of the first column modulo p1 * p2 but no
+        # unit there; modulo p1 alone the column's pivot is the 1 below it.
+        p0, p1, p2 = (_field(k)[0] for k in range(3))
+        x = (1 << 61) + 1
+        calls = record_eliminations(monkeypatch)
+        assert exact_rank([[p1, p1 * x], [1, x]]) == RankResult(1, (0,))
+        assert calls == [[p0, True], [p1 * p2, False], [p1, True], [p2, True]]
+
+    @pytest.mark.parametrize(("k", "size"), [(0, 1), (1, 2), (1, 4), (6, 3)])
+    def test_group_residues_reduce_to_each_prime(self, k, size):
+        modulus, i_m, s_m = rank_module._ring(k, size)
+        primes = [_field(j)[0] for j in range(k, k + size)]
+        assert modulus == math.prod(primes)
+        assert (i_m * i_m + 1) % modulus == 0 and (s_m * s_m - 2) % modulus == 0
+        rng = random.Random(k * 10 + size)
+        scaled = rank_module._Scaled([I, SQRT2, I * SQRT2] + [random_scalar(rng, 5) for _ in range(20)])
+        group = scaled.vector(k, size)
+        assert all(0 <= x < modulus for x in group)
+        for j, p in enumerate(primes, k):
+            assert [x % p for x in group] == scaled.vector(j)
+
+    def test_dense_ten_qubit_dicke_signature(self, monkeypatch):
+        # One invertible operator on every qubit keeps the state symmetric, so
+        # each 5 | 5 cut of |l, n> keeps rank min(l, n - l, 5, 5) + 1.
+        n, ell = 10, 3
+        op = LocalOperator([[scalar_parse("1+i"), 2], [1, scalar_parse("-1+2i")]])
+        state = apply_local(dicke_state(n, ell), [op] * n)
+        assert len(state.amps) == 1 << n
+        calls = record_eliminations(monkeypatch)
+        ranks = rank_signature(state, enumerate_sigmas(n)).ranks
+        assert len(ranks) == 126 and set(ranks) == {min(ell, n - ell, n // 2) + 1}
+        assert any(not _is_prime(m) for m, _ in calls)
+
+
 class TestGridEntries:
     """A raw grid holds ints, Fractions or scalars; every engine reads them as scalars."""
 
