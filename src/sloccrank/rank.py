@@ -10,13 +10,13 @@ here; a raw grid gives the positions of its nonzero entries.  The values
 are scaled by the lcm of their denominators, so every value lies in
 Z[i, sqrt2], the integers of Q(zeta_8); scaling by a nonzero integer
 changes no rank and no pivot.  One more slot holds 0, the entry of every
-empty cell of the block.  The values are reduced once per prime (or group
-of primes, below) to a residue vector, made on first use; the cuts from
-``state_cuts`` share one scaling, hence one residue vector per prime or
-group, for their whole state.  The block, read from that vector through a
-table of slots, is then eliminated, with first-nonzero pivoting, over F_p
-for word-size primes p = 1 (mod 8), where i -> w^2 and sqrt2 -> w + 1/w for
-a primitive 8th root of unity w mod p.  A rank mod p never exceeds the true
+empty cell of the block.  The values are reduced once per prime to a
+residue vector, or to one byte string per value for the lanes below, made
+on first use; the cuts from ``state_cuts`` share one scaling, hence one
+such set per prime, for their whole state.  The block, read through a table
+of slots, is then eliminated, with first-nonzero pivoting, over F_p for
+word-size primes p = 1 (mod 8), where i -> w^2 and sqrt2 -> w + 1/w for a
+primitive 8th root of unity w mod p.  A rank mod p never exceeds the true
 rank, so for every column prefix the engine keeps the largest rank any prime
 has shown.
 
@@ -34,25 +34,29 @@ column would enter the Hadamard bound with the factor 1 (``_minor_bounds``
 counts every sum as at least 1), and the cap min(c+1, rows) on the rank of
 columns 0..c only tightens when the rows counted are the nonzero ones.
 
-Prime groups.  The first prime is eliminated alone, so a block of full rank
-costs one word-size elimination.  The further primes the rule asks for are
-eliminated in groups of at most ``_GROUP``, once modulo each group's product
-M.  With i_M and s_M the CRT lifts of the i_p and s_p, a + b*i + (c + d*i)*
-sqrt2 -> a + b*i_M + (c + d*i_M)*s_M mod M is a ring map from Z[i, sqrt2]
-to Z/M that reduces modulo each p of the group to that prime's map, so the
-block's residues mod M reduce to its residues mod each p.  Say every pivot
-the elimination mod M takes is a unit mod M.  A row skipped as a pivot is 0
-mod M in that column, hence 0 mod every p; a unit pivot is nonzero mod every
-p; and row operations mod M reduce to the same operations mod p.  A row
-that is 0 mod p but not mod M is never a pivot mod M, as it could only lead
-with a non-unit.  So modulo each p the elimination picks the same pivot
-rows and columns, and the group counts as that many primes with the same
-pivots.  A pivot that is nonzero but no unit mod M makes ``_pivots_mod``
-raise, and the group's primes are eliminated again one at a time.  Each
-group is sized from the ``missing`` left by the eliminations before it.
-The rank and the pivots are therefore those of one prime at a time, and
-so are the primes spent, unless a group raises a prefix rank: then up to
-``_GROUP`` - 1 of its primes may be more than the rule needs.
+Lanes.  A block at least ``_LANES_MIN`` columns wide is eliminated with each
+row packed into one int: column j's residue mod p in lane j, the ``width``
+bytes from bit 8*width*j, column 0 lowest.  Each row is reduced once against
+the echelon basis found so far, in the order it was found: per basis row one
+lane read, the read times the inverse of that row's lead mod p, and one
+multiply-add of that factor times the row's negation (p - b in each lane),
+with no reduction in between.  A lane then holds less than (count+1)*p^2
+< 2^s, where count is the number of lanes (a bound on the basis size), L =
+p.bit_length(), e = (count+1).bit_length() and s = 2L + e.  All lanes are
+then reduced at once.  With mu = floor(2^s/p), the Barrett quotient
+floor(x*mu / 2^s) of a lane x is below 2^(L+e+1), and x*mu/2^s falls short
+of x/p by less than 1 (as x < 2^s), so the quotient is floor(x/p) or one
+less and x - q*p lies in [0, 2p); the products x*mu stay below 2^(3L+2e+1),
+the lane width in bits, rounded up to whole bytes, so no lane spills into
+the next and the subtraction of q*p borrows across none.  One packed
+conditional subtraction, testing bit L+1 of x + 2^(L+1) - p, leaves every
+lane in [0, p).  A row that is then 0 is dropped; otherwise its lowest
+nonzero lane is its pivot column, and it joins the basis, which stays zero
+at every earlier basis row's pivot column.  The basis rows have distinct
+leading columns and span the row space, so those columns are the leading
+columns of an echelon basis of the row space, which are exactly the columns
+that raise the rank of the columns before them: the pivots first-nonzero
+elimination (``_pivots_mod``, kept for narrower blocks) finds.
 
 ``exact_det`` runs fraction-free (Bareiss) elimination over Q(i, sqrt2).
 Every function here takes a ``CoeffMatrix`` or a grid of ints, Fractions
@@ -161,31 +165,13 @@ def _field(k: int) -> tuple[int, int, int]:
     return _fields[k]
 
 
-@functools.lru_cache(maxsize=None)
-def _ring(k: int, size: int) -> tuple[int, int, int]:
-    """(M, i_M, s_M): the product M of primes k..k+size-1, and i and sqrt2 in Z/M.
-
-    i_M and s_M are the CRT lifts of every i_p and s_p, so a + b*i_M +
-    (c + d*i_M)*s_M mod M is a ring map from Z[i, sqrt2] to Z/M that
-    reduces modulo each p of the group to that prime's map.
-    """
-    fields = [_field(j) for j in range(k, k + size)]
-    modulus = math.prod(p for p, _, _ in fields)
-    i_m = s_m = 0
-    for p, i_p, s_p in fields:
-        rest = modulus // p
-        unit = rest * pow(rest, -1, p)  # 1 mod p, 0 mod every other prime
-        i_m += i_p * unit
-        s_m += s_p * unit
-    return modulus, i_m % modulus, s_m % modulus
-
-
 # --- exact rank --------------------------------------------------------------
 
-# Most primes eliminated at once, modulo their product: the cost of one
-# elimination grows with the square of the product's length, so an
-# unbounded group loses to several bounded ones on large blocks.
-_GROUP = 4
+# Blocks this wide or wider are eliminated as packed lanes.  Timed per
+# elimination at one 62-bit prime, lanes lose to ``_pivots_mod`` on blocks
+# of 2 to 5 columns and low rank, and are even or ahead from 8 columns at
+# every rank; the blocks of dense state cuts are 2^k columns wide.
+_LANES_MIN = 8
 
 
 def _degree(entries) -> int:
@@ -232,6 +218,62 @@ def _pivots_mod(rows, p: int) -> list[int]:
     return pivots
 
 
+@functools.lru_cache(maxsize=256)
+def _lanes(m: int, count: int) -> tuple[int, int, int, int, int, int, int]:
+    """(width, s, mu, qmask, g, add, ones): constants for ``count`` lanes of residues mod m.
+
+    With L = m.bit_length() and e = (count+1).bit_length(), a lane is
+    3L+2e+1 bits rounded up to ``width`` whole bytes, s = 2L+e and mu =
+    floor(2^s/m); ``ones`` has a 1 at the bottom of every lane, ``qmask``
+    the low L+e+1 bits of every lane, and ``add`` holds 2^g - m in every lane,
+    g = L+1.
+    """
+    size = m.bit_length()
+    e = (count + 1).bit_length()
+    s = 2 * size + e
+    width = -(-(3 * size + 2 * e + 1) // 8)
+    ones = int.from_bytes((b"\1" + bytes(width - 1)) * count, "little")
+    g = size + 1
+    return width, s, (1 << s) // m, ones * ((1 << size + e + 1) - 1), g, ones * ((1 << g) - m), ones
+
+
+def _reduce_lanes(x: int, m: int, lanes) -> int:
+    """``x`` with every lane of ``lanes = _lanes(m, count)`` reduced to [0, m); each must be below (count+1)*m^2.
+
+    The Barrett step leaves each lane in [0, 2m); the conditional
+    subtraction takes m from the lanes whose bit g of lane + 2^g - m is set.
+    """
+    _, s, mu, qmask, g, add, ones = lanes
+    x -= (x * mu >> s & qmask) * m
+    return x - (x + add >> g & ones) * m
+
+
+def _pivots_lanes(rows: list[int], m: int, count: int) -> list[int]:
+    """Pivot columns of rows packed as ``count`` lanes of residues mod m, as ``_pivots_mod`` finds them.
+
+    Each row is reduced against the basis rows in the order they were found,
+    with no reduction between them, then reduced exactly; a nonzero result
+    joins the basis as (shift of its lowest nonzero lane, inverse of that
+    lane mod m, its negation).  For a composite m, a lead that is no unit
+    mod m raises ``ValueError``.
+    """
+    lanes = _lanes(m, count)
+    bits = 8 * lanes[0]
+    lane = (1 << bits) - 1
+    negate = lanes[-1] * m
+    basis: list[tuple[int, int, int]] = []
+    for x in rows:
+        for shift, inv, neg in basis:
+            x += (x >> shift & lane) * inv % m * neg
+        x = _reduce_lanes(x, m, lanes)
+        if x:
+            shift = ((x & -x).bit_length() - 1) // bits * bits
+            basis.append((shift, pow(x >> shift & lane, -1, m), negate - x))
+            if len(basis) == count:
+                break
+    return sorted(shift // bits for shift, _, _ in basis)
+
+
 def _minor_bounds(row_sums, col_sums) -> list[int]:
     """out[k] bounds |s(m)|^2 for every conjugate s(m) of every nonzero k x k minor m.
 
@@ -253,11 +295,9 @@ def _certified_rank(scaled: _Scaled, table) -> RankResult:
     """Rank and pivots of the matrix ``scaled`` holds at ``table``, by the degree-aware stop rule.
 
     Entry (i, j) is value ``table[i][j]`` of ``scaled``; its residue rows and
-    its row and column sums of e^2 are read through the table.  The first
-    prime is eliminated alone; the further primes the rule asks for are
-    eliminated in groups of at most ``_GROUP``, once modulo each group's
-    product.  A group whose elimination meets a pivot that is no unit modulo
-    that product is eliminated again one prime at a time.
+    its row and column sums of e^2 are read through the table.  The primes
+    are eliminated one at a time, by ``_pivots_lanes`` when the block is at
+    least ``_LANES_MIN`` columns wide and by ``_pivots_mod`` otherwise.
     """
     ncols = len(table[0])
     # best[c]: the largest rank of columns 0..c seen modulo any prime so far.
@@ -265,41 +305,32 @@ def _certified_rank(scaled: _Scaled, table) -> RankResult:
     modulus = 1
     bounds = None
     k = 0
-    size = 1
-    # Primes below this index are eliminated one at a time: a group over them failed.
-    single = 0
     while True:
-        vec = scaled.vector(k, size)
-        group = _ring(k, size)[0]
-        rows = [[vec[j] for j in row] for row in table]
-        try:
-            found = set(_pivots_mod(rows, group))
-        except ValueError:
-            single, size = k + size, 1
-            continue
-        k += size
-        modulus *= group
+        p = _field(k)[0]
+        if ncols < _LANES_MIN:
+            vec = scaled.vector(k)
+            found = set(_pivots_mod([[vec[j] for j in row] for row in table], p))
+        else:
+            blobs = scaled.lane_bytes(k, _lanes(p, ncols)[0])
+            rows = [int.from_bytes(b"".join([blobs[j] for j in row]), "little") for row in table]
+            found = set(_pivots_lanes(rows, p, ncols))
+        k += 1
+        modulus *= p
         rank = 0
         for c in range(ncols):
             rank += c in found
             best[c] = max(best[c], rank)
         # Columns 0..c hold rank at most min(c+1, rows); below that, a
         # minor of size best[c]+1 may have vanished modulo every prime so far.
-        missing = max((b + 1 for c, b in enumerate(best) if b < min(c + 1, len(rows))), default=0)
+        missing = max((b + 1 for c, b in enumerate(best) if b < min(c + 1, len(table))), default=0)
         if not missing:
             break
         if bounds is None:
             squares = scaled.squares()
             bounds = _minor_bounds([sum(squares[j] for j in row) for row in table],
                                    [sum(squares[j] for j in col) for col in zip(*table)])
-        target = bounds[missing] ** scaled.degree
-        if modulus * modulus > target:
+        if modulus * modulus > bounds[missing] ** scaled.degree:
             break
-        # The next group: as many primes as the rule still asks for, at most _GROUP.
-        size, reach = 0, modulus
-        while reach * reach <= target and size < (1 if k < single else _GROUP):
-            reach *= _field(k + size)[0]
-            size += 1
     pivot_columns = tuple(c for c in range(ncols) if best[c] > (best[c - 1] if c else 0))
     return RankResult(best[-1], pivot_columns)
 
@@ -309,11 +340,11 @@ class _Scaled:
 
     Slot k holds ``values[k]`` and slot ``len(values)`` holds 0, the entry a
     block takes where the matrix has no value.  ``degree`` is the degree of
-    the smallest field holding them all, and ``vector(k, size)`` and
-    ``squares()`` are made on first use and kept.
+    the smallest field holding them all; ``vector(k)``, ``lane_bytes(k,
+    width)`` and ``squares()`` are made on first use and kept.
     """
 
-    __slots__ = ("degree", "_entries", "_squares", "_vectors")
+    __slots__ = ("degree", "_entries", "_squares", "_vectors", "_bytes")
 
     def __init__(self, values: Iterable[Scalar]) -> None:
         coords = [x.coords for x in values]
@@ -328,15 +359,30 @@ class _Scaled:
         self._entries = entries
         self.degree = _degree(entries)
         self._squares: list[int] | None = None
-        self._vectors: dict[tuple[int, int], list[int]] = {}
+        self._vectors: dict[int, list[int]] = {}
+        self._bytes: dict[tuple[int, int], list[bytes]] = {}
 
-    def vector(self, k: int, size: int = 1) -> list[int]:
-        """The values' residues modulo the product of primes k..k+size-1."""
-        key = (k, size)
-        if key not in self._vectors:
-            m, i_m, s_m = _ring(k, size)
-            self._vectors[key] = [(a + b * i_m + (c + d * i_m) * s_m) % m for a, b, c, d in self._entries]
-        return self._vectors[key]
+    def _residues(self, k: int) -> list[int]:
+        p, i_p, s_p = _field(k)
+        return [(a + b * i_p + (c + d * i_p) * s_p) % p for a, b, c, d in self._entries]
+
+    def vector(self, k: int) -> list[int]:
+        """The values' residues modulo prime k."""
+        if k not in self._vectors:
+            self._vectors[k] = self._residues(k)
+        return self._vectors[k]
+
+    def lane_bytes(self, k: int, width: int) -> list[bytes]:
+        """The values' residues modulo prime k as ``width``-byte little-endian lanes.
+
+        Made from ``vector(k)`` if that is kept, and otherwise without keeping
+        it: a state whose cuts are all wide needs only the bytes.
+        """
+        key = (k, width)
+        if key not in self._bytes:
+            residues = self._vectors[k] if k in self._vectors else self._residues(k)
+            self._bytes[key] = [x.to_bytes(width, "little") for x in residues]
+        return self._bytes[key]
 
     def squares(self) -> list[int]:
         """e^2 per value, where e = |a| + |b| + 2(|c| + |d|) bounds the modulus of every conjugate."""

@@ -429,49 +429,39 @@ def sum_of_products(rng: random.Random, size: int, terms: int) -> list[list[Scal
     return [[sum((u[i] * v[j] for u, v in zip(us, vs)), ZERO) for j in range(size)] for i in range(size)]
 
 
-def record_eliminations(monkeypatch: pytest.MonkeyPatch) -> list[list]:
-    """Patch ``_pivots_mod`` to log [modulus, finished] for each elimination it runs."""
-    calls: list[list] = []
-    real = rank_module._pivots_mod
+def record_eliminations(monkeypatch: pytest.MonkeyPatch) -> list[tuple[str, int]]:
+    """Patch both kernels to log (kernel, modulus) for each elimination either runs."""
+    calls: list[tuple[str, int]] = []
+    for kernel, name in (("mod", "_pivots_mod"), ("lanes", "_pivots_lanes")):
+        def logged(rows, m, *rest, kernel=kernel, real=getattr(rank_module, name)):
+            calls.append((kernel, m))
+            return real(rows, m, *rest)
 
-    def pivots_mod(rows, modulus):
-        calls.append([modulus, False])
-        pivots = real(rows, modulus)
-        calls[-1][1] = True
-        return pivots
-
-    monkeypatch.setattr(rank_module, "_pivots_mod", pivots_mod)
+        monkeypatch.setattr(rank_module, name, logged)
     return calls
 
 
-class TestPrimeGroups:
-    """Primes after the first are eliminated in groups, once modulo each group's product.
+def block_width(matrix) -> int:
+    """The number of nonzero columns of ``matrix``."""
+    return sum(map(any, zip(*getattr(matrix, "entries", matrix))))
 
-    While every pivot is a unit modulo the product, that elimination is the
-    elimination modulo each prime of the group, with the same pivots; so the
-    grouped engine gives the rank, the pivots and the primes of the
-    one-prime-at-a-time engine (``_GROUP`` = 1).
+
+class TestPrimeGroups:
+    """Every prime is eliminated on its own, in order, by the kernel the block's width selects.
+
+    So the rank, the pivots and the primes spent are those of one prime at a
+    time, whichever kernel runs.
     """
 
     @staticmethod
-    def grouped_and_single(matrix) -> RankResult:
-        """``exact_rank(matrix)`` grouped and one prime at a time: the same result from the same primes.
-
-        The grouped run takes 1 + ceil((k - 1) / _GROUP) eliminations where
-        the other takes k.
-        """
+    def one_prime_at_a_time(matrix) -> RankResult:
+        """``exact_rank(matrix)``, checked to eliminate primes 0, 1, 2, ... once each with one kernel."""
         with pytest.MonkeyPatch.context() as patch:
             calls = record_eliminations(patch)
-            grouped = exact_rank(matrix)
-            grouped_primes = math.prod(m for m, finished in calls if finished)
-            eliminations = len(calls)
-            calls.clear()
-            patch.setattr(rank_module, "_GROUP", 1)
-            single = exact_rank(matrix)
-        assert grouped == single
-        assert math.prod(m for m, _ in calls) == grouped_primes
-        assert eliminations == 1 + -(-(len(calls) - 1) // rank_module._GROUP)
-        return grouped
+            result = exact_rank(matrix)
+        kernel = "lanes" if block_width(matrix) >= rank_module._LANES_MIN else "mod"
+        assert calls == [(kernel, _field(k)[0]) for k in range(len(calls))]
+        return result
 
     @settings(max_examples=10, deadline=None)
     @given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), field=st.booleans())
@@ -479,35 +469,14 @@ class TestPrimeGroups:
         state = dense_state(seed, n, field)[0]
         for sigma in enumerate_sigmas(n):
             matrix = coefficient_matrix(state, sigma)
-            assert self.grouped_and_single(matrix) == reference_rank(matrix)
+            assert self.one_prime_at_a_time(matrix) == reference_rank(matrix)
 
     @pytest.mark.parametrize("terms", [29, 30, 31])
     def test_equals_one_prime_at_a_time_near_full_rank(self, terms):
         grid = sum_of_products(random.Random(terms), 32, terms)
-        assert self.grouped_and_single(grid) == reference_rank(grid)
-        assert exact_rank(grid).rank == terms
-
-    def test_composite_pivot_falls_back_to_one_prime_at_a_time(self, monkeypatch):
-        # p1 is a nonzero entry of the first column modulo p1 * p2 but no
-        # unit there; modulo p1 alone the column's pivot is the 1 below it.
-        p0, p1, p2 = (_field(k)[0] for k in range(3))
-        x = (1 << 61) + 1
-        calls = record_eliminations(monkeypatch)
-        assert exact_rank([[p1, p1 * x], [1, x]]) == RankResult(1, (0,))
-        assert calls == [[p0, True], [p1 * p2, False], [p1, True], [p2, True]]
-
-    @pytest.mark.parametrize(("k", "size"), [(0, 1), (1, 2), (1, 4), (6, 3)])
-    def test_group_residues_reduce_to_each_prime(self, k, size):
-        modulus, i_m, s_m = rank_module._ring(k, size)
-        primes = [_field(j)[0] for j in range(k, k + size)]
-        assert modulus == math.prod(primes)
-        assert (i_m * i_m + 1) % modulus == 0 and (s_m * s_m - 2) % modulus == 0
-        rng = random.Random(k * 10 + size)
-        scaled = rank_module._Scaled([I, SQRT2, I * SQRT2] + [random_scalar(rng, 5) for _ in range(20)])
-        group = scaled.vector(k, size)
-        assert all(0 <= x < modulus for x in group)
-        for j, p in enumerate(primes, k):
-            assert [x % p for x in group] == scaled.vector(j)
+        result = self.one_prime_at_a_time(grid)
+        assert result == reference_rank(grid)
+        assert result.rank == terms
 
     def test_dense_ten_qubit_dicke_signature(self, monkeypatch):
         # One invertible operator on every qubit keeps the state symmetric, so
@@ -519,7 +488,83 @@ class TestPrimeGroups:
         calls = record_eliminations(monkeypatch)
         ranks = rank_signature(state, enumerate_sigmas(n)).ranks
         assert len(ranks) == 126 and set(ranks) == {min(ell, n - ell, n // 2) + 1}
-        assert any(not _is_prime(m) for m, _ in calls)
+        assert calls and {kernel for kernel, _ in calls} == {"lanes"}
+
+
+def pack(rows: list[list[int]], m: int) -> list[int]:
+    """Residue rows mod m packed as lanes of ``_lanes(m, columns)``, column 0 lowest."""
+    width = rank_module._lanes(m, len(rows[0]))[0]
+    return [int.from_bytes(b"".join(x.to_bytes(width, "little") for x in row), "little") for row in rows]
+
+
+LANE_MODULI = [17, 97, _field(0)[0]]
+
+
+class TestLanes:
+    """``_pivots_lanes`` against ``_pivots_mod``, and the exact reduction of packed lanes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), m=st.sampled_from(LANE_MODULI), nrows=st.integers(1, 20), ncols=st.integers(8, 40))
+    def test_equals_list_kernel(self, data, m, nrows, ncols):
+        # A sum of ``terms`` products (low rank when few), then zero rows and
+        # lanes of m - 1 written over it.
+        residue = st.integers(0, m - 1)
+        terms = data.draw(st.integers(0, min(nrows, ncols)))
+        us = data.draw(st.lists(st.lists(residue, min_size=terms, max_size=terms), min_size=nrows, max_size=nrows))
+        vs = data.draw(st.lists(st.lists(residue, min_size=ncols, max_size=ncols), min_size=terms, max_size=terms))
+        rows = [[sum(u[t] * vs[t][j] for t in range(terms)) % m for j in range(ncols)] for u in us]
+        for i in data.draw(st.lists(st.integers(0, nrows - 1), max_size=3)):
+            rows[i] = [0] * ncols
+        for i, j in data.draw(st.lists(st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1)), max_size=30)):
+            rows[i][j] = m - 1
+        assert rank_module._pivots_lanes(pack(rows, m), m, ncols) == rank_module._pivots_mod(rows, m)
+
+    @pytest.mark.parametrize("ncols", [126, 127, 254, 255, 256])
+    @pytest.mark.parametrize("m", LANE_MODULI)
+    def test_wide_blocks_across_the_lane_steps(self, m, ncols):
+        # (count + 1).bit_length() steps at 127 and 255 columns.  Modulo 17,
+        # square blocks of full rank but for one row: each row is reduced
+        # against up to ncols - 1 basis rows before one exact reduction.
+        rng = random.Random(m * 1000 + ncols)
+        nrows = ncols if m == 17 else 12
+        rows = [[rng.choice([rng.randrange(m), m - 1]) for _ in range(ncols)] for _ in range(nrows)]
+        rows[-1] = [(a + 2 * b) % m for a, b in zip(rows[0], rows[1])]
+        expected = rank_module._pivots_mod(rows, m)
+        assert rank_module._pivots_lanes(pack(rows, m), m, ncols) == expected
+        assert len(expected) < nrows
+
+    @pytest.mark.parametrize("m", [15, _field(0)[0] * _field(1)[0]])
+    def test_composite_modulus_with_a_non_unit_lead_raises(self, m):
+        factor = 3 if m == 15 else _field(0)[0]
+        rows = [[0, factor] + [1] * 7, [1] * 9]
+        with pytest.raises(ValueError):
+            rank_module._pivots_mod(rows, m)
+        with pytest.raises(ValueError):
+            rank_module._pivots_lanes(pack(rows, m), m, 9)
+
+    @pytest.mark.parametrize("count", [1, 8, 126, 127, 255])
+    @pytest.mark.parametrize("m", LANE_MODULI)
+    def test_lanes_reduce_exactly(self, m, count):
+        lanes = rank_module._lanes(m, count)
+        values = [0, m - 1, m, 2 * m - 1, 5 * m, (count + 1) * m * m - 1, m * m, (count + 1) * m * (m - 1)]
+        values = (values * count)[:count]
+        width = lanes[0]
+        x = int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
+        reduced = rank_module._reduce_lanes(x, m, lanes)
+        assert reduced.to_bytes(width * count, "little") == b"".join((v % m).to_bytes(width, "little") for v in values)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 62, 63, 126, 127, 255, 256])
+    @pytest.mark.parametrize("m", LANE_MODULI)
+    def test_lane_constants_follow_the_bounds(self, m, count):
+        width, s, mu, qmask, g, add, ones = rank_module._lanes(m, count)
+        size, e = m.bit_length(), (count + 1).bit_length()
+        assert (count + 1) * m * m <= 1 << s == 1 << 2 * size + e
+        assert mu == (1 << s) // m
+        assert 8 * width - 8 < 3 * size + 2 * e + 1 <= 8 * width
+        assert g == size + 1
+        lane = [(ones >> 8 * width * j) % (1 << 8 * width) for j in range(count)]
+        assert lane == [1] * count and ones >> 8 * width * count == 0
+        assert qmask == ones * ((1 << size + e + 1) - 1) and add == ones * ((1 << g) - m)
 
 
 class TestGridEntries:
