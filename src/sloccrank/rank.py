@@ -15,8 +15,11 @@ residue vector, or to one byte string per value for the lanes below, made
 on first use; the cuts from ``state_cuts`` share one scaling, hence one
 such set per prime, for their whole state.  The block, read through a table
 of slots, is then eliminated, with first-nonzero pivoting, over F_p for
-word-size primes p = 1 (mod 8), where i -> w^2 and sqrt2 -> w + 1/w for a
-primitive 8th root of unity w mod p.  A rank mod p never exceeds the true
+primes p = 1 (mod 8) below 2^81, where i -> w^2 and sqrt2 -> w + 1/w for a
+primitive 8th root of unity w mod p.  An elimination costs about as much at
+81 bits as at 62 (a residue is three 30-bit digits either way), and 81 bits
+is as wide as 13-base Miller-Rabin proves a prime, so each prime certifies
+as many bits as that proof allows.  A rank mod p never exceeds the true
 rank, so for every column prefix the engine keeps the largest rank any prime
 has shown.
 
@@ -40,23 +43,27 @@ bytes from bit 8*width*j, column 0 lowest.  Each row is reduced once against
 the echelon basis found so far, in the order it was found: per basis row one
 lane read, the read times the inverse of that row's lead mod p, and one
 multiply-add of that factor times the row's negation (p - b in each lane),
-with no reduction in between.  A lane then holds less than (count+1)*p^2
-< 2^s, where count is the number of lanes (a bound on the basis size), L =
-p.bit_length(), e = (count+1).bit_length() and s = 2L + e.  All lanes are
-then reduced at once.  With mu = floor(2^s/p), the Barrett quotient
-floor(x*mu / 2^s) of a lane x is below 2^(L+e+1), and x*mu/2^s falls short
-of x/p by less than 1 (as x < 2^s), so the quotient is floor(x/p) or one
-less and x - q*p lies in [0, 2p); the products x*mu stay below 2^(3L+2e+1),
-the lane width in bits, rounded up to whole bytes, so no lane spills into
-the next and the subtraction of q*p borrows across none.  One packed
-conditional subtraction, testing bit L+1 of x + 2^(L+1) - p, leaves every
-lane in [0, p).  A row that is then 0 is dropped; otherwise its lowest
-nonzero lane is its pivot column, and it joins the basis, which stays zero
-at every earlier basis row's pivot column.  The basis rows have distinct
-leading columns and span the row space, so those columns are the leading
-columns of an echelon basis of the row space, which are exactly the columns
-that raise the rank of the columns before them: the pivots first-nonzero
-elimination (``_pivots_mod``, kept for narrower blocks) finds.
+with no reduction in between.  A lane x then holds less than (count+1)*p^2
+< 2^(2L+e), where count is the number of lanes (a bound on the basis size),
+L = p.bit_length() and e = (count+1).bit_length().  All lanes are then
+reduced at once, by a Barrett step on each lane's high part: t = x >> (L-2),
+below 2^(L+e+2), and q = floor(t*mu / 2^(L+e+3)) with mu =
+floor(2^(2L+e+1)/p).  Dropping the low L-2 bits of x costs the quotient less
+than 2^(L-2)/p <= 1/2, and truncating mu less than t/2^(L+e+3) < 1/2, so q
+is floor(x/p) or one less and x - q*p lies in [0, 2p).  The products t*mu
+stay below 2^(2L+2e+4), the lane width in bits, rounded up to whole bytes
+(16 lanes of 81-bit residues fill 22 bytes exactly).  After each shift the
+next lane's bits start at or above the mask taken, L+e+2 bits for t and
+L+e+1 for q, so no lane spills into the next and the subtraction of q*p
+borrows across none.  One packed conditional subtraction, testing bit L+1 of
+x + 2^(L+1) - p, leaves every lane in [0, p).  A row that is then 0 is
+dropped; otherwise its lowest nonzero lane is its pivot column, and it joins
+the basis, which stays zero at every earlier basis row's pivot column.  The
+basis rows have distinct leading columns and span the row space, so those
+columns are the leading columns of an echelon basis of the row space, which
+are exactly the columns that raise the rank of the columns before them: the
+pivots first-nonzero elimination (``_pivots_mod``, kept for narrower blocks)
+finds.
 
 ``exact_det`` runs fraction-free (Bareiss) elimination over Q(i, sqrt2).
 Every function here takes a ``CoeffMatrix`` or a grid of ints, Fractions
@@ -115,9 +122,11 @@ def _grid(matrix) -> list[list[Scalar]]:
 
 # --- prime fields ------------------------------------------------------------
 
-_PRIME_LIMIT = 1 << 62
-# Miller-Rabin with these bases is deterministic below 3.3e24, beyond 2^64.
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_LIMIT = 1 << 81
+# Miller-Rabin with the first 13 primes as bases is deterministic below
+# psi_13 = 3.317e24, beyond 2^81 (Sorenson and Webster, Math. Comp. 86, 2017);
+# the first 12 alone only below psi_12 = 3.187e23, about 2^78.1.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # (p, i_p, s_p) with p = 1 (mod 8), i_p^2 = -1 and s_p^2 = 2 (mod p), largest
 # p first; found on first use and kept for the life of the process.  The list
 # only grows, under the lock, so no prime can enter it twice.
@@ -148,7 +157,7 @@ def _is_prime(n: int) -> bool:
 
 
 def _field(k: int) -> tuple[int, int, int]:
-    """The k-th prime field below 2^62 that holds i and sqrt2."""
+    """The k-th prime field below 2^81 that holds i and sqrt2; the first is p = 2^81 - 63."""
     if k < len(_fields):
         return _fields[k]
     with _fields_lock:
@@ -168,9 +177,10 @@ def _field(k: int) -> tuple[int, int, int]:
 # --- exact rank --------------------------------------------------------------
 
 # Blocks this wide or wider are eliminated as packed lanes.  Timed per
-# elimination at one 62-bit prime, lanes lose to ``_pivots_mod`` on blocks
-# of 2 to 5 columns and low rank, and are even or ahead from 8 columns at
-# every rank; the blocks of dense state cuts are 2^k columns wide.
+# elimination at the first 81-bit prime, packing included, lanes lose to
+# ``_pivots_mod`` on blocks of 2 and 3 columns, and on rank-one blocks up to
+# 6 columns, and are even or ahead from 7 columns at every rank; the blocks
+# of dense state cuts are 2^k columns wide.
 _LANES_MIN = 8
 
 
@@ -219,32 +229,34 @@ def _pivots_mod(rows, p: int) -> list[int]:
 
 
 @functools.lru_cache(maxsize=256)
-def _lanes(m: int, count: int) -> tuple[int, int, int, int, int, int, int]:
-    """(width, s, mu, qmask, g, add, ones): constants for ``count`` lanes of residues mod m.
+def _lanes(m: int, count: int) -> tuple[int, int, int, int, int, int, int, int, int]:
+    """(width, low, tmask, mu, s, qmask, g, add, ones): constants for ``count`` lanes of residues mod m.
 
     With L = m.bit_length() and e = (count+1).bit_length(), a lane is
-    3L+2e+1 bits rounded up to ``width`` whole bytes, s = 2L+e and mu =
-    floor(2^s/m); ``ones`` has a 1 at the bottom of every lane, ``qmask``
-    the low L+e+1 bits of every lane, and ``add`` holds 2^g - m in every lane,
-    g = L+1.
+    2L+2e+4 bits rounded up to ``width`` whole bytes; low = L-2, mu =
+    floor(2^(2L+e+1)/m) and s = L+e+3.  ``ones`` has a 1 at the bottom of
+    every lane, ``tmask`` the low L+e+2 bits of every lane, ``qmask`` the low
+    L+e+1 bits, and ``add`` holds 2^g - m in every lane, g = L+1.
     """
     size = m.bit_length()
     e = (count + 1).bit_length()
-    s = 2 * size + e
-    width = -(-(3 * size + 2 * e + 1) // 8)
+    width = -(-(2 * size + 2 * e + 4) // 8)
     ones = int.from_bytes((b"\1" + bytes(width - 1)) * count, "little")
     g = size + 1
-    return width, s, (1 << s) // m, ones * ((1 << size + e + 1) - 1), g, ones * ((1 << g) - m), ones
+    tmask = ones * ((1 << size + e + 2) - 1)
+    qmask = ones * ((1 << size + e + 1) - 1)
+    return width, size - 2, tmask, (1 << 2 * size + e + 1) // m, size + e + 3, qmask, g, ones * ((1 << g) - m), ones
 
 
 def _reduce_lanes(x: int, m: int, lanes) -> int:
     """``x`` with every lane of ``lanes = _lanes(m, count)`` reduced to [0, m); each must be below (count+1)*m^2.
 
-    The Barrett step leaves each lane in [0, 2m); the conditional
-    subtraction takes m from the lanes whose bit g of lane + 2^g - m is set.
+    The Barrett step on each lane's high part leaves each lane in [0, 2m);
+    the conditional subtraction takes m from the lanes whose bit g of lane +
+    2^g - m is set.
     """
-    _, s, mu, qmask, g, add, ones = lanes
-    x -= (x * mu >> s & qmask) * m
+    _, low, tmask, mu, s, qmask, g, add, ones = lanes
+    x -= ((x >> low & tmask) * mu >> s & qmask) * m
     return x - (x + add >> g & ones) * m
 
 

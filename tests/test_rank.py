@@ -244,12 +244,14 @@ class TestDegreeRule:
     """
 
     def test_short_kernel_element_of_degree_four(self):
-        # LLL-short in the kernel of the first prime's embedding: e has 17
-        # bits, so P = e^2 and the d = 2 rule (or B in place of B^2) stops.
-        x = scalar_parse("18021+38612i+(-10362+9205i)*s2")
+        # LLL-short in the kernel of the first prime's embedding (the first
+        # row of sympy's LLL-reduced kernel basis): e has 22 bits, so P = e^2
+        # and e^8 (173 bits) > p^2 (162 bits) needs a second prime, where the
+        # d = 2 rule (or B in place of B^2, e^4 of 87 bits) stops after one.
+        x = scalar_parse("-132811+859460i+(-672763+338385i)*s2")
         a, b, c, d, _ = x.coords
         assert residue(x) == 0
-        assert (abs(a) + abs(b) + 2 * (abs(c) + abs(d))).bit_length() == 17
+        assert (abs(a) + abs(b) + 2 * (abs(c) + abs(d))).bit_length() == 22
         assert exact_rank([[x]]) == RankResult(1, (0,))
         assert cut_ranks(PureState(1, {1: x}), [IDENTITY]) == [RankResult(1, (1,))]
 
@@ -257,7 +259,7 @@ class TestDegreeRule:
     def test_entry_in_each_subring(self, ring):
         x = first_prime_zero(ring)
         assert x and residue(x) == 0
-        assert max(abs(v) for v in x.coords).bit_length() <= (62 if ring == "Z" else 32)
+        assert max(abs(v) for v in x.coords).bit_length() <= (81 if ring == "Z" else 41)
         assert exact_rank([[x]]) == RankResult(1, (0,))
         assert exact_rank([[x, ZERO], [ZERO, Scalar(1)]]) == RankResult(2, (0, 1))
         assert cut_ranks(PureState(1, {0: x}), [IDENTITY]) == [RankResult(1, (0,))]
@@ -478,17 +480,29 @@ class TestPrimeGroups:
         assert result == reference_rank(grid)
         assert result.rank == terms
 
-    def test_dense_ten_qubit_dicke_signature(self, monkeypatch):
-        # One invertible operator on every qubit keeps the state symmetric, so
-        # each 5 | 5 cut of |l, n> keeps rank min(l, n - l, 5, 5) + 1.
-        n, ell = 10, 3
+    @staticmethod
+    def dense_dicke_eliminations(monkeypatch, n: int, ell: int) -> int:
+        """Eliminations in the signature of |l, n> under one invertible operator on every qubit.
+
+        The operator keeps the state symmetric, so each n/2 | n/2 cut keeps
+        rank min(l, n - l, n/2) + 1, which is below the cut's width.
+        """
         op = LocalOperator([[scalar_parse("1+i"), 2], [1, scalar_parse("-1+2i")]])
         state = apply_local(dicke_state(n, ell), [op] * n)
         assert len(state.amps) == 1 << n
         calls = record_eliminations(monkeypatch)
         ranks = rank_signature(state, enumerate_sigmas(n)).ranks
-        assert len(ranks) == 126 and set(ranks) == {min(ell, n - ell, n // 2) + 1}
-        assert calls and {kernel for kernel, _ in calls} == {"lanes"}
+        assert len(ranks) == math.comb(n, n // 2) // 2 and set(ranks) == {min(ell, n - ell, n // 2) + 1}
+        assert {kernel for kernel, _ in calls} == {"lanes"}
+        return len(calls)
+
+    def test_dense_eight_qubit_dicke_signature(self, monkeypatch):
+        # Every rank-deficient cut closes on one 81-bit prime (on two 62-bit ones).
+        assert self.dense_dicke_eliminations(monkeypatch, 8, 2) == 35
+
+    def test_dense_ten_qubit_dicke_signature(self, monkeypatch):
+        # Two 81-bit primes per cut (three 62-bit ones).
+        assert self.dense_dicke_eliminations(monkeypatch, 10, 3) == 252
 
 
 def pack(rows: list[list[int]], m: int) -> list[int]:
@@ -497,7 +511,16 @@ def pack(rows: list[list[int]], m: int) -> list[int]:
     return [int.from_bytes(b"".join(x.to_bytes(width, "little") for x in row), "little") for row in rows]
 
 
-LANE_MODULI = [17, 97, _field(0)[0]]
+# Besides the field's first prime (81 bits), two small primes and a 62-bit
+# one, 2^62 - 87: each lane width follows L = m.bit_length().
+LANE_MODULI = [17, 97, (1 << 62) - 87, _field(0)[0]]
+# Composite moduli, each with the factor its non-unit lead holds: products of
+# the first two primes = 1 (mod 8) below 2^62 and below 2^81.
+COMPOSITES = {
+    15: 3,
+    ((1 << 62) - 87) * ((1 << 62) - 143): (1 << 62) - 87,
+    _field(0)[0] * _field(1)[0]: _field(0)[0],
+}
 
 
 class TestLanes:
@@ -533,16 +556,16 @@ class TestLanes:
         assert rank_module._pivots_lanes(pack(rows, m), m, ncols) == expected
         assert len(expected) < nrows
 
-    @pytest.mark.parametrize("m", [15, _field(0)[0] * _field(1)[0]])
+    @pytest.mark.parametrize("m", list(COMPOSITES))
     def test_composite_modulus_with_a_non_unit_lead_raises(self, m):
-        factor = 3 if m == 15 else _field(0)[0]
+        factor = COMPOSITES[m]
         rows = [[0, factor] + [1] * 7, [1] * 9]
         with pytest.raises(ValueError):
             rank_module._pivots_mod(rows, m)
         with pytest.raises(ValueError):
             rank_module._pivots_lanes(pack(rows, m), m, 9)
 
-    @pytest.mark.parametrize("count", [1, 8, 126, 127, 255])
+    @pytest.mark.parametrize("count", [*range(1, 65), 126, 127, 255, 256])
     @pytest.mark.parametrize("m", LANE_MODULI)
     def test_lanes_reduce_exactly(self, m, count):
         lanes = rank_module._lanes(m, count)
@@ -553,17 +576,23 @@ class TestLanes:
         reduced = rank_module._reduce_lanes(x, m, lanes)
         assert reduced.to_bytes(width * count, "little") == b"".join((v % m).to_bytes(width, "little") for v in values)
 
-    @pytest.mark.parametrize("count", [1, 2, 3, 62, 63, 126, 127, 255, 256])
+    @pytest.mark.parametrize("count", [1, 2, 3, 16, 31, 62, 63, 126, 127, 255, 256])
     @pytest.mark.parametrize("m", LANE_MODULI)
     def test_lane_constants_follow_the_bounds(self, m, count):
-        width, s, mu, qmask, g, add, ones = rank_module._lanes(m, count)
+        width, low, tmask, mu, s, qmask, g, add, ones = rank_module._lanes(m, count)
         size, e = m.bit_length(), (count + 1).bit_length()
-        assert (count + 1) * m * m <= 1 << s == 1 << 2 * size + e
-        assert mu == (1 << s) // m
-        assert 8 * width - 8 < 3 * size + 2 * e + 1 <= 8 * width
-        assert g == size + 1
+        # A lane x < (count+1)*m^2 <= 2^(2L+e) has a high part x >> (L-2)
+        # below 2^(L+e+2), and mu <= 2^(L+e+2), so products stay below 2^(2L+2e+4).
+        assert (count + 1) * m * m <= 1 << 2 * size + e
+        assert low == size - 2 and s == size + e + 3 and g == size + 1
+        assert mu == (1 << 2 * size + e + 1) // m <= 1 << size + e + 2
+        assert 8 * width - 8 < 2 * size + 2 * e + 4 <= 8 * width
+        if m == _field(0)[0] and count in (16, 31):
+            # 16 lanes of 81-bit residues fill 22 bytes exactly; at 31, e steps to 6.
+            assert (width, 8 * width - (2 * size + 2 * e + 4)) == {16: (22, 0), 31: (23, 6)}[count]
         lane = [(ones >> 8 * width * j) % (1 << 8 * width) for j in range(count)]
         assert lane == [1] * count and ones >> 8 * width * count == 0
+        assert tmask == ones * ((1 << size + e + 2) - 1)
         assert qmask == ones * ((1 << size + e + 1) - 1) and add == ones * ((1 << g) - m)
 
 
@@ -591,7 +620,7 @@ class TestPrimeFields:
         primes = []
         for k in range(24):
             p, i_p, s_p = _field(k)
-            assert p % 8 == 1 and p < 2**62
+            assert p % 8 == 1 and p < 2**81
             assert (i_p * i_p + 1) % p == 0
             assert (s_p * s_p - 2) % p == 0
             assert sympy.isprime(p)
@@ -611,6 +640,12 @@ class TestPrimeFields:
         # a strong pseudoprime to every base 2..23, but not to 29, 31, 37
         assert not _is_prime(3825123056546413051)
         assert _is_prime(2**61 - 1)
+
+    def test_miller_rabin_rejects_psi_12(self):
+        # psi_12 = 399165290221 * 798330580441 is a strong pseudoprime to the
+        # first 12 primes as bases; 81-bit fields need the 13th, 41.
+        assert not _is_prime(318665857834031151167461)
+        assert _is_prime((1 << 81) - 63) and _field(0)[0] == (1 << 81) - 63
 
     def test_concurrent_first_use_adds_each_prime_once(self, monkeypatch):
         monkeypatch.setattr(rank_module, "_fields", [])
