@@ -180,8 +180,6 @@ def enumerate_sigmas(n: int) -> list[QubitPermutation]:
     bipartitions (which only transpose the matrix) appear once.
     """
     check_qubits(n)
-    if n < 2:
-        raise ValueError("need at least 2 qubits to enumerate bipartitions")
     half = n // 2
     removable = range(1, half) if n % 2 == 0 else range(1, half + 1)
     incoming = range(half + 1, n + 1)

@@ -14,14 +14,13 @@ empty cell of the block.  The values are reduced once per prime to a
 residue vector, or to one byte string per value for the lanes below, made
 on first use; the cuts from ``state_cuts`` share one scaling, hence one
 such set per prime, for their whole state.  The block, read through a table
-of slots, is then eliminated, with first-nonzero pivoting, over F_p for
-primes p = 1 (mod 8) below 2^81, where i -> w^2 and sqrt2 -> w + 1/w for a
-primitive 8th root of unity w mod p.  An elimination costs about as much at
-81 bits as at 62 (a residue is three 30-bit digits either way), and 81 bits
-is as wide as 13-base Miller-Rabin proves a prime, so each prime certifies
-as many bits as that proof allows.  A rank mod p never exceeds the true
-rank, so for every column prefix the engine keeps the largest rank any prime
-has shown.
+of slots, is then eliminated over F_p for primes p = 1 (mod 8) below 2^81,
+where i -> w^2 and sqrt2 -> w + 1/w for a primitive 8th root of unity w mod
+p.  An elimination costs about as much at 81 bits as at 62 (a residue is
+three 30-bit digits either way), and 81 bits is as wide as 13-base
+Miller-Rabin proves a prime, so each prime certifies as many bits as that
+proof allows.  A rank mod p never exceeds the true rank, so for every
+column prefix the engine keeps the largest rank any prime has shown.
 
 Stop rule.  Let d in {1, 2, 4} be the degree of the smallest of Q, Q(i),
 Q(sqrt2), Q(i*sqrt2) holding every entry, and P the Hadamard bound (from the
@@ -37,33 +36,43 @@ column would enter the Hadamard bound with the factor 1 (``_minor_bounds``
 counts every sum as at least 1), and the cap min(c+1, rows) on the rank of
 columns 0..c only tightens when the rows counted are the nonzero ones.
 
-Lanes.  A block at least ``_LANES_MIN`` columns wide is eliminated with each
-row packed into one int: column j's residue mod p in lane j, the ``width``
-bytes from bit 8*width*j, column 0 lowest.  Each row is reduced once against
-the echelon basis found so far, in the order it was found: per basis row one
-lane read, the read times the inverse of that row's lead mod p, and one
-multiply-add of that factor times the row's negation (p - b in each lane),
-with no reduction in between.  A lane x then holds less than (count+1)*p^2
-< 2^(2L+e), where count is the number of lanes (a bound on the basis size),
-L = p.bit_length() and e = (count+1).bit_length().  All lanes are then
-reduced at once, by a Barrett step on each lane's high part: t = x >> (L-2),
-below 2^(L+e+2), and q = floor(t*mu / 2^(L+e+3)) with mu =
-floor(2^(2L+e+1)/p).  Dropping the low L-2 bits of x costs the quotient less
-than 2^(L-2)/p <= 1/2, and truncating mu less than t/2^(L+e+3) < 1/2, so q
-is floor(x/p) or one less and x - q*p lies in [0, 2p).  The products t*mu
-stay below 2^(2L+2e+4), the lane width in bits, rounded up to whole bytes
-(16 lanes of 81-bit residues fill 22 bytes exactly).  After each shift the
-next lane's bits start at or above the mask taken, L+e+2 bits for t and
-L+e+1 for q, so no lane spills into the next and the subtraction of q*p
-borrows across none.  One packed conditional subtraction, testing bit L+1 of
-x + 2^(L+1) - p, leaves every lane in [0, p).  A row that is then 0 is
-dropped; otherwise its lowest nonzero lane is its pivot column, and it joins
-the basis, which stays zero at every earlier basis row's pivot column.  The
-basis rows have distinct leading columns and span the row space, so those
-columns are the leading columns of an echelon basis of the row space, which
-are exactly the columns that raise the rank of the columns before them: the
-pivots first-nonzero elimination (``_pivots_mod``, kept for narrower blocks)
-finds.
+Elimination.  Each row in turn is reduced against the basis rows, in the
+order they were found: it loses f times basis row b, f being its entry at
+b's lead over b's.  A row that is then 0 is dropped; otherwise it joins the
+basis, its lowest nonzero column as its lead.  Once the basis is as large
+as the block is wide, it spans every row, and no more rows are read.  A
+basis row is zero left of its lead and at every earlier lead, so each
+subtraction keeps the row zero at the leads cleared before: a reduced row
+is zero at every lead, and the leads are distinct.  Sorted by lead, the
+basis is an echelon basis of the row space; its rows with lead at most c
+stay independent on columns 0..c, and the others vanish there.  So the rank
+of columns 0..c is the number of leads up to c, and the leads are the
+columns that raise the rank of the columns before them: the pivots of
+Gaussian elimination with first-nonzero pivoting.  The rows that joined are
+those independent of the rows before them, and their minor on the leads is
+nonzero mod p.  ``_pivots_mod`` runs this on residue lists, and
+``_pivots_lanes`` on packed rows.
+
+Lanes.  ``_pivots_lanes`` packs each row into one int: column j's residue
+mod p in lane j, the ``width`` bytes from bit 8*width*j, column 0 lowest.
+A basis row is kept as its lead's shift, the inverse of its lead mod p and
+its negation (p - b in each lane); reducing a row against it is one lane
+read, one multiply by that inverse mod p, and one multiply-add of the
+factor times the negation, with no reduction in between.  A lane x then
+holds less than (count+1)*p^2 < 2^(2L+e), where count is the number of
+lanes (a bound on the basis size), L = p.bit_length() and e =
+(count+1).bit_length().  All lanes are then reduced at once, by a Barrett
+step on each lane's high part: t = x >> (L-2), below 2^(L+e+2), and q =
+floor(t*mu / 2^(L+e+3)) with mu = floor(2^(2L+e+1)/p).  Dropping the low
+L-2 bits of x costs the quotient less than 2^(L-2)/p <= 1/2, and truncating
+mu less than t/2^(L+e+3) < 1/2, so q is floor(x/p) or one less and x - q*p
+lies in [0, 2p).  The products t*mu stay below 2^(2L+2e+4), the lane width
+in bits, rounded up to whole bytes (16 lanes of 81-bit residues fill 22
+bytes exactly).  After each shift the next lane's bits start at or above
+the mask taken, L+e+2 bits for t and L+e+1 for q, so no lane spills into
+the next and the subtraction of q*p borrows across none.  One packed
+conditional subtraction, testing bit L+1 of x + 2^(L+1) - p, leaves every
+lane in [0, p).
 
 ``exact_det`` runs fraction-free (Bareiss) elimination over Q(i, sqrt2).
 Every function here takes a ``CoeffMatrix`` or a grid of ints, Fractions
@@ -176,11 +185,18 @@ def _field(k: int) -> tuple[int, int, int]:
 
 # --- exact rank --------------------------------------------------------------
 
-# Blocks this wide or wider are eliminated as packed lanes.  Timed per
-# elimination at the first 81-bit prime, packing included, lanes lose to
-# ``_pivots_mod`` on blocks of 2 and 3 columns, and on rank-one blocks up to
-# 6 columns, and are even or ahead from 7 columns at every rank; the blocks
-# of dense state cuts are 2^k columns wide.
+# Blocks this wide or wider are eliminated as packed lanes, narrower ones as
+# residue lists.  Lanes / lists per elimination at the first 81-bit prime,
+# packing included, min of 15 x 2000 calls on square blocks, the kernels
+# interleaved, two runs on a shared 2-core Xeon under Python 3.11.7
+# (columns/rank: run 1, run 2):
+#   2/1 1.18 1.30  2/2 1.08 1.14  3/1 1.09 1.14  3/3 1.06 1.06  4/1 1.10 1.21
+#   4/2 0.98 1.04  4/4 0.92 1.00  5/1 1.16 1.10  5/2 0.84 0.87  5/5 0.87 0.84
+#   6/1 1.02 1.03  6/3 0.72 0.76  6/6 0.80 0.80  7/1 1.02 0.97  7/3 0.76 0.70
+#   7/7 0.70 0.72  8/1 1.01 0.99  8/4 0.63 0.59  8/8 0.73 0.70
+# Lanes lose on 2 and 3 columns and on rank-one blocks up to 6, and are even
+# or ahead from 7 columns at every rank; the blocks of dense state cuts are
+# 2^k columns wide.
 _LANES_MIN = 8
 
 
@@ -196,36 +212,20 @@ def _degree(entries) -> int:
 
 
 def _pivots_mod(rows, p: int) -> list[int]:
-    """Pivot columns of residue rows mod p under first-nonzero pivoting.
-
-    ``active`` holds the nonzero rows not yet used as pivots, trimmed to the
-    columns not yet eliminated; elimination ends when it runs empty.  For a
-    composite p, a pivot that is no unit mod p raises ``ValueError``.
-    """
-    active = [row for row in rows if any(row)]
-    pivots = []
-    col = 0
-    while active:
-        for k, row in enumerate(active):
-            if row[0]:
+    """Pivot columns of residue rows mod p: the module docstring's elimination, on lists."""
+    basis: list[tuple[int, int, list[int]]] = []  # (lead column, lead's inverse mod p, row)
+    for row in rows:
+        for lead, inv, b in basis:
+            f = row[lead] * inv % p
+            if f:
+                row = [(x - f * y) % p for x, y in zip(row, b)]
+        for lead, x in enumerate(row):
+            if x:
+                basis.append((lead, pow(x, -1, p), row))
                 break
-        else:
-            active = [row[1:] for row in active]
-            col += 1
-            continue
-        lead = active.pop(k)
-        inv = pow(lead[0], -1, p)
-        tail = lead[1:]
-        remaining = []
-        for row in active:
-            f = row[0] * inv % p
-            row = [(x - f * y) % p for x, y in zip(row[1:], tail)] if f else row[1:]
-            if any(row):
-                remaining.append(row)
-        active = remaining
-        pivots.append(col)
-        col += 1
-    return pivots
+        if len(basis) == len(row):
+            break
+    return sorted(lead for lead, _, _ in basis)
 
 
 @functools.lru_cache(maxsize=256)
@@ -261,19 +261,12 @@ def _reduce_lanes(x: int, m: int, lanes) -> int:
 
 
 def _pivots_lanes(rows: list[int], m: int, count: int) -> list[int]:
-    """Pivot columns of rows packed as ``count`` lanes of residues mod m, as ``_pivots_mod`` finds them.
-
-    Each row is reduced against the basis rows in the order they were found,
-    with no reduction between them, then reduced exactly; a nonzero result
-    joins the basis as (shift of its lowest nonzero lane, inverse of that
-    lane mod m, its negation).  For a composite m, a lead that is no unit
-    mod m raises ``ValueError``.
-    """
+    """Pivot columns of rows packed as ``count`` lanes of residues mod m: the module docstring's elimination."""
     lanes = _lanes(m, count)
     bits = 8 * lanes[0]
     lane = (1 << bits) - 1
     negate = lanes[-1] * m
-    basis: list[tuple[int, int, int]] = []
+    basis: list[tuple[int, int, int]] = []  # (lead's shift, lead's inverse mod m, negated row)
     for x in rows:
         for shift, inv, neg in basis:
             x += (x >> shift & lane) * inv % m * neg
@@ -308,8 +301,9 @@ def _certified_rank(scaled: _Scaled, table) -> RankResult:
 
     Entry (i, j) is value ``table[i][j]`` of ``scaled``; its residue rows and
     its row and column sums of e^2 are read through the table.  The primes
-    are eliminated one at a time, by ``_pivots_lanes`` when the block is at
-    least ``_LANES_MIN`` columns wide and by ``_pivots_mod`` otherwise.
+    are eliminated one at a time, by one elimination on packed rows
+    (``_pivots_lanes``) from ``_LANES_MIN`` columns and on residue lists
+    (``_pivots_mod``) below.
     """
     ncols = len(table[0])
     # best[c]: the largest rank of columns 0..c seen modulo any prime so far.
@@ -416,7 +410,8 @@ def exact_rank(matrix) -> RankResult:
     """Rank over Q(i, sqrt2) and the echelon pivot columns, certified exact.
 
     The pivot columns are those that raise the rank of the columns before
-    them, as first-nonzero elimination finds them.  No threshold is involved.
+    them: the leads of the module docstring's elimination, which are the
+    pivots of first-nonzero elimination.  No threshold is involved.
     ``matrix`` is a :class:`CoeffMatrix`, whose amplitudes are read from
     its state's shared scaling (``state_cuts``) or a scaling of their own,
     or a grid, whose nonzero entries are scaled together; a grid whose rows

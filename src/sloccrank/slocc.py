@@ -203,8 +203,10 @@ def verify_trials(state: PureState, trials: int, seed: int, allow_singular: bool
     (equal to the untransformed ones, or no larger with singular operators),
     and for an even qubit count the determinant law.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     n = state.n
-    sigmas = enumerate_sigmas(n) if n >= 2 else [IDENTITY]
+    sigmas = enumerate_sigmas(n)
     base_ranks = tuple(exact_rank(cut).rank for cut in state_cuts(state, sigmas))
     base_det = exact_det(coefficient_matrix(state)) if n % 2 == 0 else None
     master = random.Random(seed)

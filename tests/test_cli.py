@@ -111,6 +111,13 @@ class TestSignatureAndPermutations:
         assert payload["sigmas"][0] == ""
         assert len(payload["sigmas"]) == 10
 
+    def test_one_qubit_has_one_cut(self, capsys, tmp_path):
+        path = str(tmp_path / "b1.json")
+        assert run(capsys, "gen", "--family", "basis", "--n", "1", "--index", "1", "-o", path)[0] == 0
+        assert run(capsys, "signature", "--state", path)[:2] == (0, '{"n": 1, "sigmas": [""], "ranks": [1]}\n')
+        code, out, _ = run(capsys, "permutations", "--n", "1")
+        assert code == 0 and json.loads(out) == {"n": 1, "count": 1, "sigmas": [""]}
+
 
 class TestVerify:
     def test_invertible_checks_pass(self, capsys, tmp_path):

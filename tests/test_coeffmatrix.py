@@ -111,9 +111,8 @@ class TestEnumeration:
             produced = {s.transpositions for s in enumerate_sigmas(n)}
             assert produced == expected
 
-    def test_too_few_qubits(self):
-        with pytest.raises(ValueError):
-            enumerate_sigmas(1)
+    def test_one_qubit_has_one_cut(self):
+        assert enumerate_sigmas(1) == [IDENTITY]
 
     def test_too_many_qubits(self):
         with pytest.raises(ValueError, match="qubit count"):

@@ -527,10 +527,11 @@ class TestLanes:
     """``_pivots_lanes`` against ``_pivots_mod``, and the exact reduction of packed lanes."""
 
     @settings(max_examples=150, deadline=None)
-    @given(data=st.data(), m=st.sampled_from(LANE_MODULI), nrows=st.integers(1, 20), ncols=st.integers(8, 40))
+    @given(data=st.data(), m=st.sampled_from(LANE_MODULI), nrows=st.integers(1, 20), ncols=st.integers(1, 40))
     def test_equals_list_kernel(self, data, m, nrows, ncols):
-        # A sum of ``terms`` products (low rank when few), then zero rows and
-        # lanes of m - 1 written over it.
+        # Every width, those below ``_LANES_MIN`` too.  A sum of ``terms``
+        # products (low rank when few), then zero rows and lanes of m - 1
+        # written over it.
         residue = st.integers(0, m - 1)
         terms = data.draw(st.integers(0, min(nrows, ncols)))
         us = data.draw(st.lists(st.lists(residue, min_size=terms, max_size=terms), min_size=nrows, max_size=nrows))

@@ -207,6 +207,11 @@ class TestVerifyTrials:
         assert any(not sigma.is_identity for sigma in drawn)
         assert seen == [s for sigma in drawn for s in (QubitPermutation(), sigma)]
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trial_count_below_one_raises(self, trials):
+        with pytest.raises(ValueError, match="at least 1"):
+            verify_trials(ghz_state(4), trials, 0)
+
     @pytest.mark.parametrize("state, det_runs", [
         (PureState(1, {0: 1, 1: Scalar(-2)}), 0),
         (ladder_state(5, 2), 0),
