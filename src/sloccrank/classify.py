@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 
 from .coeffmatrix import IDENTITY, QubitPermutation, coefficient_matrix
 from .rank import exact_rank, state_cuts
-from .states import PureState, dicke_state, family_state
+from .states import PureState, check_qubits, dicke_state, family_state
 
 __all__ = [
     "FamilySignature",
@@ -84,8 +84,7 @@ def dicke_rank_scan(n: int) -> list[DickeScanRow]:
     from the matrices and re-checked here; a mismatch raises, since it would
     mean the rank engine or the generators are broken.
     """
-    if n < 2:
-        raise ValueError("need at least 2 qubits")
+    check_qubits(n)
     half = n // 2
     out = []
     for ell in range(1, half + 1):

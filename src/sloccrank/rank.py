@@ -4,17 +4,24 @@
 It ranks a matrix from its block of nonzero rows and nonzero columns:
 deleting zero rows and zero columns changes neither the rank nor which
 nonzero columns are pivots, and the block's pivots map back through the
-sorted column list.  A ``CoeffMatrix`` gives the row-major position of each
-of its state's amplitudes, in O(terms), and is never laid out as scalars
-here; a raw grid gives the positions of its nonzero entries.  The values
-are scaled by the lcm of their denominators, so every value lies in
-Z[i, sqrt2], the integers of Q(zeta_8); scaling by a nonzero integer
-changes no rank and no pivot.  One more slot holds 0, the entry of every
-empty cell of the block.  The values are reduced once per prime to a
-residue vector, or to one byte string per value for the lanes below, made
-on first use; the cuts from ``state_cuts`` share one scaling, hence one
-such set per prime, for their whole state.  The block, read through a table
-of slots, is then eliminated over F_p for primes p = 1 (mod 8) below 2^81,
+sorted column list.  The block is laid out once, as one row-major list of
+slots, slot k holding the k-th value and one more slot holding 0, the
+entry of every empty cell.  A ``CoeffMatrix`` lays out its own block
+(``CoeffMatrix.block``) and is never laid out as scalars here: when every
+one of its 2^n indices holds an amplitude, the block is the whole matrix,
+read through its state's index-to-slot list; otherwise it comes from the
+O(terms) positions of the amplitudes.  A raw grid's block comes from the
+positions of its nonzero entries.  The values are scaled by the lcm of
+their denominators, so every value lies in Z[i, sqrt2], the integers of
+Q(zeta_8); scaling by a nonzero integer changes no rank and no pivot.  The
+values are reduced once per prime to a residue vector, or to one byte
+string per value for the lanes below, made on first use; the cuts from
+``state_cuts`` share one scaling, hence one such set per prime, for their
+whole state.  Per prime, one gather through the slot list
+(``operator.itemgetter``) reads the block's residues, or their bytes, as
+one flat tuple, which slices cut into rows; the squares behind the stop
+rule's row and column sums are read the same way.  The block is then
+eliminated over F_p for primes p = 1 (mod 8) below 2^81,
 where i -> w^2 and sqrt2 -> w + 1/w for a primitive 8th root of unity w mod
 p.  An elimination costs about as much at 81 bits as at 62 (a residue is
 three 30-bit digits either way), and 81 bits is as wide as 13-base
@@ -88,9 +95,11 @@ import math
 import threading
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
-from .coeffmatrix import CoeffMatrix, coefficient_matrix
+from .coeffmatrix import CoeffMatrix, block_slots, coefficient_matrix, index_slots
 from .scalar import ONE, ZERO, Scalar, as_scalar
 from .states import PureState
 
@@ -296,16 +305,37 @@ def _minor_bounds(row_sums, col_sums) -> list[int]:
     return [min(by_row, by_col) for by_row, by_col in zip(*products)]
 
 
-def _certified_rank(scaled: _Scaled, table) -> RankResult:
-    """Rank and pivots of the matrix ``scaled`` holds at ``table``, by the degree-aware stop rule.
+def _gather(slots: list[int]):
+    """A function taking a sequence to the tuple of its items at ``slots``."""
+    if len(slots) == 1:
+        (slot,) = slots
+        return lambda values: (values[slot],)
+    return itemgetter(*slots)
 
-    Entry (i, j) is value ``table[i][j]`` of ``scaled``; its residue rows and
-    its row and column sums of e^2 are read through the table.  The primes
-    are eliminated one at a time, by one elimination on packed rows
-    (``_pivots_lanes``) from ``_LANES_MIN`` columns and on residue lists
+
+def _packed(cells: tuple[bytes, ...], step: int) -> list[int]:
+    """Row-major lane bytes cut into rows of ``step`` bytes, each read as one little-endian int.
+
+    The joined bytes, 1.4 MB for a 256 x 256 block, are freed on return,
+    not held while the next prime's lane bytes are made.
+    """
+    blob = b"".join(cells)
+    return [int.from_bytes(blob[i:i + step], "little") for i in range(0, len(blob), step)]
+
+
+def _certified_rank(scaled: _Scaled, slots: list[int], ncols: int) -> RankResult:
+    """Rank and pivots of the matrix, ``ncols`` wide, that ``scaled`` holds at ``slots``, by the degree-aware stop rule.
+
+    Entry (i, j) is value ``slots[i * ncols + j]`` of ``scaled``.  Each
+    prime's residues, as a flat tuple, are gathered through the slots in one
+    call and cut into rows by slices, as are the e^2 sums' squares.  The
+    primes are eliminated one at a time, by one elimination on packed rows
+    (``_pivots_lanes``) from ``_LANES_MIN`` columns and on residue rows
     (``_pivots_mod``) below.
     """
-    ncols = len(table[0])
+    gather = _gather(slots)
+    size = len(slots)
+    nrows = size // ncols
     # best[c]: the largest rank of columns 0..c seen modulo any prime so far.
     best = [0] * ncols
     modulus = 1
@@ -314,27 +344,26 @@ def _certified_rank(scaled: _Scaled, table) -> RankResult:
     while True:
         p = _field(k)[0]
         if ncols < _LANES_MIN:
-            vec = scaled.vector(k)
-            found = set(_pivots_mod([[vec[j] for j in row] for row in table], p))
+            cells = gather(scaled.vector(k))
+            leads = _pivots_mod([cells[i:i + ncols] for i in range(0, size, ncols)], p)
         else:
-            blobs = scaled.lane_bytes(k, _lanes(p, ncols)[0])
-            rows = [int.from_bytes(b"".join([blobs[j] for j in row]), "little") for row in table]
-            found = set(_pivots_lanes(rows, p, ncols))
+            width = _lanes(p, ncols)[0]
+            leads = _pivots_lanes(_packed(gather(scaled.lane_bytes(k, width)), ncols * width), p, ncols)
         k += 1
         modulus *= p
-        rank = 0
-        for c in range(ncols):
-            rank += c in found
-            best[c] = max(best[c], rank)
-        # Columns 0..c hold rank at most min(c+1, rows); below that, a
-        # minor of size best[c]+1 may have vanished modulo every prime so far.
-        missing = max((b + 1 for c, b in enumerate(best) if b < min(c + 1, len(table))), default=0)
+        raised = [0] * ncols
+        for lead in leads:
+            raised[lead] = 1
+        best = list(map(max, best, accumulate(raised)))
+        # Columns 0..c hold rank at most min(c+1, nrows); below that, a minor
+        # of size best[c]+1 may have vanished modulo every prime so far.
+        missing = max([b + 1 for c, b in enumerate(best, 1) if b < c and b < nrows], default=0)
         if not missing:
             break
         if bounds is None:
-            squares = scaled.squares()
-            bounds = _minor_bounds([sum(squares[j] for j in row) for row in table],
-                                   [sum(squares[j] for j in col) for col in zip(*table)])
+            squares = gather(scaled.squares())
+            bounds = _minor_bounds([sum(squares[i:i + ncols]) for i in range(0, size, ncols)],
+                                   [sum(squares[c::ncols]) for c in range(ncols)])
         if modulus * modulus > bounds[missing] ** scaled.degree:
             break
     pivot_columns = tuple(c for c in range(ncols) if best[c] > (best[c - 1] if c else 0))
@@ -398,11 +427,12 @@ class _Scaled:
 
 
 def state_cuts(state: PureState, sigmas) -> Iterator[CoeffMatrix]:
-    """``coefficient_matrix(state, sigma)`` for each sigma, in order, all sharing one scaling of the state."""
+    """``coefficient_matrix(state, sigma)`` for each sigma, in order, all sharing one scaling and one index-to-slot list."""
     scaled = _Scaled(state.amps.values())
+    slots = index_slots(state.amps, state.n)
     for sigma in sigmas:
         cut = coefficient_matrix(state, sigma)
-        cut._scaled = scaled
+        cut._scaled, cut._index_slots = scaled, slots
         yield cut
 
 
@@ -420,7 +450,7 @@ def exact_rank(matrix) -> RankResult:
     """
     if isinstance(matrix, CoeffMatrix):
         scaled = matrix._scaled or _Scaled(matrix.values.values())
-        positions, width = matrix.positions(), matrix.cols
+        slots, cols = matrix.block()
     else:
         grid = _grid(matrix)
         width = len(grid[0]) if grid else 0
@@ -429,16 +459,10 @@ def exact_rank(matrix) -> RankResult:
         flat = [x for row in grid for x in row]
         positions = [k for k, x in enumerate(flat) if x]
         scaled = _Scaled([flat[k] for k in positions])
-    if not positions:
+        slots, cols = block_slots(positions, width)
+    if not slots:
         return RankResult(0, ())
-    # The block: the sorted nonzero rows and columns, and in each of its
-    # cells the slot of the value there, or the zero slot.
-    slot = dict(zip(positions, range(len(positions)))).get
-    zero = len(positions)
-    rows = sorted({position // width for position in positions})
-    cols = sorted({position % width for position in positions})
-    table = [[slot(r * width + c, zero) for c in cols] for r in rows]
-    result = _certified_rank(scaled, table)
+    result = _certified_rank(scaled, slots, len(cols))
     return RankResult(result.rank, tuple(cols[c] for c in result.pivot_columns))
 
 

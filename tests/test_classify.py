@@ -80,8 +80,10 @@ class TestDickeScan:
             assert row.row_multiplicities == tuple(comb(n // 2, j) for j in range(row.ell + 1))
 
     def test_too_small(self):
-        with pytest.raises(ValueError):
-            dicke_rank_scan(1)
+        # One qubit has no ell in 1..n//2, so its scan is empty; zero qubits is no state.
+        assert dicke_rank_scan(1) == []
+        with pytest.raises(ValueError, match="qubit count"):
+            dicke_rank_scan(0)
 
 
 class TestInvariants:

@@ -211,6 +211,16 @@ class TestDickeScan:
             {"ell": 2, "rank": 3, "distinct_rows": 3, "row_multiplicities": [1, 2, 1]},
         ]
 
+    def test_one_qubit_scan_is_empty(self, capsys):
+        code, out, _ = run(capsys, "dicke-scan", "--n", "1")
+        assert code == 0
+        assert json.loads(out) == {"n": 1, "rows": [], "pass": True}
+
+    def test_zero_qubits_is_a_bad_qubit_count(self, capsys):
+        code, out, err = run(capsys, "dicke-scan", "--n", "0")
+        assert code == 2
+        assert out == ""
+        assert "qubit count" in err
 
     def test_failed_scan_check_is_a_json_failure(self, capsys, monkeypatch):
         monkeypatch.setattr(sloccrank.classify, "exact_rank", lambda matrix: RankResult(0, ()))

@@ -194,6 +194,30 @@ class TestModularEngine:
         with pytest.raises(ShapeError):
             exact_rank(scalar_grid(grid))
 
+    @pytest.mark.parametrize("size", [4, 16])
+    def test_a_prime_showing_a_lower_rank_lowers_nothing(self, monkeypatch, size):
+        # Rank size - 1 from entries of about 100 bits, so the stop rule needs
+        # several primes; the last one is made to lose its highest lead.
+        rng = random.Random(size)
+        us = [[rng.getrandbits(50) for _ in range(size)] for _ in range(size - 1)]
+        vs = [[rng.getrandbits(50) for _ in range(size)] for _ in range(size - 1)]
+        grid = [[sum(u[i] * v[j] for u, v in zip(us, vs)) for j in range(size)] for i in range(size)]
+        name = "_pivots_lanes" if size >= rank_module._LANES_MIN else "_pivots_mod"
+        real = getattr(rank_module, name)
+        calls, drop_at = [], [0]
+
+        def kernel(*args):
+            calls.append(1)
+            leads = real(*args)
+            return leads[:-1] if len(calls) == drop_at[0] else leads
+
+        monkeypatch.setattr(rank_module, name, kernel)
+        expected = exact_rank(grid)
+        assert expected.rank == size - 1 and len(calls) >= 2
+        drop_at[0], calls[:] = len(calls), []
+        assert exact_rank(grid) == expected
+        assert len(calls) == drop_at[0]
+
     def test_wide_high_rank_matches_reference(self):
         rng = random.Random(41)
         for rows, cols in ((3, 7), (7, 3), (6, 6)):
@@ -273,8 +297,8 @@ class TestDegreeRule:
     def test_square_sums_follow_the_cut(self):
         # Amplitudes 0..3 fill one row of the identity cut but the 2 x 2 block
         # [[s, 1], [c, s]] of the cut 1:3, whose determinant s^2 - c is p1.
-        # Read through the identity table, the e^2 sums bound that block's
-        # minors by about 2*p1, and the rule would stop after one prime.
+        # Summed along the identity cut's rows and columns, the e^2 sums bound
+        # that block's minors by about 2*p1, and the rule would stop after one prime.
         p = _field(0)[0]
         s = math.isqrt(p) + 1
         c = s * s - p
@@ -422,6 +446,49 @@ class TestNonzeroBlock:
         assert len(first._scaled.vector(0)) == len(first._scaled.squares()) == len(state.amps) + 1
         ranks = [exact_rank(first).rank, *(exact_rank(cut).rank for cut in cuts)]
         assert len(ranks) == 6435 and set(ranks) == {2}
+
+
+class TestBlockLayout:
+    """A cut's block is one row-major list of slots, laid out by the route its support selects.
+
+    With every index present, the block is the whole matrix, read through
+    the state's index-to-slot list; a cut with an empty cell is laid out
+    from the positions of its amplitudes.
+    """
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_full_support_in_any_insertion_order(self, n):
+        # A slot is a place in the amplitude map's order, not a basis index,
+        # so a layout that read amplitude k at index k would rank the wrong matrix.
+        rng = random.Random(n)
+        state = dense_state(n, n, field=n % 2 == 1)[0]
+        assert len(state.amps) == 1 << n
+        ordered = PureState(n, dict(sorted(state.amps.items())))
+        indices = list(ordered.amps)
+        rng.shuffle(indices)
+        shuffled = PureState(n, {index: ordered.amps[index] for index in indices})
+        sigmas = enumerate_sigmas(n)
+        results = [cut_ranks(shuffled, sigmas), cut_ranks(ordered, sigmas),
+                   [exact_rank(coefficient_matrix(shuffled, sigma)) for sigma in sigmas]]
+        expected = [reference_rank(coefficient_matrix(ordered, sigma)) for sigma in sigmas]
+        assert results == [expected] * 3
+
+    def test_only_a_cut_with_an_empty_cell_reads_positions(self, monkeypatch):
+        dense = dense_state(3, 6, field=True)[0]
+        assert len(dense.amps) == 1 << 6
+        # One empty cell is enough to take the positions route.
+        holed = PureState(6, {index: value for index, value in dense.amps.items() if index != 37})
+        sigma = QubitPermutation([(1, 4), (2, 6)])
+        expected = [reference_rank(coefficient_matrix(state, sigma)) for state in (dense, holed)]
+        real = CoeffMatrix.positions
+        monkeypatch.setattr(CoeffMatrix, "positions", lambda self: pytest.fail("positions() was called"))
+        assert exact_rank(coefficient_matrix(dense, sigma)) == expected[0]
+        assert [exact_rank(cut) for cut in state_cuts(dense, [sigma])] == expected[:1]
+        called = []
+        monkeypatch.setattr(CoeffMatrix, "positions", lambda self: called.append(self.sigma) or real(self))
+        assert exact_rank(coefficient_matrix(holed, sigma)) == expected[1]
+        assert [exact_rank(cut) for cut in state_cuts(holed, [sigma])] == expected[1:]
+        assert called == [sigma, sigma]
 
 
 def sum_of_products(rng: random.Random, size: int, terms: int) -> list[list[Scalar]]:
