@@ -47,7 +47,6 @@ from .scalar import (
 from .slocc import (
     LocalOperator,
     apply_local,
-    kron_chain,
     load_operators,
     operators_from_json,
     operators_to_json,
@@ -105,7 +104,6 @@ __all__ = [
     "family_of",
     "family_state",
     "ghz_state",
-    "kron_chain",
     "ladder_state",
     "load_operators",
     "load_state",

@@ -4,9 +4,15 @@ The central fact being exercised: if a state is hit by a tensor product of
 2x2 operators, its coefficient matrix is multiplied on the left by the row
 half of the product and on the right by the transposed column half.  Rank
 can therefore never increase, and is preserved when every operator is
-invertible.  ``verify_matrix_equation`` recomputes both sides through
-deliberately independent code paths (per-qubit contraction on one side,
-explicit Kronecker products on the other), so a pass is informative.
+invertible.  ``verify_matrix_equation`` recomputes both sides in opposite
+orders.  The left side transforms the state qubit by qubit
+(``apply_local``) and then reshapes it.  The right side reshapes first and
+then applies each slot's operator to the matrix, picking the operator of
+the qubit that ``sigma`` puts in that slot.  The two sides share
+``coefficient_matrix`` and the scalar arithmetic, but no transform code:
+the right side neither calls ``apply_local`` nor reuses its loop.  So a
+pass does not check the reshaping itself; it shows that relabeling and
+the choice of operator commute.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ from .states import PureState
 __all__ = [
     "LocalOperator",
     "apply_local",
-    "kron_chain",
     "verify_matrix_equation",
     "verify_det_relation",
     "verify_trials",
@@ -100,60 +105,30 @@ def apply_local(state: PureState, ops) -> PureState:
     return PureState(n, amps, allow_zero=True)
 
 
-def kron_chain(ops):
-    """Kronecker product of 2x2 operators; first operator owns the top bit.
-
-    Entry (i, j) is the product over positions m of ops[m][i_m][j_m], where
-    i_m, j_m are the bits of i and j read from the most significant end.
-    """
-    ops = list(ops)
-    if not ops:
-        raise ValueError("kron_chain needs at least one operator")
-    k = len(ops)
-    dim = 1 << k
-    grid = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            value = ONE
-            for m, op in enumerate(ops):
-                shift = k - 1 - m
-                value = value * op.entries[(i >> shift) & 1][(j >> shift) & 1]
-                if not value:
-                    break
-            row.append(value)
-        grid.append(tuple(row))
-    return tuple(grid)
-
-
-def _matmul(left, right):
-    inner = len(right)
-    width = len(right[0])
-    out = []
-    for row in left:
-        new_row = []
-        for j in range(width):
-            acc = ZERO
-            for k in range(inner):
-                if row[k] and right[k][j]:
-                    acc = acc + row[k] * right[k][j]
-            new_row.append(acc)
-        out.append(tuple(new_row))
-    return tuple(out)
-
-
-def _transpose(grid):
-    return tuple(zip(*grid))
-
-
 def _predicted_matrix(state: PureState, ops, sigma: QubitPermutation):
-    """Right side of the equation that ``verify_matrix_equation`` checks."""
-    half = state.n // 2
-    row_ops = [ops[sigma.image(slot) - 1] for slot in range(1, half + 1)]
-    col_ops = [ops[sigma.image(slot) - 1] for slot in range(half + 1, state.n + 1)]
-    left = kron_chain(row_ops) if row_ops else ((ONE,),)
-    right = kron_chain(col_ops)
-    return _matmul(_matmul(left, coefficient_matrix(state, sigma).entries), _transpose(right))
+    """Right side of the equation that ``verify_matrix_equation`` checks.
+
+    M(sigma) is laid out as one flat row-major list, so entry (i, j) sits at
+    i << w | j and slot s of the cut owns bit n - s of that position, row
+    slots and column slots alike.  The Kronecker products on either side
+    then act as n mode products: for each slot s, the operator of the qubit
+    ``sigma.image(s)`` mixes every pair of positions that differ only in
+    slot s's bit.  That is O(n * 2^n) scalar multiplies, and a pair of zeros
+    is skipped, so a sparse matrix stays cheap until the operators fill it.
+    """
+    n = state.n
+    cut = coefficient_matrix(state, sigma)
+    flat = [value for row in cut.entries for value in row]
+    for slot in range(1, n + 1):
+        (a, b), (c, d) = ops[sigma.image(slot) - 1].entries
+        bit = 1 << (n - slot)
+        for base in range(0, len(flat), 2 * bit):
+            for lo in range(base, base + bit):
+                x, y = flat[lo], flat[lo | bit]
+                if x or y:
+                    flat[lo], flat[lo | bit] = a * x + b * y, c * x + d * y
+    cols = cut.cols
+    return tuple(tuple(flat[k:k + cols]) for k in range(0, len(flat), cols))
 
 
 def _predicted_det(det: Scalar, ops, n: int) -> Scalar:

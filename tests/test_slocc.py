@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -9,11 +10,11 @@ import pytest
 import sloccrank.slocc
 from sloccrank.coeffmatrix import QubitPermutation, coefficient_matrix, enumerate_sigmas
 from sloccrank.rank import ShapeError, exact_det, exact_rank
-from sloccrank.scalar import Scalar
+from sloccrank.scalar import Scalar, scalar_parse
 from sloccrank.slocc import (
     LocalOperator,
+    _predicted_matrix,
     apply_local,
-    kron_chain,
     load_operators,
     operators_from_json,
     operators_to_json,
@@ -24,9 +25,9 @@ from sloccrank.slocc import (
     verify_matrix_equation,
     verify_trials,
 )
-from sloccrank.states import PureState, ghz_state, ladder_state
+from sloccrank.states import PureState, dicke_state, ghz_state, ladder_state
 
-from conftest import random_singular_operator, random_state
+from conftest import cut_qubits, random_gauss_int, random_singular_operator, random_state, split_matrix
 
 X = LocalOperator(((0, 1), (1, 0)))
 P0 = LocalOperator(((1, 0), (0, 0)))
@@ -74,24 +75,68 @@ class TestApplyLocal:
             apply_local(ghz_state(3), identity_ops(2))
 
 
-class TestKron:
-    def test_identity_pair(self):
-        grid = kron_chain(identity_ops(2))
-        for i in range(4):
-            for j in range(4):
-                assert grid[i][j] == (Scalar(1) if i == j else Scalar(0))
+def kron_oracle(ops):
+    """The explicit Kronecker product: entry (i, j) is the product of ops[m][i_m][j_m].
 
-    def test_projector_with_flip(self):
-        grid = kron_chain([P0, X])
-        nonzero = {(i, j) for i in range(4) for j in range(4) if grid[i][j]}
-        assert nonzero == {(0, 1), (1, 0)}
+    i_m and j_m are bit m of i and j, read from the top.
+    """
+    k = len(ops)
+    return [[math.prod((op.entries[i >> (k - 1 - m) & 1][j >> (k - 1 - m) & 1] for m, op in enumerate(ops)),
+                       start=Scalar(1))
+             for j in range(1 << k)] for i in range(1 << k)]
 
-    def test_single_operator(self):
-        assert kron_chain([X]) == X.entries
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            kron_chain([])
+def matmul(left, right):
+    return [[sum((x * y for x, y in zip(row, col)), Scalar(0)) for col in zip(*right)] for row in left]
+
+
+def predicted_oracle(state, ops, sigma):
+    """(row-slot operators)^⊗ · M(sigma) · ((column-slot operators)^⊗)^T, from explicit grids."""
+    rows, cols = cut_qubits(sigma, state.n)
+    matrix = split_matrix(state, rows, cols)
+    right = kron_oracle([ops[q - 1] for q in cols])
+    product = matmul(matmul(kron_oracle([ops[q - 1] for q in rows]), matrix), list(zip(*right)))
+    return tuple(tuple(row) for row in product)
+
+
+def full_support_state(rng, n):
+    return PureState(n, {index: random_gauss_int(rng, nonzero=True) for index in range(1 << n)})
+
+
+class TestPredictedMatrix:
+    """``_predicted_matrix`` (n mode products) against explicit Kronecker grids."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("support", ["sparse", "full"])
+    def test_equals_kronecker_oracle_on_every_sigma(self, n, support):
+        rng = random.Random(1000 * n + len(support))
+        for _ in range(3):
+            state = random_state(rng, n, max_terms=4) if support == "sparse" else full_support_state(rng, n)
+            ops = random_local_ops(n, rng.randrange(2**32))
+            ops[rng.randrange(n)] = random_singular_operator(rng)
+            for sigma in enumerate_sigmas(n):
+                assert _predicted_matrix(state, ops, sigma) == predicted_oracle(state, ops, sigma)
+
+    def test_pair_with_only_its_high_half_nonzero(self):
+        # |100>: only index 4 holds an amplitude, so the first pass pairs a
+        # zero low half with a nonzero high half.
+        state = PureState(3, {4: 1})
+        ops = [LocalOperator(((1, 2), (3, 4)))] + identity_ops(2)
+        assert _predicted_matrix(state, ops, QubitPermutation()) == ((2, 0, 0, 0), (4, 0, 0, 0))
+
+    def test_dense_ten_qubit_dicke_under_two_transpositions(self):
+        op = LocalOperator([[scalar_parse("1+i"), 2], [1, scalar_parse("-1+2i")]])
+        state = apply_local(dicke_state(10, 3), [op] * 10)
+        assert len(state.amps) == 1 << 10
+        ops = random_invertible_ops(10, 17)
+        assert len(set(ops)) == 10
+        sigma = QubitPermutation(((2, 7), (4, 9)))
+        assert verify_matrix_equation(state, ops, sigma)
+        # One entry of qubit 7's operator, which sits in row slot 2, changed by 1.
+        (a, b), (c, d) = ops[6].entries
+        changed = ops[:6] + [LocalOperator(((a, b + 1), (c, d)))] + ops[7:]
+        lhs = coefficient_matrix(apply_local(state, ops), sigma).entries
+        assert _predicted_matrix(state, changed, sigma) != lhs
 
 
 class TestMatrixEquation:
