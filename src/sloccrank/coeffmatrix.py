@@ -117,33 +117,31 @@ IDENTITY = QubitPermutation()
 class CoeffMatrix:
     """The coefficient matrix of a state under the cut ``sigma``, laid out only when read.
 
-    A cut is the state's amplitude map ``values`` plus ``(n, sigma)``:
-    entry (i, j) of the 2^(n//2) by 2^(n - n//2) matrix is the amplitude at
-    the basis index whose relabeling by ``sigma`` reads i << (n - n//2) | j,
-    zero where there is none.  The rank engine reads a cut through
-    :meth:`block`, the slots of its block of nonzero rows and columns, row
-    by row, a slot being an amplitude's place in the order of ``values``;
-    ``entries`` lays the whole matrix out as scalars.  The block is laid
-    out one of two ways, by the size of the support:
+    A cut is the state's amplitude map ``values``, in ascending index order
+    as a ``PureState`` keeps it, plus ``(n, sigma)``: entry (i, j) of the
+    2^(n//2) by 2^(n - n//2) matrix is the amplitude at the basis index
+    whose relabeling by ``sigma`` reads i << (n - n//2) | j, zero where
+    there is none.  The rank engine reads a cut through :meth:`block`, the
+    slots of its block of nonzero rows and columns, row by row, a slot being
+    an amplitude's place in the order of ``values``; ``entries`` lays the
+    whole matrix out as scalars.  The block is laid out one of two ways, by
+    the size of the support:
 
     - every one of the 2^n indices holds an amplitude: the block is the
-      whole matrix, and cell (i, j) holds the amplitude at index
-      relabel(i << w) | relabel(j), w = n - n//2, read through the state's
-      index-to-slot list (:func:`index_slots`).  That costs 2^(n//2) +
-      2^(n - n//2) relabelings and one list read per cell, plus the list,
-      2^n entries, once per state;
+      whole matrix, and slot k is index k, so cell (i, j) holds slot
+      relabel(i << w) | relabel(j), w = n - n//2.  That costs 2^(n//2) +
+      2^(n - n//2) relabelings and one OR per cell;
     - otherwise :meth:`positions` places each amplitude in the matrix in
       O(terms), and the block is read off those positions
       (:func:`block_slots`), so a sparse cut never touches the 2^n zeros
       around its block.
 
     Cuts made by ``rank.state_cuts`` also share one scaling of their state
-    in ``_scaled`` and one index-to-slot list in ``_index_slots``, so
-    ``exact_rank`` reduces the state once per prime, and maps its indices
-    once, however many of its cuts it ranks.
+    in ``_scaled``, so ``exact_rank`` reduces the state once per prime,
+    however many of its cuts it ranks.
     """
 
-    __slots__ = ("values", "n", "sigma", "_scaled", "_index_slots")
+    __slots__ = ("values", "n", "sigma", "_scaled")
 
     def __init__(self, values: dict[int, Scalar], n: int, sigma: QubitPermutation) -> None:
         if sigma.max_label() > n:
@@ -152,7 +150,6 @@ class CoeffMatrix:
         self.n = n
         self.sigma = sigma
         self._scaled = None
-        self._index_slots = None
 
     def positions(self) -> list[int]:
         """The row-major position in the matrix of each amplitude, in the order of ``values``.
@@ -176,14 +173,13 @@ class CoeffMatrix:
         Slot k holds the k-th amplitude of ``values``, and slot
         ``len(values)`` the zero of an empty cell.
         """
-        slots = self._index_slots or index_slots(self.values, self.n)
-        if slots is None:
+        if len(self.values) < 1 << self.n:
             return block_slots(self.positions(), self.cols)
         relabel = _relabel(self.sigma, self.n)
         width = self.n - self.n // 2
         rows = [relabel(r << width) for r in range(self.rows)]
         cols = [relabel(c) for c in range(self.cols)]
-        return [slots[r | c] for r in rows for c in cols], range(self.cols)
+        return [r | c for r in rows for c in cols], range(self.cols)
 
     @property
     def entries(self) -> tuple[tuple[Scalar, ...], ...]:
@@ -237,18 +233,6 @@ def _relabel(sigma: QubitPermutation, n: int):
         return out
 
     return relabel
-
-
-def index_slots(values: dict[int, Scalar], n: int) -> list[int] | None:
-    """The slot of each basis index 0..2^n - 1 in the order of ``values``, or None unless each holds a value.
-
-    With every index present, the j-th smallest index is j, so the slots
-    sorted by the index each holds make the list.
-    """
-    if len(values) < 1 << n:
-        return None
-    indices = list(values)
-    return sorted(range(len(indices)), key=indices.__getitem__)
 
 
 def block_slots(positions: list[int], width: int) -> tuple[list[int], list[int]]:

@@ -9,8 +9,9 @@ slots, slot k holding the k-th value and one more slot holding 0, the
 entry of every empty cell.  A ``CoeffMatrix`` lays out its own block
 (``CoeffMatrix.block``) and is never laid out as scalars here: when every
 one of its 2^n indices holds an amplitude, the block is the whole matrix,
-read through its state's index-to-slot list; otherwise it comes from the
-O(terms) positions of the amplitudes.  A raw grid's block comes from the
+whose slots are the relabeled indices themselves (a state keeps its
+amplitudes in index order); otherwise it comes from the O(terms)
+positions of the amplitudes.  A raw grid's block comes from the
 positions of its nonzero entries.  The values are scaled by the lcm of
 their denominators, so every value lies in Z[i, sqrt2], the integers of
 Q(zeta_8); scaling by a nonzero integer changes no rank and no pivot.  The
@@ -99,7 +100,7 @@ from itertools import accumulate
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
-from .coeffmatrix import CoeffMatrix, block_slots, coefficient_matrix, index_slots
+from .coeffmatrix import CoeffMatrix, block_slots, coefficient_matrix
 from .scalar import ONE, ZERO, Scalar, as_scalar
 from .states import PureState
 
@@ -427,12 +428,11 @@ class _Scaled:
 
 
 def state_cuts(state: PureState, sigmas) -> Iterator[CoeffMatrix]:
-    """``coefficient_matrix(state, sigma)`` for each sigma, in order, all sharing one scaling and one index-to-slot list."""
+    """``coefficient_matrix(state, sigma)`` for each sigma, in order, all sharing one scaling."""
     scaled = _Scaled(state.amps.values())
-    slots = index_slots(state.amps, state.n)
     for sigma in sigmas:
         cut = coefficient_matrix(state, sigma)
-        cut._scaled, cut._index_slots = scaled, slots
+        cut._scaled = scaled
         yield cut
 
 

@@ -44,9 +44,13 @@ class PureState:
 
     Qubit 1 is the most significant bit of the index, so the first n//2
     qubits of an index are exactly the row bits of the coefficient matrix.
-    Zero amplitudes are dropped on construction.  A state with no amplitude
-    at all cannot be built directly; it is only produced via :meth:`zero`,
-    the image of a singular local operator.
+    ``amps`` holds its indices in ascending order, whatever the order they
+    were given in: the amplitude vector in the order the paper reshapes it.
+    So the k-th amplitude of a state whose every index holds one is that of
+    index k.  ``amps`` is not to be mutated after construction.  Zero
+    amplitudes are dropped on construction.  A state with no amplitude at
+    all cannot be built directly; it is only produced via :meth:`zero`, the
+    image of a singular local operator.
     """
 
     __slots__ = ("n", "amps")
@@ -54,11 +58,12 @@ class PureState:
     def __init__(self, n: int, amps, *, allow_zero: bool = False) -> None:
         check_qubits(n)
         dim = 1 << n
-        cleaned: dict[int, Scalar] = {}
-        for index, value in amps.items():
+        for index in amps:
             if not isinstance(index, int) or isinstance(index, bool) or not 0 <= index < dim:
                 raise ValueError(f"basis index {index!r} out of range for n={n}")
-            value = as_scalar(value)
+        cleaned: dict[int, Scalar] = {}
+        for index in sorted(amps):
+            value = as_scalar(amps[index])
             if value:
                 cleaned[index] = value
         if not cleaned and not allow_zero:
@@ -105,6 +110,8 @@ def ghz_state(n: int) -> PureState:
 def dicke_state(n: int, ell: int) -> PureState:
     """Equal superposition of every basis state with exactly ``ell`` ones."""
     check_qubits(n)
+    if n < 2:
+        raise ValueError("Dicke states need at least 2 qubits")
     if not 1 <= ell <= n - 1:
         raise ValueError(f"excitation count must be in 1..{n - 1}, got {ell}")
     return PureState(n, {i: 1 for i in range(1 << n) if i.bit_count() == ell})
@@ -184,8 +191,7 @@ def save_state(state: PureState, path) -> None:
     payload = {
         "n": state.n,
         "amplitudes": [
-            {"index": index, "value": scalar_format(state.amps[index])}
-            for index in sorted(state.amps)
+            {"index": index, "value": scalar_format(value)} for index, value in state.amps.items()
         ],
     }
     with open(path, "w", encoding="utf-8") as handle:

@@ -262,6 +262,16 @@ class TestErrorPaths:
                            "-o", str(tmp_path / "x.json"))
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [["--family", "w", "--n", "1"],
+                                      ["--family", "dicke", "--n", "1", "--ell", "1"]])
+    def test_one_qubit_dicke_state_is_rejected(self, capsys, tmp_path, argv):
+        path = tmp_path / "x.json"
+        code, out, err = run(capsys, "gen", *argv, "-o", str(path))
+        assert code == 2
+        assert out == ""
+        assert "Dicke states need at least 2 qubits" in err
+        assert not path.exists()
+
     def test_bad_sigma_text(self, capsys, tmp_path):
         path = str(tmp_path / "s.json")
         run(capsys, "gen", "--family", "ghz", "--n", "4", "-o", path)

@@ -451,15 +451,16 @@ class TestNonzeroBlock:
 class TestBlockLayout:
     """A cut's block is one row-major list of slots, laid out by the route its support selects.
 
-    With every index present, the block is the whole matrix, read through
-    the state's index-to-slot list; a cut with an empty cell is laid out
-    from the positions of its amplitudes.
+    With every index present, the block is the whole matrix, and slot k is
+    index k, because a state keeps its amplitudes in index order; a cut
+    with an empty cell is laid out from the positions of its amplitudes.
     """
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_full_support_in_any_insertion_order(self, n):
-        # A slot is a place in the amplitude map's order, not a basis index,
-        # so a layout that read amplitude k at index k would rank the wrong matrix.
+        # A slot is a place in the amplitude map's order.  It is index k only
+        # because a state sorts its map; without that, a state made from a
+        # shuffled map would rank the wrong matrix.
         rng = random.Random(n)
         state = dense_state(n, n, field=n % 2 == 1)[0]
         assert len(state.amps) == 1 << n
@@ -489,6 +490,62 @@ class TestBlockLayout:
         assert exact_rank(coefficient_matrix(holed, sigma)) == expected[1]
         assert [exact_rank(cut) for cut in state_cuts(holed, [sigma])] == expected[1:]
         assert called == [sigma, sigma]
+
+
+def gf2_rank(rows: list[int]) -> int:
+    """The rank over GF(2) of rows given as bit masks."""
+    basis: dict[int, int] = {}  # highest bit -> the basis row with that highest bit
+    for x in rows:
+        while x and x.bit_length() in basis:
+            x ^= basis[x.bit_length()]
+        if x:
+            basis[x.bit_length()] = x
+    return len(basis)
+
+
+class TestClosedForms:
+    """Every cut of two state families against a rank computed without the engine."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_graph_state(self, seed):
+        # |G> has amplitude (-1)^(edges inside x) at every x, and its cut A | B
+        # has rank 2^r, r the GF(2) rank of the adjacency block Gamma[A, B]
+        # (Hein, Eisert and Briegel, PRA 69, 062311, 2004).  Full support, so
+        # every cut takes the whole-matrix layout.
+        rng = random.Random(seed)
+        n = rng.randint(2, 8)
+        edges = {(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1) if rng.random() < 0.5}
+        state = PureState(n, {x: (-1) ** sum(x >> n - a & x >> n - b & 1 for a, b in edges)
+                              for x in range(1 << n)})
+        sigmas = enumerate_sigmas(n)
+        expected = []
+        for sigma in sigmas:
+            rows, cols = cut_qubits(sigma, n)
+            block = [sum(1 << b for b in cols if (min(a, b), max(a, b)) in edges) for a in rows]
+            expected.append(2 ** gf2_rank(block))
+        assert [result.rank for result in cut_ranks(state, sigmas)] == expected
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_symmetric_state(self, seed):
+        # A symmetric state with c_w at every index of weight w has, on a cut
+        # k | n - k, the rank of the Hankel matrix H[i][j] = c_(i+j), of size
+        # (k+1) x (n-k+1).  One operator on every qubit keeps the state
+        # symmetric; c_w is then read at index 2^w - 1.
+        rng = random.Random(seed)
+        n = rng.randint(1, 8)
+        weights = [random_gauss_int(rng) if rng.random() < 0.7 else ZERO for _ in range(n + 1)]
+        weights[rng.randint(0, n)] = random_gauss_int(rng, nonzero=True)
+        raw = PureState(n, {x: weights[x.bit_count()] for x in range(1 << n)})
+        while True:
+            op = LocalOperator([[random_gauss_int(rng) for _ in range(2)] for _ in range(2)])
+            if op.det():
+                break
+        sigmas = enumerate_sigmas(n)
+        for state in (raw, apply_local(raw, [op] * n)):
+            c = [state.amplitude((1 << w) - 1) for w in range(n + 1)]
+            hankel = [[c[i + j] for j in range(n - n // 2 + 1)] for i in range(n // 2 + 1)]
+            expected = reference_rank(hankel).rank
+            assert [result.rank for result in cut_ranks(state, sigmas)] == [expected] * len(sigmas)
 
 
 def sum_of_products(rng: random.Random, size: int, terms: int) -> list[list[Scalar]]:

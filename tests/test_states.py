@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 from math import comb
 
@@ -10,6 +11,7 @@ import pytest
 
 from sloccrank.coeffmatrix import QubitPermutation, coefficient_matrix, enumerate_sigmas
 from sloccrank.scalar import GaussRational, Scalar
+from sloccrank.slocc import LocalOperator, apply_local, random_invertible_ops
 from sloccrank.states import (
     MAX_QUBITS,
     PureState,
@@ -53,6 +55,46 @@ class TestPureState:
             PureState(17, {0: 1})
 
 
+class TestIndexOrder:
+    """``amps`` holds its indices in ascending order, however the state was made."""
+
+    @staticmethod
+    def assert_ascending(state):
+        indices = list(state.amps)
+        assert indices == sorted(indices)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_shuffled_dict(self, seed):
+        rng = random.Random(seed)
+        indices = rng.sample(range(1 << 6), 20)
+        state = PureState(6, {index: rng.randint(1, 9) for index in indices})
+        assert list(state.amps) == sorted(indices)
+
+    def test_apply_local(self):
+        # A diagonal operator keeps the support; its intermediate maps are
+        # built in set order, which here is not ascending.
+        sparse = PureState(6, {34: 1, 3: 2, 17: 1, 60: 2})
+        self.assert_ascending(apply_local(sparse, [LocalOperator([[1, 0], [0, 2]])] * 6))
+        dense = apply_local(sparse, random_invertible_ops(6, 3))
+        assert len(dense.amps) == 1 << 6
+        self.assert_ascending(dense)
+
+    def test_family_literal_out_of_order(self):
+        state = family_state("L_ab3", a=Fraction(2, 3), b=-1)
+        assert list(state.amps) == [0, 1, 2, 5, 6, 7, 9, 10, 11, 15]
+
+    def test_file_round_trip_keeps_order_and_bytes(self, tmp_path):
+        rng = random.Random(7)
+        indices = rng.sample(range(1 << 5), 12)
+        state = PureState(5, {index: Scalar(rng.randint(1, 9), rng.randint(-3, 3)) for index in indices})
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_state(state, first)
+        loaded = load_state(first)
+        assert list(loaded.amps) == list(state.amps) == sorted(indices)
+        save_state(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
+
+
 class TestGenerators:
     def test_basis_examples(self):
         assert amp_map(basis_state(3, 0)) == {0: Scalar(1)}
@@ -88,6 +130,11 @@ class TestGenerators:
             dicke_state(4, 4)
         with pytest.raises(ValueError, match="qubit count"):
             dicke_state(MAX_QUBITS + 1, 1)
+
+    @pytest.mark.parametrize("ell", [0, 1, 2])
+    def test_dicke_needs_two_qubits(self, ell):
+        with pytest.raises(ValueError, match="^Dicke states need at least 2 qubits$"):
+            dicke_state(1, ell)
 
     def test_dicke_symmetric_under_qubit_swaps(self):
         # a symmetric state is its own relabeling, so every cut has the same matrix
