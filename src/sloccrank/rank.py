@@ -101,7 +101,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .coeffmatrix import CoeffMatrix, block_slots, coefficient_matrix
-from .scalar import ONE, ZERO, Scalar, as_scalar
+from .scalar import ONE, ZERO, Scalar, as_scalar, scaled_coords
 from .states import PureState
 
 if TYPE_CHECKING:
@@ -383,14 +383,7 @@ class _Scaled:
     __slots__ = ("degree", "_entries", "_squares", "_vectors", "_bytes")
 
     def __init__(self, values: Iterable[Scalar]) -> None:
-        coords = [x.coords for x in values]
-        # A list, not a generator: a star-argument tuple built from a generator
-        # is resized, which strands one tuple in CPython's free lists per call.
-        scale = math.lcm(*[x[4] for x in coords])
-        entries = []
-        for a, b, c, d, den in coords:
-            k = scale // den
-            entries.append((a * k, b * k, c * k, d * k))
+        _, entries = scaled_coords(values)
         entries.append((0, 0, 0, 0))
         self._entries = entries
         self.degree = _degree(entries)

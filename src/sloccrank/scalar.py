@@ -218,6 +218,38 @@ def _make(a: int, b: int, c: int, d: int, den: int) -> Scalar:
     return s
 
 
+def scaled_coords(values) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """``(den, coords)``: each value times ``den``, the lcm of their denominators, in Z[i, sqrt2].
+
+    ``coords[k]`` is the ``(a, b, c, d)`` of ``den * values[k]``, so the k-th
+    value is ``_make(*coords[k], den)``.  Arithmetic on these 4-tuples is on
+    plain ints, with no denominator and no gcd.
+    """
+    coords = [x.coords for x in values]
+    # A list, not a generator: a star-argument tuple built from a generator
+    # is resized, which strands one tuple in CPython's free lists per call.
+    den = math.lcm(*[x[4] for x in coords])
+    scaled = []
+    for a, b, c, d, q in coords:
+        k = den // q
+        scaled.append((a * k, b * k, c * k, d * k))
+    return den, scaled
+
+
+def mix(u, x, v, y) -> tuple[int, int, int, int]:
+    """``u*x + v*y`` on ``(a, b, c, d)`` 4-tuples of Z[i, sqrt2], by the product of ``Scalar.__mul__``."""
+    a, b, c, d = u
+    e, f, g, h = x
+    a2, b2, c2, d2 = v
+    e2, f2, g2, h2 = y
+    return (
+        a * e - b * f + 2 * (c * g - d * h) + a2 * e2 - b2 * f2 + 2 * (c2 * g2 - d2 * h2),
+        a * f + b * e + 2 * (c * h + d * g) + a2 * f2 + b2 * e2 + 2 * (c2 * h2 + d2 * g2),
+        a * g - b * h + c * e - d * f + a2 * g2 - b2 * h2 + c2 * e2 - d2 * f2,
+        a * h + b * g + c * f + d * e + a2 * h2 + b2 * g2 + c2 * f2 + d2 * e2,
+    )
+
+
 def _coerce(value):
     if isinstance(value, Scalar):
         return value

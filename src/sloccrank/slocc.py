@@ -8,11 +8,15 @@ invertible.  ``verify_matrix_equation`` recomputes both sides in opposite
 orders.  The left side transforms the state qubit by qubit
 (``apply_local``) and then reshapes it.  The right side reshapes first and
 then applies each slot's operator to the matrix, picking the operator of
-the qubit that ``sigma`` puts in that slot.  The two sides share
-``coefficient_matrix`` and the scalar arithmetic, but no transform code:
-the right side neither calls ``apply_local`` nor reuses its loop.  So a
-pass does not check the reshaping itself; it shows that relabeling and
-the choice of operator commute.
+the qubit that ``sigma`` puts in that slot.  Both sides compute on integer
+coordinates: the amplitudes and each operator are scaled to Z[i, sqrt2]
+once (``scalar.scaled_coords``), every pair is mixed on plain ints
+(``scalar.mix``), and the scales are divided out only when the canonical
+scalars are made at the end.  The two sides share ``coefficient_matrix``,
+that scaling and that coordinate arithmetic, but no transform code: the
+right side neither calls ``apply_local`` nor reuses its loop.  So a pass
+does not check the reshaping itself; it shows that relabeling and the
+choice of operator commute.
 """
 
 from __future__ import annotations
@@ -22,7 +26,18 @@ import random
 
 from .coeffmatrix import IDENTITY, QubitPermutation, coefficient_matrix, enumerate_sigmas
 from .rank import ShapeError, exact_det, exact_rank, state_cuts
-from .scalar import GaussRational, ONE, ParseError, Scalar, ZERO, as_scalar, scalar_format, scalar_parse
+from .scalar import (
+    GaussRational,
+    ONE,
+    ParseError,
+    Scalar,
+    _make,
+    as_scalar,
+    mix,
+    scalar_format,
+    scalar_parse,
+    scaled_coords,
+)
 from .states import PureState
 
 __all__ = [
@@ -75,60 +90,77 @@ class LocalOperator:
         return f"LocalOperator({[[str(e) for e in row] for row in self.entries]})"
 
 
+_ZERO4 = (0, 0, 0, 0)
+
+
 def apply_local(state: PureState, ops) -> PureState:
     """Act with one operator per qubit via successive single-qubit contractions.
 
-    Costs O(n * 2^n) scalar multiplies and never materializes the full
-    tensor product.  Singular operators may annihilate the state entirely;
-    the result is then the tagged zero state.
+    Costs O(n * 2^n) products of integer coordinates and never materializes
+    the full tensor product.  The amplitudes are scaled to Z[i, sqrt2] once,
+    each operator by its own scale, which multiplies the common denominator
+    ``den``; canonical scalars are made once, at the end.  Singular
+    operators may annihilate the state entirely; the result is then the
+    tagged zero state.
     """
     ops = list(ops)
     n = state.n
     if len(ops) != n:
         raise ValueError(f"need exactly {n} operators, got {len(ops)}")
-    amps = dict(state.amps)
+    den, coords = scaled_coords(state.amps.values())
+    amps = dict(zip(state.amps, coords))
     for qubit in range(1, n + 1):
-        op = ops[qubit - 1].entries
+        (a, b), (c, d) = ops[qubit - 1].entries
+        e, (a, b, c, d) = scaled_coords((a, b, c, d))
+        den *= e
         mask = 1 << (n - qubit)
-        bases = {index & ~mask for index in amps}
-        updated: dict[int, Scalar] = {}
-        for base in bases:
-            lo = amps.get(base, ZERO)
-            hi = amps.get(base | mask, ZERO)
-            new_lo = op[0][0] * lo + op[0][1] * hi
-            new_hi = op[1][0] * lo + op[1][1] * hi
-            if new_lo:
+        updated: dict[int, tuple[int, int, int, int]] = {}
+        for base in {index & ~mask for index in amps}:
+            lo = amps.get(base, _ZERO4)
+            hi = amps.get(base | mask, _ZERO4)
+            new_lo = mix(a, lo, b, hi)
+            new_hi = mix(c, lo, d, hi)
+            if new_lo != _ZERO4:
                 updated[base] = new_lo
-            if new_hi:
+            if new_hi != _ZERO4:
                 updated[base | mask] = new_hi
         amps = updated
-    return PureState(n, amps, allow_zero=True)
+    return PureState(n, {index: _make(*x, den) for index, x in amps.items()}, allow_zero=True)
 
 
 def _predicted_matrix(state: PureState, ops, sigma: QubitPermutation):
     """Right side of the equation that ``verify_matrix_equation`` checks.
 
-    M(sigma) is laid out as one flat row-major list, so entry (i, j) sits at
-    i << w | j and slot s of the cut owns bit n - s of that position, row
-    slots and column slots alike.  The Kronecker products on either side
-    then act as n mode products: for each slot s, the operator of the qubit
-    ``sigma.image(s)`` mixes every pair of positions that differ only in
-    slot s's bit.  That is O(n * 2^n) scalar multiplies, and a pair of zeros
-    is skipped, so a sparse matrix stays cheap until the operators fill it.
+    M(sigma) is laid out as one flat row-major list of integer coordinates:
+    the scaled amplitudes sit at ``cut.positions()`` and zeros elsewhere.
+    Entry (i, j) sits at i << w | j and slot s of the cut owns bit n - s of
+    that position, row slots and column slots alike.  The Kronecker
+    products on either side then act as n mode products: for each slot s,
+    the operator of the qubit ``sigma.image(s)``, scaled like the
+    amplitudes, mixes every pair of positions that differ only in slot s's
+    bit.  That is O(n * 2^n) products of integer coordinates, and a pair of
+    zeros is skipped, so a sparse matrix stays cheap until the operators
+    fill it.  The scalars are made once, at the end.
     """
     n = state.n
     cut = coefficient_matrix(state, sigma)
-    flat = [value for row in cut.entries for value in row]
+    den, coords = scaled_coords(state.amps.values())
+    flat = [_ZERO4] * (1 << n)
+    for position, x in zip(cut.positions(), coords):
+        flat[position] = x
     for slot in range(1, n + 1):
         (a, b), (c, d) = ops[sigma.image(slot) - 1].entries
+        e, (a, b, c, d) = scaled_coords((a, b, c, d))
+        den *= e
         bit = 1 << (n - slot)
         for base in range(0, len(flat), 2 * bit):
             for lo in range(base, base + bit):
                 x, y = flat[lo], flat[lo | bit]
-                if x or y:
-                    flat[lo], flat[lo | bit] = a * x + b * y, c * x + d * y
+                if x != _ZERO4 or y != _ZERO4:
+                    flat[lo], flat[lo | bit] = mix(a, x, b, y), mix(c, x, d, y)
+    entries = [_make(*x, den) for x in flat]
     cols = cut.cols
-    return tuple(tuple(flat[k:k + cols]) for k in range(0, len(flat), cols))
+    return tuple(tuple(entries[k:k + cols]) for k in range(0, len(entries), cols))
 
 
 def _predicted_det(det: Scalar, ops, n: int) -> Scalar:

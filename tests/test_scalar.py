@@ -20,8 +20,10 @@ from sloccrank.scalar import (
     Scalar,
     ZERO,
     as_scalar,
+    mix,
     scalar_format,
     scalar_parse,
+    scaled_coords,
 )
 
 from conftest import random_scalar
@@ -253,6 +255,43 @@ def test_canonical_form_from_different_routes():
     assert scalar_format(total) == scalar_format(half)
     quarter_sum = (SQRT2 * Fraction(1, 4)) + (SQRT2 * Fraction(1, 4))
     assert scalar_format(quarter_sum) == scalar_format(SQRT2 * Fraction(1, 2))
+
+
+def from_coords(coords) -> Scalar:
+    """The scalar ``a + b*i + (c + d*i)*s2`` of a 4-tuple, by ``Scalar`` arithmetic alone."""
+    a, b, c, d = coords
+    return GaussRational(a, b) + GaussRational(c, d) * SQRT2
+
+
+def test_scaled_coords_share_the_lcm_of_the_denominators():
+    values = [scalar_parse(text) for text in ("1/2+s2", "-2/3i", "(1-i)*s2", "0", "5")]
+    assert scaled_coords(values) == (6, [(3, 0, 6, 0), (0, -4, 0, 0), (0, 0, 6, -6), (0, 0, 0, 0), (30, 0, 0, 0)])
+    assert scaled_coords([]) == (1, [])
+
+
+def test_scaled_coords_of_random_values():
+    rng = random.Random(1901)
+    for _ in range(50):
+        values = [random_scalar(rng) for _ in range(rng.randint(1, 6))]
+        den, coords = scaled_coords(values)
+        assert den == math.lcm(*(x.coords[4] for x in values))
+        assert [from_coords(c) for c in coords] == [x * den for x in values]
+
+
+def test_mix_matches_scalar_products_and_sums():
+    rng = random.Random(1902)
+    with_sqrt2 = with_fractions = 0
+    for _ in range(300):
+        values = [random_scalar(rng) for _ in range(4)]
+        den, (u, x, v, y) = scaled_coords(values)
+        with_sqrt2 += any(c or d for _, _, c, d in (u, x, v, y))
+        with_fractions += den > 1
+        want = (values[0] * values[1] + values[2] * values[3]) * den * den
+        assert from_coords(mix(u, x, v, y)) == want
+        # The same on unscaled coordinates, where every sign and factor 2 shows in the ints.
+        u, x, v, y = (tuple(rng.randint(-9, 9) for _ in range(4)) for _ in range(4))
+        assert from_coords(mix(u, x, v, y)) == from_coords(u) * from_coords(x) + from_coords(v) * from_coords(y)
+    assert with_sqrt2 > 250 and with_fractions > 250
 
 
 def test_float_embedding_is_multiplicative():

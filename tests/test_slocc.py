@@ -27,7 +27,14 @@ from sloccrank.slocc import (
 )
 from sloccrank.states import PureState, dicke_state, ghz_state, ladder_state
 
-from conftest import cut_qubits, random_gauss_int, random_singular_operator, random_state, split_matrix
+from conftest import (
+    cut_qubits,
+    random_gauss_int,
+    random_scalar,
+    random_singular_operator,
+    random_state,
+    split_matrix,
+)
 
 X = LocalOperator(((0, 1), (1, 0)))
 P0 = LocalOperator(((1, 0), (0, 0)))
@@ -35,6 +42,28 @@ P0 = LocalOperator(((1, 0), (0, 0)))
 
 def identity_ops(n):
     return [LocalOperator.identity() for _ in range(n)]
+
+
+def nonzero_field_scalar(rng):
+    while True:
+        if value := random_scalar(rng):
+            return value
+
+
+def field_state(rng, n, terms):
+    """``terms`` amplitudes that are full field elements, with fractions and sqrt2 parts."""
+    return PureState(n, {index: nonzero_field_scalar(rng) for index in rng.sample(range(1 << n), terms)})
+
+
+def field_operator(rng):
+    return LocalOperator([[random_scalar(rng) for _ in range(2)] for _ in range(2)])
+
+
+def field_singular_operator(rng):
+    """Rank <= 1 operator with full field entries, built as an outer product, so det is exactly 0."""
+    u = [random_scalar(rng) for _ in range(2)]
+    v = [random_scalar(rng) for _ in range(2)]
+    return LocalOperator(((u[0] * v[0], u[0] * v[1]), (u[1] * v[0], u[1] * v[1])))
 
 
 class TestLocalOperator:
@@ -74,6 +103,30 @@ class TestApplyLocal:
         with pytest.raises(ValueError):
             apply_local(ghz_state(3), identity_ops(2))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_equals_kronecker_product_times_the_amplitude_vector(self, n):
+        rng = random.Random(1900 + n)
+        for trial in range(6):
+            state = field_state(rng, n, (1 << n) if trial % 2 else min(4, 1 << n))
+            ops = [field_operator(rng) for _ in range(n)]
+            if trial >= 2:
+                ops[rng.randrange(n)] = field_singular_operator(rng)
+            if trial == 5:
+                ops[rng.randrange(n)] = random_singular_operator(rng)
+            assert dict(apply_local(state, ops).amps) == kron_applied(state, ops)
+
+    def test_field_operators_annihilate_by_cancellation(self):
+        # Qubit 1's operator has both rows along (s2, 1/3), which the state's
+        # qubit-1 factor (1/3, -s2) is orthogonal to: every amplitude cancels.
+        a, b = scalar_parse("1/2+s2"), scalar_parse("-i")
+        third, s2 = Scalar(1) / 3, scalar_parse("s2")
+        state = PureState(2, {0: third * a, 1: third * b, 2: -s2 * a, 3: -s2 * b})
+        kill = LocalOperator(((s2, third), (scalar_parse("2i") * s2, scalar_parse("2/3i"))))
+        ops = [kill, LocalOperator(((scalar_parse("1/5"), s2), (1, scalar_parse("(1-i)*s2"))))]
+        assert not kill.is_invertible
+        assert kron_applied(state, ops) == {}
+        assert apply_local(state, ops).is_zero
+
 
 def kron_oracle(ops):
     """The explicit Kronecker product: entry (i, j) is the product of ops[m][i_m][j_m].
@@ -84,6 +137,13 @@ def kron_oracle(ops):
     return [[math.prod((op.entries[i >> (k - 1 - m) & 1][j >> (k - 1 - m) & 1] for m, op in enumerate(ops)),
                        start=Scalar(1))
              for j in range(1 << k)] for i in range(1 << k)]
+
+
+def kron_applied(state, ops):
+    """The nonzero amplitudes of ``kron_oracle(ops)`` times the state's amplitude vector."""
+    vector = [state.amplitude(j) for j in range(1 << state.n)]
+    products = (sum((k * v for k, v in zip(row, vector)), Scalar(0)) for row in kron_oracle(ops))
+    return {i: x for i, x in enumerate(products) if x}
 
 
 def matmul(left, right):
@@ -114,6 +174,17 @@ class TestPredictedMatrix:
             state = random_state(rng, n, max_terms=4) if support == "sparse" else full_support_state(rng, n)
             ops = random_local_ops(n, rng.randrange(2**32))
             ops[rng.randrange(n)] = random_singular_operator(rng)
+            for sigma in enumerate_sigmas(n):
+                assert _predicted_matrix(state, ops, sigma) == predicted_oracle(state, ops, sigma)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("support", ["sparse", "full"])
+    def test_field_entries_equal_kronecker_oracle_on_every_sigma(self, n, support):
+        rng = random.Random(1900 + 10 * n + len(support))
+        for _ in range(2):
+            state = field_state(rng, n, min(4, 1 << n) if support == "sparse" else 1 << n)
+            ops = [field_operator(rng) for _ in range(n)]
+            ops[rng.randrange(n)] = field_singular_operator(rng)
             for sigma in enumerate_sigmas(n):
                 assert _predicted_matrix(state, ops, sigma) == predicted_oracle(state, ops, sigma)
 
