@@ -19,7 +19,6 @@ must land in exactly one listed cell and show its signature.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from typing import Callable, NamedTuple
@@ -41,16 +40,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FamilySignature:
-    """Ranks of a state's coefficient matrices over an ordered list of swaps."""
-
+class _SignatureFields(NamedTuple):
     sigmas: tuple[QubitPermutation, ...]
     ranks: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.sigmas) != len(self.ranks):
+
+class FamilySignature(_SignatureFields):
+    """Ranks of a state's coefficient matrices over an ordered list of swaps."""
+
+    __slots__ = ()
+
+    # A NamedTuple body may not define __new__, so the length check lives in this subclass.
+    def __new__(cls, sigmas: tuple[QubitPermutation, ...], ranks: tuple[int, ...]) -> FamilySignature:
+        if len(sigmas) != len(ranks):
             raise ValueError("sigmas and ranks must have the same length")
+        return super().__new__(cls, sigmas, ranks)
 
     def to_json_dict(self) -> dict:
         return {"sigmas": [s.to_text() for s in self.sigmas], "ranks": list(self.ranks)}
@@ -218,8 +222,7 @@ def _label(region: str, names: tuple[str, str]) -> str:
     return region.translate({ord("x"): x, ord("y"): y})
 
 
-@dataclass
-class CellReport:
+class CellReport(NamedTuple):
     region: str
     signature: tuple[int, ...]
     samples: int
@@ -240,12 +243,11 @@ class CellReport:
         return payload
 
 
-@dataclass
-class TableReport:
+class TableReport(NamedTuple):
     table: str
     cells: list[CellReport]
     unconstrained_hits: dict[str, int]
-    unconstrained_failures: list[dict] = field(default_factory=list)
+    unconstrained_failures: list[dict]
 
     @property
     def passed(self) -> bool:
@@ -326,11 +328,11 @@ def classify_table(table: str, samples_per_cell: int, seed: int) -> TableReport:
                     }
                 )
 
-    for report in cell_reports:
+    for position, report in enumerate(cell_reports):
         key = _hit_key(report.family, report.signature)
         if report.samples == 0 and key in hits:
-            report.passed = False
-            report.witness = {"unconstrained_hits": hits[key]}
+            cell_reports[position] = report._replace(
+                passed=False, witness={"unconstrained_hits": hits[key]})
 
     return TableReport(
         table=table,

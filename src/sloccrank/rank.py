@@ -95,10 +95,9 @@ import functools
 import math
 import threading
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .coeffmatrix import CoeffMatrix, block_slots, coefficient_matrix
 from .scalar import ONE, ZERO, Scalar, as_scalar, scaled_coords
@@ -119,8 +118,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RankResult:
+class RankResult(NamedTuple):
     rank: int
     pivot_columns: tuple[int, ...]
 

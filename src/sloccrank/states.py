@@ -185,18 +185,20 @@ def family_state(name: str, **params) -> PureState:
 
 
 def save_state(state: PureState, path) -> None:
-    """Write a state as JSON with amplitudes in ascending index order."""
+    """Write a state as JSON with amplitudes in ascending index order.
+
+    The bytes are those of ``json.dump`` with ``indent=2`` and a final
+    newline, formatted here one block per amplitude, because with an indent
+    the json module falls back to its pure-Python encoder.
+    """
     if state.is_zero:
         raise StateFormatError("the zero state cannot be serialized")
-    payload = {
-        "n": state.n,
-        "amplitudes": [
-            {"index": index, "value": scalar_format(value)} for index, value in state.amps.items()
-        ],
-    }
+    blocks = ",\n".join(
+        f'    {{\n      "index": {index},\n      "value": {json.dumps(scalar_format(value))}\n    }}'
+        for index, value in state.amps.items()
+    )
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+        handle.write(f'{{\n  "n": {state.n},\n  "amplitudes": [\n{blocks}\n  ]\n}}\n')
 
 
 def load_state(path) -> PureState:

@@ -45,6 +45,21 @@ class TestSignature:
         with pytest.raises(ValueError):
             FamilySignature((IDENTITY,), (1, 2))
 
+    def test_equal_signatures_compare_and_hash_equal(self):
+        first = rank_signature(ghz_state(4), enumerate_sigmas(4))
+        second = FamilySignature(tuple(enumerate_sigmas(4)), (2, 2, 2))
+        assert first == second and hash(first) == hash(second)
+        assert len({first, second}) == 1
+        assert first != FamilySignature(tuple(enumerate_sigmas(4)), (2, 2, 1))
+
+    def test_fields_cannot_be_assigned(self):
+        sig = rank_signature(ghz_state(4), enumerate_sigmas(4))
+        with pytest.raises(AttributeError):
+            sig.ranks = (1, 1, 1)
+        with pytest.raises(AttributeError):
+            sig.extra = None
+        assert sig.ranks == (2, 2, 2)
+
 
 class TestFamilyOf:
     def test_separable(self):

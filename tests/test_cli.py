@@ -432,6 +432,14 @@ class TestEntrypoint:
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
+    def test_process_imports_no_dataclasses(self):
+        # -S keeps site hooks, which may import anything, out of the result.
+        code = ("import sys, sloccrank.cli, sloccrank; "
+                "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))")
+        done = subprocess.run([sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": SRC},
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
 
 def _dense6_payload() -> dict:
     """A dense 6-qubit state with fractions, i and sqrt2 parts, written without sloccrank."""

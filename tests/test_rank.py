@@ -100,6 +100,14 @@ class TestExactRank:
     def test_zero_matrix(self):
         assert exact_rank(coefficient_matrix(PureState.zero(3))).rank == 0
 
+    def test_result_unpacks_and_cannot_be_assigned(self):
+        rank, pivots = exact_rank(coefficient_matrix(ghz_state(4)))
+        assert (rank, pivots) == (2, (0, 3))
+        result = exact_rank([[1, 2], [2, 4]])
+        with pytest.raises(AttributeError):
+            result.rank = 2
+        assert result == RankResult(1, (0,))
+
     def test_dicke_4_2(self):
         assert exact_rank(coefficient_matrix(dicke_state(4, 2))).rank == 3
 

@@ -10,7 +10,7 @@ from math import comb
 import pytest
 
 from sloccrank.coeffmatrix import QubitPermutation, coefficient_matrix, enumerate_sigmas
-from sloccrank.scalar import GaussRational, Scalar
+from sloccrank.scalar import GaussRational, Scalar, scalar_format, scalar_parse
 from sloccrank.slocc import LocalOperator, apply_local, random_invertible_ops
 from sloccrank.states import (
     MAX_QUBITS,
@@ -24,6 +24,15 @@ from sloccrank.states import (
     load_state,
     save_state,
 )
+
+
+# One text for each shape scalar_format can print: integers, fractions, pure
+# imaginaries, Gaussian values, and sqrt2 parts with and without parentheses.
+EVERY_SCALAR_FORM = [
+    "1", "-1", "7/3", "-2/5", "i", "-i", "3i", "-1/2i", "1+i", "2/3-i", "-1+5/7i",
+    "s2", "-s2", "1/2*s2", "i*s2", "-i*s2", "(1+i)*s2", "(2/3-i)*s2", "1+s2", "1-s2",
+    "i+s2", "1/2-3/4i+(1-i)*s2", "-1/3*s2", "-5/7i-(1+2i)*s2",
+]
 
 
 def amp_map(state):
@@ -303,6 +312,25 @@ class TestStateFiles:
         path.write_text("[" * 200_000 + "]" * 200_000)
         with pytest.raises(StateFormatError, match="nested too deeply"):
             load_state(path)
+
+    @pytest.mark.parametrize("state", [
+        PureState(5, {k: scalar_parse(text) for k, text in enumerate(EVERY_SCALAR_FORM)}),
+        PureState(1, {1: scalar_parse("-1/2i")}),
+        PureState(1, {0: 1, 1: scalar_parse("(1-i)*s2")}),
+        ghz_state(16),
+        ladder_state(8, 3),
+        family_state("L_ab3", a=Fraction(2, 3), b=-1),
+        apply_local(dicke_state(10, 3), random_invertible_ops(10, 4)),
+    ], ids=["every-form", "n1-one-term", "n1-dense", "ghz16", "ladder8", "L_ab3", "dense10"])
+    def test_bytes_equal_json_dump_with_indent(self, tmp_path, state):
+        payload = {"n": state.n, "amplitudes": [
+            {"index": index, "value": scalar_format(value)} for index, value in state.amps.items()
+        ]}
+        with open(tmp_path / "reference.json", "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, indent=2)
+            handle.write("\n")
+        save_state(state, tmp_path / "saved.json")
+        assert (tmp_path / "saved.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
 
     def test_zero_state_not_serializable(self, tmp_path):
         with pytest.raises(StateFormatError):
