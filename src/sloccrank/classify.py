@@ -13,15 +13,19 @@ which is at the same time the printed label, the membership test and the
 draw.  Regions are verified by sampling: boundary constraints such as
 a = -b are imposed by construction on exact rationals, generic constraints
 draw random nonzero rationals, and a separate pool of unconstrained draws
-must land in exactly one listed cell and show its signature.
+must land in exactly one listed cell and show its signature.  The draws
+come from small finite sets, so within one ``classify_table`` call a point
+drawn again reuses its group's signature for it instead of being built and
+ranked again; sample counts and hits still count every draw.
 """
 
 from __future__ import annotations
 
 import random
+from collections import namedtuple
+from collections.abc import Callable
 from fractions import Fraction
 from math import comb
-from typing import Callable, NamedTuple
 
 from .coeffmatrix import IDENTITY, QubitPermutation, coefficient_matrix
 from .rank import exact_rank, state_cuts
@@ -40,17 +44,11 @@ __all__ = [
 ]
 
 
-class _SignatureFields(NamedTuple):
-    sigmas: tuple[QubitPermutation, ...]
-    ranks: tuple[int, ...]
-
-
-class FamilySignature(_SignatureFields):
+class FamilySignature(namedtuple("FamilySignature", ["sigmas", "ranks"])):
     """Ranks of a state's coefficient matrices over an ordered list of swaps."""
 
     __slots__ = ()
 
-    # A NamedTuple body may not define __new__, so the length check lives in this subclass.
     def __new__(cls, sigmas: tuple[QubitPermutation, ...], ranks: tuple[int, ...]) -> FamilySignature:
         if len(sigmas) != len(ranks):
             raise ValueError("sigmas and ranks must have the same length")
@@ -71,11 +69,7 @@ def family_of(state: PureState) -> int:
     return exact_rank(coefficient_matrix(state)).rank
 
 
-class DickeScanRow(NamedTuple):
-    ell: int
-    rank: int
-    distinct_nonzero_rows: int
-    row_multiplicities: tuple[int, ...]
+DickeScanRow = namedtuple("DickeScanRow", ["ell", "rank", "distinct_nonzero_rows", "row_multiplicities"])
 
 
 def dicke_rank_scan(n: int) -> list[DickeScanRow]:
@@ -124,7 +118,6 @@ def dicke_rank_scan(n: int) -> list[DickeScanRow]:
 
 # --- table reproduction ----------------------------------------------------
 
-Params = dict[str, Fraction]
 _Point = tuple[Fraction, Fraction]
 
 
@@ -222,13 +215,9 @@ def _label(region: str, names: tuple[str, str]) -> str:
     return region.translate({ord("x"): x, ord("y"): y})
 
 
-class CellReport(NamedTuple):
-    region: str
-    signature: tuple[int, ...]
-    samples: int
-    passed: bool
-    family: str | None = None
-    witness: dict | None = None
+class CellReport(namedtuple("CellReport", ["region", "signature", "samples", "passed", "family", "witness"],
+                            defaults=(None, None))):
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         payload: dict = {}
@@ -243,11 +232,8 @@ class CellReport(NamedTuple):
         return payload
 
 
-class TableReport(NamedTuple):
-    table: str
-    cells: list[CellReport]
-    unconstrained_hits: dict[str, int]
-    unconstrained_failures: list[dict]
+class TableReport(namedtuple("TableReport", ["table", "cells", "unconstrained_hits", "unconstrained_failures"])):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -265,8 +251,8 @@ class TableReport(NamedTuple):
         return payload
 
 
-def _params_repr(params: Params) -> dict:
-    return {key: str(value) for key, value in sorted(params.items())}
+def _params_repr(names: tuple[str, str], point: _Point) -> dict:
+    return {name: str(value) for name, value in sorted(zip(names, point))}
 
 
 def _hit_key(family: str | None, ranks: tuple[int, ...]) -> str:
@@ -282,6 +268,11 @@ def classify_table(table: str, samples_per_cell: int, seed: int) -> TableReport:
     that, 10x as many unconstrained parameter draws per family are routed
     to whichever region they satisfy and must reproduce that cell's
     signature, so no draw can ever land in a region listed as empty.
+
+    A point drawn again in the same group reuses the signature of its first
+    draw instead of building and ranking the state again.  Every draw is
+    still taken from the RNG in order and counted, in samples, hits and
+    failures alike.
     """
     if table not in _TABLES:
         raise ValueError(f"unknown table {table!r}; expected one of {list(TABLE_IDS)}")
@@ -290,18 +281,27 @@ def classify_table(table: str, samples_per_cell: int, seed: int) -> TableReport:
     sigmas, groups = _TABLES[table]
     rng = random.Random(seed)
     cell_reports: list[CellReport] = []
+    # One memo per group: two groups may draw the same point but build different states.
+    known: list[dict[_Point, tuple[int, ...]]] = [{} for _ in groups]
 
-    for family, names, build, cells in groups:
+    def ranks_at(group: int, point: _Point) -> tuple[int, ...]:
+        ranks = known[group].get(point)
+        if ranks is None:
+            _, names, build, _ = groups[group]
+            ranks = known[group][point] = rank_signature(build(dict(zip(names, point))), sigmas).ranks
+        return ranks
+
+    for group, (family, names, _, cells) in enumerate(groups):
         for region, signature in cells:
             draw = _REGIONS[region][1]
             # a region listed as empty gets no samples; the unconstrained draws check it
             samples = samples_per_cell if draw else 0
             witness = None
             for _ in range(samples):
-                params = dict(zip(names, draw(rng)))
-                ranks = rank_signature(build(params), sigmas).ranks
+                point = draw(rng)
+                ranks = ranks_at(group, point)
                 if ranks != signature:
-                    witness = {"params": _params_repr(params), "signature": list(ranks)}
+                    witness = {"params": _params_repr(names, point), "signature": list(ranks)}
                     break
             cell_reports.append(CellReport(_label(region, names), signature, samples,
                                            witness is None, family=family, witness=witness))
@@ -309,11 +309,10 @@ def classify_table(table: str, samples_per_cell: int, seed: int) -> TableReport:
     hits: dict[str, int] = {}
     failures: list[dict] = []
     draws = samples_per_cell * 10
-    for family, names, build, cells in groups:
+    for group, (family, names, _, cells) in enumerate(groups):
         for _ in range(draws):
             point = tuple(Fraction(rng.randint(-2, 2), rng.choice((1, 2))) for _ in names)
-            params = dict(zip(names, point))
-            ranks = rank_signature(build(params), sigmas).ranks
+            ranks = ranks_at(group, point)
             key = _hit_key(family, ranks)
             hits[key] = hits.get(key, 0) + 1
             matches = [(region, signature) for region, signature in cells
@@ -322,7 +321,7 @@ def classify_table(table: str, samples_per_cell: int, seed: int) -> TableReport:
                 failures.append(
                     {
                         "family": family,
-                        "params": _params_repr(params),
+                        "params": _params_repr(names, point),
                         "signature": list(ranks),
                         "matched_regions": [_label(region, names) for region, _ in matches],
                     }

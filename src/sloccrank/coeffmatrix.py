@@ -44,7 +44,8 @@ class QubitPermutation:
         pairs = []
         for pair in transpositions:
             q, t = pair
-            if not isinstance(q, int) or not isinstance(t, int) or q < 1 or t < 1:
+            if not all(isinstance(label, int) and not isinstance(label, bool) and label >= 1
+                       for label in (q, t)):
                 raise ValueError(f"bad transposition {pair!r}: labels must be positive ints")
             if q == t:
                 raise ValueError(f"bad transposition {pair!r}: labels must differ")

@@ -94,15 +94,17 @@ from __future__ import annotations
 import functools
 import math
 import threading
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from itertools import accumulate
 from operator import itemgetter
-from typing import TYPE_CHECKING, NamedTuple
 
 from .coeffmatrix import CoeffMatrix, block_slots, coefficient_matrix
 from .scalar import ONE, ZERO, Scalar, as_scalar, scaled_coords
 from .states import PureState
 
+# typing.TYPE_CHECKING without importing typing; type checkers take the name as true.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 
@@ -118,9 +120,7 @@ __all__ = [
 ]
 
 
-class RankResult(NamedTuple):
-    rank: int
-    pivot_columns: tuple[int, ...]
+RankResult = namedtuple("RankResult", ["rank", "pivot_columns"])
 
 
 class ShapeError(ValueError):

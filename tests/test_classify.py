@@ -266,6 +266,48 @@ class TestTables:
             classify_table("lamata", 0, 0)
 
 
+def _state_key(state) -> tuple:
+    return state.n, tuple((index, value.coords) for index, value in state.amps.items())
+
+
+@pytest.fixture
+def ranked_states(monkeypatch) -> list:
+    """Every state ``classify_table`` passes to ``rank_signature``, in call order."""
+    states = []
+    real = sloccrank.classify.rank_signature
+
+    def recording(state, sigmas):
+        states.append(_state_key(state))
+        return real(state, sigmas)
+
+    monkeypatch.setattr(sloccrank.classify, "rank_signature", recording)
+    return states
+
+
+class TestRepeatedPoints:
+    """A point drawn again reuses its signature, yet every draw still counts."""
+
+    @pytest.mark.parametrize("table, seed", [("verstraete", 0), ("lamata", 1), ("chterental", 2)])
+    def test_each_state_ranked_once_and_each_draw_counted(self, ranked_states, table, seed):
+        samples = 1000
+        report = classify_table(table, samples, seed)
+        assert report.passed
+        assert len(ranked_states) == len(set(ranked_states))
+        families = {cell.family for cell in report.cells}
+        for family in families:
+            prefix = f"{family}:" if family else ""
+            hits = sum(count for key, count in report.unconstrained_hits.items() if key.startswith(prefix))
+            assert hits == 10 * samples
+        assert {cell.samples for cell in report.cells} <= {0, samples}
+
+    def test_groups_drawing_the_same_point_rank_their_own_states(self, ranked_states):
+        # both chterental groups draw (a, b) = (0, 0) for their x=y=0 cells
+        report = classify_table("chterental", 1, 0)
+        assert report.passed
+        assert _state_key(family_state("L_ab3", a=0, b=0)) in ranked_states
+        assert _state_key(family_state("L_abc2", a=0, b=0, c=0)) in ranked_states
+
+
 def _tables_digest() -> str:
     """sha256 of every table's JSON report for samples {1, 5} and seeds 0-9."""
     lines = [

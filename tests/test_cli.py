@@ -435,7 +435,7 @@ class TestEntrypoint:
     def test_process_imports_no_dataclasses(self):
         # -S keeps site hooks, which may import anything, out of the result.
         code = ("import sys, sloccrank.cli, sloccrank; "
-                "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))")
+                "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'typing'} & set(sys.modules)))")
         done = subprocess.run([sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": SRC},
                               capture_output=True, text=True, timeout=60)
         assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr

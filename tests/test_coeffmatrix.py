@@ -64,6 +64,12 @@ class TestQubitPermutation:
         with pytest.raises(ValueError):
             QubitPermutation(((2, 2),))
 
+    @pytest.mark.parametrize("pair", [(True, 3), (3, True), (False, 2), (1.0, 2), (0, 2), (1, -2)])
+    def test_bad_labels_rejected(self, pair):
+        # a bool would print as "True:3", which from_text rejects
+        with pytest.raises(ValueError, match="positive ints"):
+            QubitPermutation((pair,))
+
 
 class TestEnumeration:
     def test_counts_match_binomials(self):
