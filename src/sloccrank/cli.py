@@ -32,7 +32,10 @@ from .states import (
     save_state,
 )
 
-_GEN_FAMILIES = ("basis", "ghz", "w", "dicke", "ladder", *_FAMILY_PARAMS)
+# The flags each gen family takes besides --n; any other one is a usage error.
+_GEN_FLAGS = {"basis": ("index",), "ghz": (), "w": (), "dicke": ("ell",), "ladder": ("r",), **_FAMILY_PARAMS}
+# Every family parameter once, in first-use order: a, b, c, alpha, beta.
+_PARAM_NAMES = tuple(dict.fromkeys(chain.from_iterable(_FAMILY_PARAMS.values())))
 # The most --trials or --samples a command takes: the work grows linearly in
 # the count, so a larger one would only keep the command busy for hours.
 MAX_REPEATS = 1000
@@ -54,13 +57,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a named state and write it to a JSON file")
-    gen.add_argument("--family", required=True, choices=_GEN_FAMILIES)
+    gen.add_argument("--family", required=True, choices=_GEN_FLAGS)
     gen.add_argument("--n", type=int, required=True, help="qubit count")
     gen.add_argument("--ell", type=int, help="excitation count (dicke)")
     gen.add_argument("--r", type=int, help="diagonal steps (ladder)")
-    gen.add_argument("--index", type=int, default=0, help="basis index (basis, default 0)")
-    # Every family parameter once, in first-use order: a, b, c, alpha, beta.
-    for name in dict.fromkeys(chain.from_iterable(_FAMILY_PARAMS.values())):
+    gen.add_argument("--index", type=int, help="basis index (basis, default 0)")
+    for name in _PARAM_NAMES:
         gen.add_argument(f"--{name}", help=f"family parameter {name} (scalar grammar)")
     gen.add_argument("-o", "--output", required=True, help="output state file")
 
@@ -118,10 +120,14 @@ def _check_repeats(flag: str, count: int) -> None:
 
 def _cmd_gen(args) -> tuple[dict, int]:
     family = args.family
+    for name in chain.from_iterable(_GEN_FLAGS.values()):
+        if getattr(args, name) is not None and name not in _GEN_FLAGS[family]:
+            raise UsageError(f"gen --family {family} does not take --{name}")
     payload: dict = {"family": family, "n": args.n}
     if family == "basis":
-        state = basis_state(args.n, args.index)
-        payload["index"] = args.index
+        index = 0 if args.index is None else args.index
+        state = basis_state(args.n, index)
+        payload["index"] = index
     elif family == "ghz":
         state = ghz_state(args.n)
     elif family == "w":

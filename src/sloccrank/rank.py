@@ -15,20 +15,20 @@ positions of the amplitudes.  A raw grid's block comes from the
 positions of its nonzero entries.  The values are scaled by the lcm of
 their denominators, so every value lies in Z[i, sqrt2], the integers of
 Q(zeta_8); scaling by a nonzero integer changes no rank and no pivot.  The
-values are reduced once per prime to a residue vector, or to one byte
-string per value for the lanes below, made on first use; the cuts from
-``state_cuts`` share one scaling, hence one such set per prime, for their
-whole state.  Per prime, one gather through the slot list
-(``operator.itemgetter``) reads the block's residues, or their bytes, as
-one flat tuple, which slices cut into rows; the squares behind the stop
-rule's row and column sums are read the same way.  The block is then
-eliminated over F_p for primes p = 1 (mod 8) below 2^81,
-where i -> w^2 and sqrt2 -> w + 1/w for a primitive 8th root of unity w mod
-p.  An elimination costs about as much at 81 bits as at 62 (a residue is
-three 30-bit digits either way), and 81 bits is as wide as 13-base
-Miller-Rabin proves a prime, so each prime certifies as many bits as that
-proof allows.  A rank mod p never exceeds the true rank, so for every
-column prefix the engine keeps the largest rank any prime has shown.
+values are reduced once per prime, on first use, to one byte string per
+value: its residue as one lane of the packed rows below.  The cuts from
+``state_cuts`` share one scaling, hence one such set per prime and lane
+width, for their whole state.  Per prime, one gather through the slot list
+(``operator.itemgetter``) reads the block's lane bytes as one flat tuple,
+which is joined and cut into rows; the squares behind the stop rule's row
+and column sums are gathered the same way.  The block is then eliminated
+over F_p for primes p = 1 (mod 8) below 2^81, where i -> w^2 and sqrt2 ->
+w + 1/w for a primitive 8th root of unity w mod p.  An elimination costs
+about as much at 81 bits as at 62 (a residue is three 30-bit digits either
+way), and 81 bits is as wide as 13-base Miller-Rabin proves a prime, so
+each prime certifies as many bits as that proof allows.  A rank mod p never
+exceeds the true rank, so for every column prefix the engine keeps the
+largest rank any prime has shown.
 
 Stop rule.  Let d in {1, 2, 4} be the degree of the smallest of Q, Q(i),
 Q(sqrt2), Q(i*sqrt2) holding every entry, and P the Hadamard bound (from the
@@ -58,8 +58,8 @@ of columns 0..c is the number of leads up to c, and the leads are the
 columns that raise the rank of the columns before them: the pivots of
 Gaussian elimination with first-nonzero pivoting.  The rows that joined are
 those independent of the rows before them, and their minor on the leads is
-nonzero mod p.  ``_pivots_mod`` runs this on residue lists, and
-``_pivots_lanes`` on packed rows.
+nonzero mod p.  ``_pivots_lanes`` runs this on every block, one column
+wide or more, its rows packed as below.
 
 Lanes.  ``_pivots_lanes`` packs each row into one int: column j's residue
 mod p in lane j, the ``width`` bytes from bit 8*width*j, column 0 lowest.
@@ -193,21 +193,6 @@ def _field(k: int) -> tuple[int, int, int]:
 
 # --- exact rank --------------------------------------------------------------
 
-# Blocks this wide or wider are eliminated as packed lanes, narrower ones as
-# residue lists.  Lanes / lists per elimination at the first 81-bit prime,
-# packing included, min of 15 x 2000 calls on square blocks, the kernels
-# interleaved, two runs on a shared 2-core Xeon under Python 3.11.7
-# (columns/rank: run 1, run 2):
-#   2/1 1.18 1.30  2/2 1.08 1.14  3/1 1.09 1.14  3/3 1.06 1.06  4/1 1.10 1.21
-#   4/2 0.98 1.04  4/4 0.92 1.00  5/1 1.16 1.10  5/2 0.84 0.87  5/5 0.87 0.84
-#   6/1 1.02 1.03  6/3 0.72 0.76  6/6 0.80 0.80  7/1 1.02 0.97  7/3 0.76 0.70
-#   7/7 0.70 0.72  8/1 1.01 0.99  8/4 0.63 0.59  8/8 0.73 0.70
-# Lanes lose on 2 and 3 columns and on rank-one blocks up to 6, and are even
-# or ahead from 7 columns at every rank; the blocks of dense state cuts are
-# 2^k columns wide.
-_LANES_MIN = 8
-
-
 def _degree(entries) -> int:
     """[K : Q] for the smallest of Q, Q(i), Q(sqrt2), Q(i*sqrt2) holding every entry.
 
@@ -217,23 +202,6 @@ def _degree(entries) -> int:
     """
     parts = sum(map(any, list(zip(*entries))[1:]))
     return 1 << min(parts, 2)
-
-
-def _pivots_mod(rows, p: int) -> list[int]:
-    """Pivot columns of residue rows mod p: the module docstring's elimination, on lists."""
-    basis: list[tuple[int, int, list[int]]] = []  # (lead column, lead's inverse mod p, row)
-    for row in rows:
-        for lead, inv, b in basis:
-            f = row[lead] * inv % p
-            if f:
-                row = [(x - f * y) % p for x, y in zip(row, b)]
-        for lead, x in enumerate(row):
-            if x:
-                basis.append((lead, pow(x, -1, p), row))
-                break
-        if len(basis) == len(row):
-            break
-    return sorted(lead for lead, _, _ in basis)
 
 
 @functools.lru_cache(maxsize=256)
@@ -326,11 +294,10 @@ def _certified_rank(scaled: _Scaled, slots: list[int], ncols: int) -> RankResult
     """Rank and pivots of the matrix, ``ncols`` wide, that ``scaled`` holds at ``slots``, by the degree-aware stop rule.
 
     Entry (i, j) is value ``slots[i * ncols + j]`` of ``scaled``.  Each
-    prime's residues, as a flat tuple, are gathered through the slots in one
-    call and cut into rows by slices, as are the e^2 sums' squares.  The
-    primes are eliminated one at a time, by one elimination on packed rows
-    (``_pivots_lanes``) from ``_LANES_MIN`` columns and on residue rows
-    (``_pivots_mod``) below.
+    prime's lane bytes, as a flat tuple, are gathered through the slots in
+    one call and joined into packed rows, and the e^2 sums' squares are
+    gathered the same way and cut into rows by slices.  The primes are
+    eliminated one at a time by ``_pivots_lanes``, whatever the block's width.
     """
     gather = _gather(slots)
     size = len(slots)
@@ -342,12 +309,8 @@ def _certified_rank(scaled: _Scaled, slots: list[int], ncols: int) -> RankResult
     k = 0
     while True:
         p = _field(k)[0]
-        if ncols < _LANES_MIN:
-            cells = gather(scaled.vector(k))
-            leads = _pivots_mod([cells[i:i + ncols] for i in range(0, size, ncols)], p)
-        else:
-            width = _lanes(p, ncols)[0]
-            leads = _pivots_lanes(_packed(gather(scaled.lane_bytes(k, width)), ncols * width), p, ncols)
+        width = _lanes(p, ncols)[0]
+        leads = _pivots_lanes(_packed(gather(scaled.lane_bytes(k, width)), ncols * width), p, ncols)
         k += 1
         modulus *= p
         raised = [0] * ncols
@@ -374,11 +337,11 @@ class _Scaled:
 
     Slot k holds ``values[k]`` and slot ``len(values)`` holds 0, the entry a
     block takes where the matrix has no value.  ``degree`` is the degree of
-    the smallest field holding them all; ``vector(k)``, ``lane_bytes(k,
-    width)`` and ``squares()`` are made on first use and kept.
+    the smallest field holding them all; ``lane_bytes(k, width)`` and
+    ``squares()`` are made on first use and kept.
     """
 
-    __slots__ = ("degree", "_entries", "_squares", "_vectors", "_bytes")
+    __slots__ = ("degree", "_entries", "_squares", "_bytes")
 
     def __init__(self, values: Iterable[Scalar]) -> None:
         _, entries = scaled_coords(values)
@@ -386,29 +349,15 @@ class _Scaled:
         self._entries = entries
         self.degree = _degree(entries)
         self._squares: list[int] | None = None
-        self._vectors: dict[int, list[int]] = {}
         self._bytes: dict[tuple[int, int], list[bytes]] = {}
 
-    def _residues(self, k: int) -> list[int]:
-        p, i_p, s_p = _field(k)
-        return [(a + b * i_p + (c + d * i_p) * s_p) % p for a, b, c, d in self._entries]
-
-    def vector(self, k: int) -> list[int]:
-        """The values' residues modulo prime k."""
-        if k not in self._vectors:
-            self._vectors[k] = self._residues(k)
-        return self._vectors[k]
-
     def lane_bytes(self, k: int, width: int) -> list[bytes]:
-        """The values' residues modulo prime k as ``width``-byte little-endian lanes.
-
-        Made from ``vector(k)`` if that is kept, and otherwise without keeping
-        it: a state whose cuts are all wide needs only the bytes.
-        """
+        """The values' residues modulo prime k as ``width``-byte little-endian lanes."""
         key = (k, width)
         if key not in self._bytes:
-            residues = self._vectors[k] if k in self._vectors else self._residues(k)
-            self._bytes[key] = [x.to_bytes(width, "little") for x in residues]
+            p, i_p, s_p = _field(k)
+            self._bytes[key] = [((a + b * i_p + (c + d * i_p) * s_p) % p).to_bytes(width, "little")
+                                for a, b, c, d in self._entries]
         return self._bytes[key]
 
     def squares(self) -> list[int]:

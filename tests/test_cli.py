@@ -62,6 +62,13 @@ class TestGenAndRank:
         code, out, _ = run(capsys, "rank", "--state", path)
         assert json.loads(out)["rank"] == 1
 
+    def test_gen_basis_without_index_is_index_zero(self, capsys, tmp_path):
+        path = str(tmp_path / "b.json")
+        code, out, _ = run(capsys, "gen", "--family", "basis", "--n", "2", "-o", path)
+        assert code == 0
+        assert out == json.dumps({"family": "basis", "n": 2, "index": 0, "terms": 1, "output": path}) + "\n"
+        assert json.loads(Path(path).read_text())["amplitudes"] == [{"index": 0, "value": "1"}]
+
     def test_gen_family_with_scalar_params(self, capsys, tmp_path):
         path = str(tmp_path / "f.json")
         # scalars starting with '-' need the --flag=value spelling
@@ -256,6 +263,29 @@ class TestErrorPaths:
                            "-o", str(tmp_path / "x.json"))
         assert code == 2
         assert "required" in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--family", "L_a2b2", "--n", "4", "--a", "1", "--b", "2", "--c", "7"], "--c"),
+        (["--family", "L_ab3", "--n", "4", "--a", "1", "--b", "2", "--alpha", "1"], "--alpha"),
+        (["--family", "L_abc2", "--n", "4", "--a", "1", "--b", "2", "--c", "3", "--beta", "1"], "--beta"),
+        (["--family", "span_0kPsi", "--n", "4", "--alpha", "1", "--beta", "2", "--b", "1"], "--b"),
+        (["--family", "ghz", "--n", "4", "--ell", "2"], "--ell"),
+        (["--family", "ghz", "--n", "4", "--r", "1"], "--r"),
+        (["--family", "w", "--n", "4", "--index", "0"], "--index"),
+        (["--family", "basis", "--n", "3", "--a", "1"], "--a"),
+        (["--family", "basis", "--n", "3", "--ell", "1"], "--ell"),
+        (["--family", "dicke", "--n", "4", "--ell", "2", "--r", "1"], "--r"),
+        (["--family", "dicke", "--n", "4", "--ell", "1", "--index", "3"], "--index"),
+        (["--family", "ladder", "--n", "4", "--r", "1", "--ell", "2"], "--ell"),
+        (["--family", "ladder", "--n", "4", "--r", "1", "--alpha", "1"], "--alpha"),
+    ])
+    def test_gen_rejects_a_flag_its_family_does_not_take(self, capsys, tmp_path, argv, flag):
+        path = tmp_path / "x.json"
+        code, out, err = run(capsys, "gen", *argv, "-o", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"does not take {flag}" in err
+        assert not path.exists()
 
     def test_dicke_requires_ell(self, capsys, tmp_path):
         code, _, err = run(capsys, "gen", "--family", "dicke", "--n", "4",

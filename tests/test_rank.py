@@ -210,8 +210,7 @@ class TestModularEngine:
         us = [[rng.getrandbits(50) for _ in range(size)] for _ in range(size - 1)]
         vs = [[rng.getrandbits(50) for _ in range(size)] for _ in range(size - 1)]
         grid = [[sum(u[i] * v[j] for u, v in zip(us, vs)) for j in range(size)] for i in range(size)]
-        name = "_pivots_lanes" if size >= rank_module._LANES_MIN else "_pivots_mod"
-        real = getattr(rank_module, name)
+        real = rank_module._pivots_lanes
         calls, drop_at = [], [0]
 
         def kernel(*args):
@@ -219,7 +218,7 @@ class TestModularEngine:
             leads = real(*args)
             return leads[:-1] if len(calls) == drop_at[0] else leads
 
-        monkeypatch.setattr(rank_module, name, kernel)
+        monkeypatch.setattr(rank_module, "_pivots_lanes", kernel)
         expected = exact_rank(grid)
         assert expected.rank == size - 1 and len(calls) >= 2
         drop_at[0], calls[:] = len(calls), []
@@ -355,7 +354,7 @@ def dense_state_of_kind(seed: int, n: int, kind: str) -> PureState:
 
 
 class TestStateRoute:
-    """``state_cuts`` reads every cut from one scaled residue vector per prime."""
+    """``state_cuts`` reads every cut from one scaling of its state: one set of lane bytes per prime."""
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
@@ -451,9 +450,10 @@ class TestNonzeroBlock:
         state = ghz_state(16) if family == "ghz" else dicke_state(16, 1)
         cuts = state_cuts(state, enumerate_sigmas(16))
         first = next(cuts)
-        assert len(first._scaled.vector(0)) == len(first._scaled.squares()) == len(state.amps) + 1
         ranks = [exact_rank(first).rank, *(exact_rank(cut).rank for cut in cuts)]
         assert len(ranks) == 6435 and set(ranks) == {2}
+        kept = first._scaled._bytes
+        assert {len(cells) for cells in kept.values()} == {len(first._scaled.squares())} == {len(state.amps) + 1}
 
 
 class TestBlockLayout:
@@ -563,15 +563,16 @@ def sum_of_products(rng: random.Random, size: int, terms: int) -> list[list[Scal
     return [[sum((u[i] * v[j] for u, v in zip(us, vs)), ZERO) for j in range(size)] for i in range(size)]
 
 
-def record_eliminations(monkeypatch: pytest.MonkeyPatch) -> list[tuple[str, int]]:
-    """Patch both kernels to log (kernel, modulus) for each elimination either runs."""
-    calls: list[tuple[str, int]] = []
-    for kernel, name in (("mod", "_pivots_mod"), ("lanes", "_pivots_lanes")):
-        def logged(rows, m, *rest, kernel=kernel, real=getattr(rank_module, name)):
-            calls.append((kernel, m))
-            return real(rows, m, *rest)
+def record_eliminations(monkeypatch: pytest.MonkeyPatch) -> list[int]:
+    """Patch the kernel to log the modulus of each elimination it runs."""
+    calls: list[int] = []
+    real = rank_module._pivots_lanes
 
-        monkeypatch.setattr(rank_module, name, logged)
+    def logged(rows, m, count):
+        calls.append(m)
+        return real(rows, m, count)
+
+    monkeypatch.setattr(rank_module, "_pivots_lanes", logged)
     return calls
 
 
@@ -581,20 +582,19 @@ def block_width(matrix) -> int:
 
 
 class TestPrimeGroups:
-    """Every prime is eliminated on its own, in order, by the kernel the block's width selects.
+    """Every prime is eliminated on its own, in order, by the one kernel, whatever the block's width.
 
     So the rank, the pivots and the primes spent are those of one prime at a
-    time, whichever kernel runs.
+    time, on blocks of one column as on blocks of hundreds.
     """
 
     @staticmethod
     def one_prime_at_a_time(matrix) -> RankResult:
-        """``exact_rank(matrix)``, checked to eliminate primes 0, 1, 2, ... once each with one kernel."""
+        """``exact_rank(matrix)``, checked to eliminate primes 0, 1, 2, ... once each."""
         with pytest.MonkeyPatch.context() as patch:
             calls = record_eliminations(patch)
             result = exact_rank(matrix)
-        kernel = "lanes" if block_width(matrix) >= rank_module._LANES_MIN else "mod"
-        assert calls == [(kernel, _field(k)[0]) for k in range(len(calls))]
+        assert calls == [_field(k)[0] for k in range(len(calls))]
         return result
 
     @settings(max_examples=10, deadline=None)
@@ -612,6 +612,37 @@ class TestPrimeGroups:
         assert result == reference_rank(grid)
         assert result.rank == terms
 
+    @pytest.mark.parametrize("table", classify_module.TABLE_IDS)
+    def test_equals_one_prime_at_a_time_on_table_families(self, table):
+        # Three fixed points from each nonempty cell, every cut of the table:
+        # the blocks are 1 x 1 up to 4 x 4.
+        sigmas, groups = classify_module._TABLES[table]
+        rng = random.Random(7)
+        widths = set()
+        for _, names, build, cells in groups:
+            for region, signature in cells:
+                draw = classify_module._REGIONS[region][1]
+                for _ in range(3 if draw else 0):
+                    state = build(dict(zip(names, draw(rng))))
+                    ranks = []
+                    for sigma in sigmas:
+                        matrix = coefficient_matrix(state, sigma)
+                        widths.add(block_width(matrix))
+                        result = self.one_prime_at_a_time(matrix)
+                        assert result == reference_rank(matrix)
+                        ranks.append(result.rank)
+                    assert tuple(ranks) == signature
+        assert max(widths) <= 4
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("family", ["ghz", "w"])
+    def test_equals_one_prime_at_a_time_on_every_ghz_and_w_cut(self, family, n):
+        # GHZ blocks are 2 x 2; W blocks have n // 2 + 1 rows.
+        state = ghz_state(n) if family == "ghz" else dicke_state(n, 1)
+        for sigma in enumerate_sigmas(n):
+            matrix = coefficient_matrix(state, sigma)
+            assert self.one_prime_at_a_time(matrix) == reference_rank(matrix)
+
     @staticmethod
     def dense_dicke_eliminations(monkeypatch, n: int, ell: int) -> int:
         """Eliminations in the signature of |l, n> under one invertible operator on every qubit.
@@ -625,7 +656,6 @@ class TestPrimeGroups:
         calls = record_eliminations(monkeypatch)
         ranks = rank_signature(state, enumerate_sigmas(n)).ranks
         assert len(ranks) == math.comb(n, n // 2) // 2 and set(ranks) == {min(ell, n - ell, n // 2) + 1}
-        assert {kernel for kernel, _ in calls} == {"lanes"}
         return len(calls)
 
     def test_dense_eight_qubit_dicke_signature(self, monkeypatch):
@@ -635,6 +665,23 @@ class TestPrimeGroups:
     def test_dense_ten_qubit_dicke_signature(self, monkeypatch):
         # Two 81-bit primes per cut (three 62-bit ones).
         assert self.dense_dicke_eliminations(monkeypatch, 10, 3) == 252
+
+
+def list_pivots(rows: list[list[int]], m: int) -> list[int]:
+    """Pivot columns of residue rows mod m: the module docstring's elimination, on lists."""
+    basis: list[tuple[int, int, list[int]]] = []  # (lead column, lead's inverse mod m, row)
+    for row in rows:
+        for lead, inv, b in basis:
+            f = row[lead] * inv % m
+            if f:
+                row = [(x - f * y) % m for x, y in zip(row, b)]
+        for lead, x in enumerate(row):
+            if x:
+                basis.append((lead, pow(x, -1, m), row))
+                break
+        if len(basis) == len(row):
+            break
+    return sorted(lead for lead, _, _ in basis)
 
 
 def pack(rows: list[list[int]], m: int) -> list[int]:
@@ -656,14 +703,13 @@ COMPOSITES = {
 
 
 class TestLanes:
-    """``_pivots_lanes`` against ``_pivots_mod``, and the exact reduction of packed lanes."""
+    """``_pivots_lanes`` against the list elimination ``list_pivots``, and the exact reduction of packed lanes."""
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), m=st.sampled_from(LANE_MODULI), nrows=st.integers(1, 20), ncols=st.integers(1, 40))
     def test_equals_list_kernel(self, data, m, nrows, ncols):
-        # Every width, those below ``_LANES_MIN`` too.  A sum of ``terms``
-        # products (low rank when few), then zero rows and lanes of m - 1
-        # written over it.
+        # Every width from one column up.  A sum of ``terms`` products (low
+        # rank when few), then zero rows and lanes of m - 1 written over it.
         residue = st.integers(0, m - 1)
         terms = data.draw(st.integers(0, min(nrows, ncols)))
         us = data.draw(st.lists(st.lists(residue, min_size=terms, max_size=terms), min_size=nrows, max_size=nrows))
@@ -673,7 +719,7 @@ class TestLanes:
             rows[i] = [0] * ncols
         for i, j in data.draw(st.lists(st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1)), max_size=30)):
             rows[i][j] = m - 1
-        assert rank_module._pivots_lanes(pack(rows, m), m, ncols) == rank_module._pivots_mod(rows, m)
+        assert rank_module._pivots_lanes(pack(rows, m), m, ncols) == list_pivots(rows, m)
 
     @pytest.mark.parametrize("ncols", [126, 127, 254, 255, 256])
     @pytest.mark.parametrize("m", LANE_MODULI)
@@ -685,18 +731,19 @@ class TestLanes:
         nrows = ncols if m == 17 else 12
         rows = [[rng.choice([rng.randrange(m), m - 1]) for _ in range(ncols)] for _ in range(nrows)]
         rows[-1] = [(a + 2 * b) % m for a, b in zip(rows[0], rows[1])]
-        expected = rank_module._pivots_mod(rows, m)
+        expected = list_pivots(rows, m)
         assert rank_module._pivots_lanes(pack(rows, m), m, ncols) == expected
         assert len(expected) < nrows
 
     @pytest.mark.parametrize("m", list(COMPOSITES))
     def test_composite_modulus_with_a_non_unit_lead_raises(self, m):
         factor = COMPOSITES[m]
-        rows = [[0, factor] + [1] * 7, [1] * 9]
-        with pytest.raises(ValueError):
-            rank_module._pivots_mod(rows, m)
-        with pytest.raises(ValueError):
-            rank_module._pivots_lanes(pack(rows, m), m, 9)
+        for ncols in (9, 2):
+            rows = [[0, factor] + [1] * (ncols - 2), [1] * ncols]
+            with pytest.raises(ValueError):
+                list_pivots(rows, m)
+            with pytest.raises(ValueError):
+                rank_module._pivots_lanes(pack(rows, m), m, ncols)
 
     @pytest.mark.parametrize("count", [*range(1, 65), 126, 127, 255, 256])
     @pytest.mark.parametrize("m", LANE_MODULI)
