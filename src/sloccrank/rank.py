@@ -82,7 +82,17 @@ the next and the subtraction of q*p borrows across none.  One packed
 conditional subtraction, testing bit L+1 of x + 2^(L+1) - p, leaves every
 lane in [0, p).
 
-``exact_det`` runs fraction-free (Bareiss) elimination over Q(i, sqrt2).
+``exact_det`` runs fraction-free (Bareiss) elimination on integer
+coordinates: the cells are scaled once to Z[i, sqrt2], as for the rank, and
+the scaled matrix's determinant is divided by den^n at the end.  Each step
+divides its new entries by the previous step's pivot q.  The division is
+exact: by Sylvester's identity every entry after step k is a (k+1) x (k+1)
+minor of the scaled matrix, so it lies in Z[i, sqrt2].  It is done on ints,
+with no inverse: the product c of q's other conjugates (under i -> -i,
+sqrt2 -> -sqrt2, or both) makes N = q * c an int, +-(the constant term of
+q's minimal polynomial), and x / q = (x * c) / N, each coordinate of x * c
+divided exactly by N.
+
 Every function here takes a ``CoeffMatrix`` or a grid of ints, Fractions
 or scalars, and a grid entry of any other type is a ``TypeError``.  The
 numeric rank goes through an SVD of the complex-double image of the
@@ -96,11 +106,11 @@ import math
 import threading
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import itemgetter
 
 from .coeffmatrix import CoeffMatrix, block_slots, coefficient_matrix
-from .scalar import ONE, ZERO, Scalar, as_scalar, scaled_coords
+from .scalar import ONE, ZERO, Scalar, _make, as_scalar, mix, scaled_coords
 from .states import PureState
 
 # typing.TYPE_CHECKING without importing typing; type checkers take the name as true.
@@ -406,43 +416,96 @@ def exact_rank(matrix) -> RankResult:
     return RankResult(result.rank, tuple(cols[c] for c in result.pivot_columns))
 
 
-def exact_det(matrix) -> Scalar:
-    """Exact determinant by fraction-free (Bareiss) elimination.
+_ZERO4 = (0, 0, 0, 0)
+_ONE4 = (1, 0, 0, 0)
 
-    The division by the previous pivot is exact at every step, which keeps
-    intermediate entries from blowing up the way plain elimination would.
+
+def _other_conjugates(x: tuple[int, int, int, int]) -> tuple[tuple[int, int, int, int], int]:
+    """``(c, N)``: c the product of x's distinct conjugates other than x, N = x*c; both negated if N < 0.
+
+    The conjugates of x = (a, b, c, d) are x, (a, -b, c, -d), (a, b, -c, -d)
+    and (a, -b, -c, d).  A rational x has no other one, one in Q(i),
+    Q(sqrt2) or Q(i*sqrt2) has one, and any other x has three.  N is then
+    +-(the constant term of the minimal polynomial of x): an int, nonzero
+    when x is.
     """
-    grid = _grid(matrix)
-    n = len(grid)
-    if any(len(row) != n for row in grid):
-        raise ShapeError(f"determinant needs a square matrix, got {n}x{len(grid[0]) if grid else 0}")
+    a, b, c, d = x
+    if not (c or d):
+        conj = (a, -b, 0, 0) if b else _ONE4
+    elif not (b or d):
+        conj = (a, 0, -c, 0)
+    elif not (b or c):
+        conj = (a, 0, 0, -d)
+    else:
+        conj = mix((a, -b, c, -d), mix((a, b, -c, -d), (a, -b, -c, d), _ZERO4, _ZERO4), _ZERO4, _ZERO4)
+    norm = mix(x, conj, _ZERO4, _ZERO4)[0]
+    if norm < 0:
+        a, b, c, d = conj
+        return (-a, -b, -c, -d), -norm
+    return conj, norm
+
+
+def exact_det(matrix) -> Scalar:
+    """Exact determinant by fraction-free (Bareiss) elimination on integer coordinates.
+
+    The cells are scaled once to 4-tuples of Z[i, sqrt2] by the lcm ``den``
+    of their denominators; a ``CoeffMatrix`` is read from its amplitudes
+    and their positions, zeros elsewhere.  Step k takes the first row with
+    a nonzero entry in column k as its pivot row (a swap flips the sign),
+    and the determinant is 0 when there is none.  Each entry below it
+    becomes (pivot * a_ij - a_ik * a_kj) / q, q the previous step's pivot.
+    That is a minor of the scaled matrix (Sylvester's identity), so the
+    division is exact: a product by c, the product of q's other conjugates,
+    then an int division of each coordinate by N = q * c (see the module
+    docstring).  The product by c is taken once per step, on the pivot row,
+    so each entry costs one ``mix`` and, unless N = 1, four int divisions.
+    The last entry, over den^n, is the determinant.
+    """
+    if isinstance(matrix, CoeffMatrix):
+        n, width = matrix.rows, matrix.cols
+        if n != width:
+            raise ShapeError(f"determinant needs a square matrix, got {n}x{width}")
+        den, coords = scaled_coords(matrix.values.values())
+        flat = [_ZERO4] * (n * n)
+        for position, x in zip(matrix.positions(), coords):
+            flat[position] = x
+    else:
+        grid = _grid(matrix)
+        n = len(grid)
+        if any(len(row) != n for row in grid):
+            raise ShapeError(f"determinant needs a square matrix, got {n}x{len(grid[0]) if grid else 0}")
+        den, flat = scaled_coords(chain.from_iterable(grid))
     if n == 0:
         return ONE
+    grid = [flat[k:k + n] for k in range(0, n * n, n)]
     sign = 1
-    previous = ONE
-    for k in range(n - 1):
-        if not grid[k][k]:
-            swap = None
-            for i in range(k + 1, n):
-                if grid[i][k]:
-                    swap = i
-                    break
-            if swap is None:
-                return ZERO
-            grid[k], grid[swap] = grid[swap], grid[k]
+    conj, norm = _ONE4, 1  # the previous pivot's other conjugates and its norm
+    for _ in range(n - 1):
+        # At step k, grid holds rows k..n-1 of the matrix, on columns k..n-1.
+        for i, row in enumerate(grid):
+            if row[0] != _ZERO4:
+                break
+        else:
+            return ZERO
+        if i:
+            grid[0], grid[i] = grid[i], grid[0]
             sign = -sign
-        pivot = grid[k][k]
-        prev_inv = previous.inverse()
-        for i in range(k + 1, n):
-            row = grid[i]
-            head = row[k]
-            lead = grid[k]
-            for j in range(k + 1, n):
-                row[j] = (pivot * row[j] - head * lead[j]) * prev_inv
-            row[k] = ZERO
-        previous = pivot
-    det = grid[n - 1][n - 1]
-    return det if sign == 1 else -det
+        pivot, *lead = grid[0]
+        scaled = pivot
+        if conj != _ONE4:
+            scaled = mix(pivot, conj, _ZERO4, _ZERO4)
+            lead = [mix(y, conj, _ZERO4, _ZERO4) for y in lead]
+        rows = []
+        for (a, b, c, d), *row in grid[1:]:
+            head = (-a, -b, -c, -d)
+            row = [mix(scaled, x, head, y) for x, y in zip(row, lead)]
+            if norm != 1:
+                row = [(a // norm, b // norm, c // norm, d // norm) for a, b, c, d in row]
+            rows.append(row)
+        grid = rows
+        conj, norm = _other_conjugates(pivot)
+    a, b, c, d = grid[0][0]
+    return _make(a, b, c, d, den**n) if sign == 1 else _make(-a, -b, -c, -d, den**n)
 
 
 def to_complex_array(matrix) -> np.ndarray:

@@ -890,6 +890,145 @@ class TestExactDet:
             assert exact_det(product) == exact_det(a) * exact_det(b)
 
 
+def reference_det(matrix) -> Scalar:
+    """Bareiss elimination in Scalar arithmetic with first-nonzero row swaps.
+
+    Slow but plainly exact: each step's entries are divided by the previous
+    pivot through its exact inverse, so ``exact_det`` must match it.
+    """
+    grid = [[Scalar(x) for x in row] for row in getattr(matrix, "entries", matrix)]
+    n = len(grid)
+    if n == 0:
+        return Scalar(1)
+    sign = 1
+    previous = Scalar(1)
+    for k in range(n - 1):
+        if not grid[k][k]:
+            swap = next((i for i in range(k + 1, n) if grid[i][k]), None)
+            if swap is None:
+                return ZERO
+            grid[k], grid[swap] = grid[swap], grid[k]
+            sign = -sign
+        pivot = grid[k][k]
+        prev_inv = previous.inverse()
+        lead = grid[k]
+        for i in range(k + 1, n):
+            row = grid[i]
+            head = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pivot * row[j] - head * lead[j]) * prev_inv
+            row[k] = ZERO
+        previous = pivot
+    det = grid[n - 1][n - 1]
+    return det if sign == 1 else -det
+
+
+DET_FIELDS = ("Q", "Q(i)", "Q(sqrt2)", "Q(i*sqrt2)", "Q(i, sqrt2)")
+
+
+def field_entry(field: str, rng: random.Random) -> Scalar:
+    """A small element of ``field`` whose coordinates are Fractions with denominators up to 4."""
+    def q() -> Fraction:
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+
+    if field == "Q":
+        return Scalar(q())
+    if field == "Q(i)":
+        return Scalar(GaussRational(q(), q()))
+    if field == "Q(sqrt2)":
+        return Scalar(q(), q())
+    if field == "Q(i*sqrt2)":
+        return Scalar(q(), GaussRational(0, q()))
+    return Scalar(GaussRational(q(), q()), GaussRational(q(), q()))
+
+
+def field_grid(field: str, rng: random.Random, n: int) -> list[list[Scalar]]:
+    """An n x n grid over ``field``: some entries zero, some (k, k) entries zero, some grids singular."""
+    zeros = rng.choice([0.0, 0.3, 0.6])
+    grid = [[ZERO if rng.random() < zeros else field_entry(field, rng) for _ in range(n)] for _ in range(n)]
+    if n > 1 and rng.random() < 0.5:
+        for k in rng.sample(range(n), rng.randint(1, n)):
+            grid[k][k] = ZERO
+    if n > 2 and rng.random() < 0.25:
+        a, b = field_entry(field, rng), field_entry(field, rng)
+        grid[-1] = [a * x + b * y for x, y in zip(grid[0], grid[1])]
+    return grid
+
+
+def unit_lower_times_upper(rng: random.Random, n: int, diagonal: Scalar) -> list[list[Scalar]]:
+    """L * U, L unit lower triangular and U upper triangular with diagonal (``diagonal``, 1, ..., 1).
+
+    The other entries lie in Z[i, sqrt2], so the grid is its own scaling
+    (den = 1) when ``diagonal`` does, and every leading principal minor is
+    ``diagonal``: every step of the elimination after the first divides by it.
+    """
+    def entry() -> Scalar:
+        return Scalar(GaussRational(rng.randint(-2, 2), rng.randint(-2, 2)),
+                      GaussRational(rng.randint(-2, 2), rng.randint(-2, 2)))
+
+    one = Scalar(1)
+    lower = [[one if i == j else entry() if j < i else ZERO for j in range(n)] for i in range(n)]
+    upper = [[(diagonal if i == 0 else one) if i == j else entry() if j > i else ZERO
+              for j in range(n)] for i in range(n)]
+    return [[sum((lower[i][k] * upper[k][j] for k in range(n)), ZERO) for j in range(n)] for i in range(n)]
+
+
+class TestDetAgainstReference:
+    """``exact_det`` on integer coordinates equals the Scalar Bareiss loop ``reference_det``."""
+
+    @pytest.mark.parametrize("field", DET_FIELDS)
+    def test_seeded_grids(self, field):
+        rng = random.Random(f"det {field}")
+        swaps = singular = 0
+        for n in range(9):
+            for _ in range(6 if n < 6 else 3):
+                grid = field_grid(field, rng, n)
+                want = reference_det(grid)
+                assert exact_det(grid) == want, (field, grid)
+                swaps += n > 1 and not grid[0][0]
+                singular += n > 0 and not want
+        # The draws reach both the row swaps and the early zero.
+        assert swaps and singular
+
+    @pytest.mark.parametrize("diagonal", ["-1", "i", "1+s2", "-1+s2", "1+2*s2", "-3", "1+i+s2"])
+    def test_unit_and_negative_norm_pivots(self, diagonal):
+        # -1, i, 1 + sqrt2 and -1 + sqrt2 are units: N = 1 once made positive.  Norms: 1 + sqrt2 and
+        # -1 + sqrt2 have -1, 1 + 2*sqrt2 has -7, and -3 is a negative rational.
+        value = scalar_parse(diagonal)
+        rng = random.Random(diagonal)
+        for n in range(1, 7):
+            grid = unit_lower_times_upper(rng, n, value)
+            assert exact_det(grid) == reference_det(grid) == value
+            # Reversed, the rows meet other pivots, and the reversal's parity flips the sign.
+            flipped = value * (-1) ** (n * (n - 1) // 2)
+            assert exact_det(grid[::-1]) == reference_det(grid[::-1]) == flipped
+
+    def test_coeff_matrix_cuts(self):
+        dense, _ = dense_state(11, 4, field=True)
+        sparse = random_state(random.Random(12), 6, rational=True)
+        for state in (dense, sparse, PureState.zero(4), PureState.zero(2), dicke_state(4, 2)):
+            for sigma in enumerate_sigmas(state.n):
+                cut = coefficient_matrix(state, sigma)
+                assert exact_det(cut) == reference_det(cut), (state, sigma)
+        assert exact_det(coefficient_matrix(dense))
+
+    def test_no_scalar_arithmetic(self, monkeypatch):
+        rng = random.Random(13)
+        grid = [[field_entry("Q(i, sqrt2)", rng) for _ in range(6)] for _ in range(6)]
+        grid[0][0] = ZERO
+        cut = coefficient_matrix(dense_state(11, 4, field=True)[0])
+        cases = [(grid, reference_det(grid)), (cut, reference_det(cut))]
+        assert all(want for _, want in cases)
+
+        def refuse(*args):
+            raise AssertionError("Scalar arithmetic inside exact_det")
+
+        for name in ("__add__", "__sub__", "__mul__", "__truediv__", "inverse"):
+            monkeypatch.setattr(Scalar, name, refuse)
+        for matrix, want in cases:
+            assert exact_det(matrix) == want
+
+
 class TestNumericRank:
     def test_ghz4(self):
         assert numeric_rank(coefficient_matrix(ghz_state(4))) == 2
