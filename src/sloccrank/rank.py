@@ -13,12 +13,14 @@ whose slots are the relabeled indices themselves (a state keeps its
 amplitudes in index order); otherwise it comes from the O(terms)
 positions of the amplitudes.  A raw grid's block comes from the
 positions of its nonzero entries.  The values are scaled by the lcm of
-their denominators, so every value lies in Z[i, sqrt2], the integers of
-Q(zeta_8); scaling by a nonzero integer changes no rank and no pivot.  The
-values are reduced once per prime, on first use, to one byte string per
-value: its residue as one lane of the packed rows below.  The cuts from
-``state_cuts`` share one scaling, hence one such set per prime and lane
-width, for their whole state.  Per prime, one gather through the slot list
+their denominators, so every value lies in Z[i, sqrt2]; scaling by a
+nonzero integer changes no rank and no pivot.  (Z[i, sqrt2] is not the
+ring of integers of Q(zeta_8): it has index 2 in Z[zeta_8], since zeta_8 =
+(1+i)*sqrt2/2 has half-integer coordinates.)  The values are reduced once
+per prime, on first use, to one byte string per value: its residue as one
+lane of the packed rows below.  The cuts from ``state_cuts`` share one
+scaling, hence one such set per prime and lane width, for their whole
+state.  Per prime, one gather through the slot list
 (``operator.itemgetter``) reads the block's lane bytes as one flat tuple,
 which is joined and cut into rows; the squares behind the stop rule's row
 and column sums are gathered the same way.  The block is then eliminated
@@ -64,7 +66,9 @@ wide or more, its rows packed as below.
 Lanes.  ``_pivots_lanes`` packs each row into one int: column j's residue
 mod p in lane j, the ``width`` bytes from bit 8*width*j, column 0 lowest.
 A basis row is kept as its lead's shift, the inverse of its lead mod p and
-its negation (p - b in each lane); reducing a row against it is one lane
+its negation (p - b in each lane).  The row that fills the basis and the
+block's last row are read by no later row, so they keep only their lead
+and take no inverse.  Reducing a row against a basis row is one lane
 read, one multiply by that inverse mod p, and one multiply-add of the
 factor times the negation, with no reduction in between.  A lane x then
 holds less than (count+1)*p^2 < 2^(2L+e), where count is the number of
@@ -110,7 +114,7 @@ from itertools import accumulate, chain
 from operator import itemgetter
 
 from .coeffmatrix import CoeffMatrix, block_slots, coefficient_matrix
-from .scalar import ONE, ZERO, Scalar, _make, as_scalar, mix, scaled_coords
+from .scalar import ONE, ZERO, Scalar, _make, as_scalar, coord_bound, mix, scaled_coords
 from .states import PureState
 
 # typing.TYPE_CHECKING without importing typing; type checkers take the name as true.
@@ -253,16 +257,19 @@ def _pivots_lanes(rows: list[int], m: int, count: int) -> list[int]:
     lane = (1 << bits) - 1
     negate = lanes[-1] * m
     basis: list[tuple[int, int, int]] = []  # (lead's shift, lead's inverse mod m, negated row)
-    for x in rows:
+    leads = []
+    last = len(rows) - 1
+    for r, x in enumerate(rows):
         for shift, inv, neg in basis:
             x += (x >> shift & lane) * inv % m * neg
         x = _reduce_lanes(x, m, lanes)
         if x:
             shift = ((x & -x).bit_length() - 1) // bits * bits
-            basis.append((shift, pow(x >> shift & lane, -1, m), negate - x))
-            if len(basis) == count:
+            leads.append(shift // bits)
+            if len(leads) == count or r == last:  # no later row is reduced against this one
                 break
-    return sorted(shift // bits for shift, _, _ in basis)
+            basis.append((shift, pow(x >> shift & lane, -1, m), negate - x))
+    return sorted(leads)
 
 
 def _minor_bounds(row_sums, col_sums) -> list[int]:
@@ -371,9 +378,9 @@ class _Scaled:
         return self._bytes[key]
 
     def squares(self) -> list[int]:
-        """e^2 per value, where e = |a| + |b| + 2(|c| + |d|) bounds the modulus of every conjugate."""
+        """e^2 per value, where e = ``coord_bound`` of the value bounds the modulus of every conjugate."""
         if self._squares is None:
-            self._squares = [(abs(a) + abs(b) + 2 * (abs(c) + abs(d))) ** 2 for a, b, c, d in self._entries]
+            self._squares = [coord_bound(x) ** 2 for x in self._entries]
         return self._squares
 
 

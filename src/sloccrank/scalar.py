@@ -236,6 +236,16 @@ def scaled_coords(values) -> tuple[int, list[tuple[int, int, int, int]]]:
     return den, scaled
 
 
+def coord_bound(x: tuple[int, int, int, int]) -> int:
+    """mu(x) = |a| + |b| + 2(|c| + |d|) for x = (a, b, c, d) in Z[i, sqrt2].
+
+    It bounds every coordinate of x and the modulus of every conjugate of
+    x, and mu(u*x) <= mu(u)*mu(x) under the product of ``Scalar.__mul__``.
+    """
+    a, b, c, d = x
+    return abs(a) + abs(b) + 2 * (abs(c) + abs(d))
+
+
 def mix(u, x, v, y) -> tuple[int, int, int, int]:
     """``u*x + v*y`` on ``(a, b, c, d)`` 4-tuples of Z[i, sqrt2], by the product of ``Scalar.__mul__``."""
     a, b, c, d = u

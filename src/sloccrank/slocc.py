@@ -8,14 +8,40 @@ invertible.  ``verify_matrix_equation`` recomputes both sides in opposite
 orders.  The left side transforms the state qubit by qubit
 (``apply_local``) and then reshapes it.  The right side reshapes first and
 then applies each slot's operator to the matrix, picking the operator of
-the qubit that ``sigma`` puts in that slot.  Both sides compute on integer
-coordinates: the amplitudes and each operator are scaled to Z[i, sqrt2]
-once (``scalar.scaled_coords``), every pair is mixed on plain ints
-(``scalar.mix``), and the scales are divided out only when the canonical
-scalars are made at the end.  The two sides share ``coefficient_matrix``,
-that scaling and that coordinate arithmetic, but no transform code: the
-right side neither calls ``apply_local`` nor reuses its loop.  So a pass
-does not check the reshaping itself; it shows that relabeling and the
+the qubit that ``sigma`` puts in that slot.
+
+Both sides compute on integer coordinates, whole vectors at a time.  The
+amplitudes and each operator are scaled to Z[i, sqrt2] once
+(``scalar.scaled_coords``), and the amplitudes are packed into four
+planes, one Python int per coordinate of (1, i, sqrt2, i*sqrt2): lane k of
+a plane holds that coordinate of the k-th entry of the vector as a signed
+value of W bits, the plane being sum v_k * 2^(W*k).  One operator's pass
+over a bit of the lane index is a mode product: every plane is split into
+LO, the lanes whose bit is 0, and HI, their partners, shifted down, and
+the new planes are a*LO + b*HI and (c*LO + d*HI) shifted up, each
+product taken coordinate by coordinate as ``Scalar.__mul__`` takes it, a
+small int times a whole plane.  To split, add BIAS, 2^(W-1) in every lane,
+so that every lane holds v_k + 2^(W-1) in [0, 2^W) and no borrow crosses
+a lane; mask the lanes (MASK) and take BIAS & MASK off again.  The scales
+are divided out only when the canonical scalars are made at the end.
+
+Why W holds.  mu(a, b, c, d) = |a| + |b| + 2(|c| + |d|)
+(``scalar.coord_bound``) bounds every coordinate, and mu(u*x) <=
+mu(u)*mu(x) under that product.  A pass
+therefore multiplies the largest mu of a lane by at most the operator's
+growth, max(mu(a) + mu(b), mu(c) + mu(d)), whatever the order of the
+passes.  W is the bit length of the largest mu of the amplitudes, plus
+that of every operator's growth, plus a sign bit, rounded up to whole
+bytes: every lane lies in (-2^(W-1), 2^(W-1)) after every pass.
+
+The two sides share ``coefficient_matrix``, that scaling, and the plane
+helpers (``_operator``, ``_pack``, ``_mode_product`` and ``_lanes``), but
+each keeps its own loop and layout: ``apply_local`` puts index k in lane k
+and runs the operators in qubit order, while the right side puts each
+amplitude at its row-major position in M(sigma) and runs the slots in
+order, slot s taking the operator of qubit ``sigma.image(s)``.  The right
+side never calls ``apply_local``.  So a pass does not check the plane
+arithmetic or the reshaping itself; it shows that relabeling and the
 choice of operator commute.
 """
 
@@ -33,7 +59,7 @@ from .scalar import (
     Scalar,
     _make,
     as_scalar,
-    mix,
+    coord_bound,
     scalar_format,
     scalar_parse,
     scaled_coords,
@@ -56,15 +82,19 @@ __all__ = [
 
 
 class LocalOperator:
-    """A 2x2 scalar matrix acting on one qubit; need not be invertible."""
+    """A 2x2 scalar matrix acting on one qubit; need not be invertible.
 
-    __slots__ = ("entries",)
+    ``_pass`` keeps the operator's mode product (``_operator``) once made.
+    """
+
+    __slots__ = ("entries", "_pass")
 
     def __init__(self, entries) -> None:
         rows = tuple(tuple(as_scalar(entry) for entry in row) for row in entries)
         if len(rows) != 2 or any(len(row) != 2 for row in rows):
             raise ValueError("a local operator is a 2x2 matrix")
         self.entries = rows
+        self._pass = None
 
     def det(self) -> Scalar:
         e = self.entries
@@ -90,75 +120,134 @@ class LocalOperator:
         return f"LocalOperator({[[str(e) for e in row] for row in self.entries]})"
 
 
-_ZERO4 = (0, 0, 0, 0)
+def _operator(op: LocalOperator) -> tuple[int, list[list[tuple[int, int]]], int]:
+    """(e, rows, growth): ``op`` scaled by e to Z[i, sqrt2], as one pass of the module docstring.
+
+    The sources of a pass are LO's four planes and then HI's.  Row j lists
+    the (coefficient, source) pairs summed into the low half of new plane j,
+    and row 4 + j those of its high half: the product of ``Scalar.__mul__``,
+    written as int coefficients on the sources, zeros dropped.  ``growth``
+    bounds the factor by which the pass multiplies the largest mu.  The
+    operator keeps the triple, so each call after the first is a lookup.
+    """
+    if op._pass is None:
+        e, entries = scaled_coords(op.entries[0] + op.entries[1])
+        # (u*x)_j = sum_i products[j][i] * x_i for u = (a, b, c, d).
+        products = [((a, -b, 2 * c, -2 * d), (b, a, 2 * d, 2 * c), (c, -d, a, -b), (d, c, b, a))
+                    for a, b, c, d in entries]
+        rows = [[(k, s) for s, k in enumerate(products[left][j] + products[left + 1][j]) if k]
+                for left in (0, 2) for j in range(4)]
+        mu = [coord_bound(u) for u in entries]
+        op._pass = e, rows, max(mu[0] + mu[1], mu[2] + mu[3])
+    return op._pass
+
+
+def _lane_width(coords, operators) -> int:
+    """W in bytes for ``coords`` under every one of ``operators``, as the module docstring sets it."""
+    bits = max(map(coord_bound, coords), default=0).bit_length() + 1
+    return -(-(bits + sum(growth.bit_length() for _, _, growth in operators)) // 8)
+
+
+def _bias(width: int, count: int) -> int:
+    """2^(W-1) in each of ``count`` lanes of ``width`` bytes."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
+def _pack(coords, positions, count: int, width: int) -> list[int]:
+    """The four planes of ``count`` lanes holding ``coords[k]`` in lane ``positions[k]``, zeros elsewhere.
+
+    Each lane is written as ``width`` bytes of two's complement; XOR with
+    BIAS turns a lane into v + 2^(W-1), and taking BIAS off leaves v.
+    """
+    bias = _bias(width, count)
+    zero = bytes(width)
+    planes = []
+    for j in range(4):
+        cells = [zero] * count
+        for position, x in zip(positions, coords):
+            if x[j]:
+                cells[position] = x[j].to_bytes(width, "little", signed=True)
+        planes.append((int.from_bytes(b"".join(cells), "little") ^ bias) - bias)
+    return planes
+
+
+def _mode_product(planes: list[int], rows, count: int, width: int, block: int) -> list[int]:
+    """One pass of ``rows``: lanes k and k + block are mixed for every k with k & block == 0."""
+    bias = _bias(width, count)
+    mask = int.from_bytes((b"\xff" * (width * block) + bytes(width * block)) * (count // (2 * block)), "little")
+    low = bias & mask
+    shift = 8 * width * block
+    biased = [plane + bias for plane in planes]
+    sources = [(x & mask) - low for x in biased] + [(x >> shift & mask) - low for x in biased]
+    del biased  # every plane is as wide as the vector: keep as few alive as the pass needs
+    new = [sum(k * sources[s] for k, s in row) for row in rows]
+    del sources
+    return [new[j] + (new[4 + j] << shift) for j in range(4)]
+
+
+def _lanes(planes: list[int], count: int, width: int):
+    """The (a, b, c, d) of each of the ``count`` lanes, in order."""
+    bias = _bias(width, count)
+    columns = []
+    for plane in planes:
+        if not plane:  # a Gaussian vector's sqrt2 planes
+            columns.append([0] * count)
+            continue
+        data = ((plane + bias) ^ bias).to_bytes(width * count, "little")
+        columns.append([int.from_bytes(data[k:k + width], "little", signed=True)
+                        for k in range(0, width * count, width)])
+    return zip(*columns)
 
 
 def apply_local(state: PureState, ops) -> PureState:
     """Act with one operator per qubit via successive single-qubit contractions.
 
-    Costs O(n * 2^n) products of integer coordinates and never materializes
-    the full tensor product.  The amplitudes are scaled to Z[i, sqrt2] once,
-    each operator by its own scale, which multiplies the common denominator
-    ``den``; canonical scalars are made once, at the end.  Singular
-    operators may annihilate the state entirely; the result is then the
-    tagged zero state.
+    Lane k of the planes (module docstring) holds the amplitude of index k,
+    so qubit q owns bit n - q of the lane index, and qubit q's pass mixes
+    the lanes 2^(n-q) apart.  That is n passes of a few dozen big-int
+    operations each, O(n * 2^n * W) bit operations, and the full tensor
+    product is never materialized.  Each operator's scale multiplies the
+    common denominator ``den``; canonical scalars are made once, at the
+    end, for the lanes that are not zero.  Singular operators may
+    annihilate the state entirely; the result is then the tagged zero state.
     """
     ops = list(ops)
     n = state.n
     if len(ops) != n:
         raise ValueError(f"need exactly {n} operators, got {len(ops)}")
     den, coords = scaled_coords(state.amps.values())
-    amps = dict(zip(state.amps, coords))
-    for qubit in range(1, n + 1):
-        (a, b), (c, d) = ops[qubit - 1].entries
-        e, (a, b, c, d) = scaled_coords((a, b, c, d))
+    operators = [_operator(op) for op in ops]
+    count, width = 1 << n, _lane_width(coords, operators)
+    planes = _pack(coords, list(state.amps), count, width)
+    for qubit, (e, rows, _) in enumerate(operators, 1):
         den *= e
-        mask = 1 << (n - qubit)
-        updated: dict[int, tuple[int, int, int, int]] = {}
-        for base in {index & ~mask for index in amps}:
-            lo = amps.get(base, _ZERO4)
-            hi = amps.get(base | mask, _ZERO4)
-            new_lo = mix(a, lo, b, hi)
-            new_hi = mix(c, lo, d, hi)
-            if new_lo != _ZERO4:
-                updated[base] = new_lo
-            if new_hi != _ZERO4:
-                updated[base | mask] = new_hi
-        amps = updated
-    return PureState(n, {index: _make(*x, den) for index, x in amps.items()}, allow_zero=True)
+        planes = _mode_product(planes, rows, count, width, 1 << (n - qubit))
+    amps = {index: _make(*x, den) for index, x in enumerate(_lanes(planes, count, width)) if any(x)}
+    return PureState(n, amps, allow_zero=True)
 
 
 def _predicted_matrix(state: PureState, ops, sigma: QubitPermutation):
     """Right side of the equation that ``verify_matrix_equation`` checks.
 
-    M(sigma) is laid out as one flat row-major list of integer coordinates:
-    the scaled amplitudes sit at ``cut.positions()`` and zeros elsewhere.
-    Entry (i, j) sits at i << w | j and slot s of the cut owns bit n - s of
-    that position, row slots and column slots alike.  The Kronecker
-    products on either side then act as n mode products: for each slot s,
-    the operator of the qubit ``sigma.image(s)``, scaled like the
-    amplitudes, mixes every pair of positions that differ only in slot s's
-    bit.  That is O(n * 2^n) products of integer coordinates, and a pair of
-    zeros is skipped, so a sparse matrix stays cheap until the operators
-    fill it.  The scalars are made once, at the end.
+    M(sigma) is laid out row-major in the lanes of the planes (module
+    docstring): the scaled amplitudes sit at ``cut.positions()`` and zeros
+    elsewhere.  Entry (i, j) sits in lane i << w | j, and slot s of the cut
+    owns bit n - s of that position, row slots and column slots alike.  The
+    Kronecker products on either side then act as n mode products: for
+    each slot s, the operator of the qubit ``sigma.image(s)``, scaled like
+    the amplitudes, mixes every pair of lanes that differ only in slot s's
+    bit.  The scalars are made once, at the end.
     """
     n = state.n
     cut = coefficient_matrix(state, sigma)
     den, coords = scaled_coords(state.amps.values())
-    flat = [_ZERO4] * (1 << n)
-    for position, x in zip(cut.positions(), coords):
-        flat[position] = x
-    for slot in range(1, n + 1):
-        (a, b), (c, d) = ops[sigma.image(slot) - 1].entries
-        e, (a, b, c, d) = scaled_coords((a, b, c, d))
+    operators = [_operator(ops[sigma.image(slot) - 1]) for slot in range(1, n + 1)]
+    count, width = 1 << n, _lane_width(coords, operators)
+    planes = _pack(coords, cut.positions(), count, width)
+    for slot, (e, rows, _) in enumerate(operators, 1):
         den *= e
-        bit = 1 << (n - slot)
-        for base in range(0, len(flat), 2 * bit):
-            for lo in range(base, base + bit):
-                x, y = flat[lo], flat[lo | bit]
-                if x != _ZERO4 or y != _ZERO4:
-                    flat[lo], flat[lo | bit] = mix(a, x, b, y), mix(c, x, d, y)
-    entries = [_make(*x, den) for x in flat]
+        planes = _mode_product(planes, rows, count, width, 1 << (n - slot))
+    entries = [_make(*x, den) for x in _lanes(planes, count, width)]
     cols = cut.cols
     return tuple(tuple(entries[k:k + cols]) for k in range(0, len(entries), cols))
 

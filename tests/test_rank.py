@@ -776,6 +776,29 @@ class TestLanes:
         assert qmask == ones * ((1 << size + e + 1) - 1) and add == ones * ((1 << g) - m)
 
 
+class TestInverses:
+    """The lane kernel takes a lead's inverse only for a basis row that a later row is reduced against."""
+
+    @pytest.mark.parametrize("nrows, ncols", [(1, 1), (2, 2), (5, 5), (16, 16), (3, 5)])
+    def test_full_row_rank_block_takes_one_inverse_fewer_than_its_rows(self, monkeypatch, nrows, ncols):
+        # The last row joins the basis (and fills it when the block is square),
+        # so its inverse would never be read.
+        rng = random.Random(nrows * 100 + ncols)
+        while True:
+            grid = [[random_gauss_int(rng) for _ in range(ncols)] for _ in range(nrows)]
+            if exact_rank(grid).rank == nrows:  # also finds the first prime before pow is shadowed
+                break
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1:])
+            return pow(*args)
+
+        monkeypatch.setattr(rank_module, "pow", counted, raising=False)
+        assert exact_rank(grid).rank == nrows
+        assert [exponent for exponent, _ in calls] == [-1] * (nrows - 1)
+
+
 class TestGridEntries:
     """A raw grid holds ints, Fractions or scalars; every engine reads them as scalars."""
 

@@ -20,6 +20,7 @@ from sloccrank.scalar import (
     Scalar,
     ZERO,
     as_scalar,
+    coord_bound,
     mix,
     scalar_format,
     scalar_parse,
@@ -292,6 +293,19 @@ def test_mix_matches_scalar_products_and_sums():
         u, x, v, y = (tuple(rng.randint(-9, 9) for _ in range(4)) for _ in range(4))
         assert from_coords(mix(u, x, v, y)) == from_coords(u) * from_coords(x) + from_coords(v) * from_coords(y)
     assert with_sqrt2 > 250 and with_fractions > 250
+
+
+def test_coord_bound_bounds_coordinates_and_conjugates_and_is_submultiplicative():
+    rng = random.Random(1903)
+    signs = [(1, 1), (-1, 1), (1, -1), (-1, -1)]  # i -> +-i and sqrt2 -> +-sqrt2
+    for _ in range(300):
+        u, x = (tuple(rng.randint(-50, 50) for _ in range(4)) for _ in range(2))
+        assert max(map(abs, x)) <= coord_bound(x)
+        for si, ss in signs:
+            a, b, c, d = x
+            assert abs(complex(from_coords((a, si * b, ss * c, si * ss * d)))) <= coord_bound(x) + 1e-9
+        assert coord_bound(mix(u, x, (0, 0, 0, 0), (0, 0, 0, 0))) <= coord_bound(u) * coord_bound(x)
+    assert coord_bound((3, -4, 5, -6)) == 29
 
 
 def test_float_embedding_is_multiplicative():

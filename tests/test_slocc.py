@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 import sloccrank.slocc
 from sloccrank.coeffmatrix import QubitPermutation, coefficient_matrix, enumerate_sigmas
 from sloccrank.rank import ShapeError, exact_det, exact_rank
-from sloccrank.scalar import Scalar, scalar_parse
+from sloccrank.scalar import GaussRational, Scalar, scalar_parse
 from sloccrank.slocc import (
     LocalOperator,
     _predicted_matrix,
@@ -208,6 +209,124 @@ class TestPredictedMatrix:
         changed = ops[:6] + [LocalOperator(((a, b + 1), (c, d)))] + ops[7:]
         lhs = coefficient_matrix(apply_local(state, ops), sigma).entries
         assert _predicted_matrix(state, changed, sigma) != lhs
+
+
+def prime_denominator_state(rng, n):
+    """Every coordinate of every amplitude over its own prime, so the common denominator is wide."""
+    primes = [p for p in range(2, 2000) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    denominators = iter(rng.sample(primes, 4 << n))
+
+    def part():
+        return Fraction(rng.choice([-1, 1]) * rng.randrange(1, 1000), next(denominators))
+
+    return PureState(n, {index: Scalar(GaussRational(part(), part()), GaussRational(part(), part()))
+                         for index in range(1 << n)})
+
+
+def wide_state(rng, n, bits):
+    """Full field amplitudes: numerators of about ``bits`` bits over one denominator of as many."""
+    den = rng.getrandbits(bits) | 1
+
+    def part():
+        return Fraction(rng.choice([-1, 1]) * rng.getrandbits(bits), den)
+
+    return PureState(n, {index: Scalar(GaussRational(part(), part()), GaussRational(part(), part()))
+                         for index in range(1 << n)})
+
+
+def annihilator(x0, x1):
+    """A singular operator both of whose rows are orthogonal to (x0, x1)."""
+    u, v = scalar_parse("2-i"), scalar_parse("1/3+s2")
+    return LocalOperator(((u * x1, -u * x0), (v * x1, -v * x0)))
+
+
+class TestPlanes:
+    """Both transforms against the Kronecker oracles where the packed planes are at their edges."""
+
+    @staticmethod
+    def check(state, ops, sigmas=None):
+        assert dict(apply_local(state, ops).amps) == kron_applied(state, ops)
+        for sigma in enumerate_sigmas(state.n) if sigmas is None else sigmas:
+            assert _predicted_matrix(state, ops, sigma) == predicted_oracle(state, ops, sigma)
+
+    def test_wide_common_denominator(self):
+        # (k+1)/(k+2) at index k: the common denominator is lcm(2, ..., 65), 90 bits.
+        state = PureState(6, {k: Fraction(k + 1, k + 2) for k in range(64)})
+        self.check(state, random_invertible_ops(6, 41), enumerate_sigmas(6)[::3])
+
+    def test_prime_denominators_in_every_coordinate(self):
+        rng = random.Random(43)
+        state = prime_denominator_state(rng, 4)
+        self.check(state, [field_operator(rng) for _ in range(4)])
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_three_hundred_bit_amplitudes(self, n):
+        rng = random.Random(47 + n)
+        state = wide_state(rng, n, 300)
+        ops = [field_operator(rng) for _ in range(n)]
+        ops[-1] = LocalOperator([[Fraction(rng.getrandbits(300), rng.getrandbits(300) | 1), 1], [-1, 2]])
+        self.check(state, ops)
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_zero_state(self, n):
+        rng = random.Random(53 + n)
+        ops = [field_operator(rng) for _ in range(n)]
+        assert apply_local(PureState.zero(n), ops).is_zero
+        self.check(PureState.zero(n), ops)
+
+    @pytest.mark.parametrize("qubit", [1, 3, 4])
+    def test_operator_that_annihilates_the_state(self, qubit):
+        # A dense state whose qubit ``qubit`` carries the factor (x0, x1); the
+        # other operators grow the lanes before or after the one that cancels them all.
+        rng = random.Random(59 + qubit)
+        x0, x1 = nonzero_field_scalar(rng), nonzero_field_scalar(rng)
+        rest = [nonzero_field_scalar(rng) for _ in range(8)]
+        amps = {}
+        for index in range(16):
+            bit = index >> (4 - qubit) & 1
+            others = (index >> (5 - qubit) << (4 - qubit)) | (index & ((1 << (4 - qubit)) - 1))
+            amps[index] = (x1 if bit else x0) * rest[others]
+        state = PureState(4, amps)
+        ops = [field_operator(rng) for _ in range(4)]
+        ops[qubit - 1] = annihilator(x0, x1)
+        assert kron_applied(state, ops) == {}
+        self.check(state, ops)
+        assert apply_local(state, ops).is_zero
+
+    def test_zero_operator(self):
+        rng = random.Random(61)
+        state = field_state(rng, 3, 8)
+        ops = [field_operator(rng), LocalOperator(((0, 0), (0, 0))), field_operator(rng)]
+        assert apply_local(state, ops).is_zero
+        self.check(state, ops)
+
+    @pytest.mark.parametrize("amplitude", [15, -15])
+    def test_sign_bit_decides_the_lane_width(self, amplitude):
+        # mu of the amplitudes is 15 (4 bits) and each operator's growth is
+        # 1 + 2 = 3 (2 bits): 8 bits before the sign bit, a whole byte.  Every
+        # result is 15 * 3 * 3 = 135 >= 2^7, so a lane of 8 bits cannot hold it.
+        state = PureState(2, {k: amplitude for k in range(4)})
+        op = LocalOperator(((1, 2), (2, 1)))
+        self.check(state, [op, op])
+        assert dict(apply_local(state, [op, op]).amps) == {k: Scalar(9 * amplitude) for k in range(4)}
+
+
+def test_no_scalar_arithmetic_in_the_transforms(monkeypatch):
+    rng = random.Random(67)
+    state = field_state(rng, 4, 16)
+    ops = [field_operator(rng) for _ in range(4)]
+    ops[1] = field_singular_operator(rng)
+    sigma = QubitPermutation(((1, 3),))
+    want_amps, want_matrix = kron_applied(state, ops), predicted_oracle(state, ops, sigma)
+    assert want_amps and any(map(any, want_matrix))
+
+    def refuse(*args):
+        raise AssertionError("Scalar arithmetic inside a transform")
+
+    for name in ("__add__", "__sub__", "__mul__", "__truediv__", "inverse"):
+        monkeypatch.setattr(Scalar, name, refuse)
+    assert dict(apply_local(state, ops).amps) == want_amps
+    assert _predicted_matrix(state, ops, sigma) == want_matrix
 
 
 class TestMatrixEquation:
