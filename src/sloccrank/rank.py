@@ -98,7 +98,8 @@ q's minimal polynomial), and x / q = (x * c) / N, each coordinate of x * c
 divided exactly by N.
 
 Every function here takes a ``CoeffMatrix`` or a grid of ints, Fractions
-or scalars, and a grid entry of any other type is a ``TypeError``.  The
+or scalars.  A grid entry of any other type is a ``TypeError``, and a grid
+whose rows differ in length is a ``ShapeError``, in every function.  The
 numeric rank goes through an SVD of the complex-double image of the
 matrix and acts as an independent oracle for the exact path.
 """
@@ -146,9 +147,14 @@ class NumericFailure(RuntimeError):
 
 
 def _grid(matrix) -> list[list[Scalar]]:
+    """``matrix`` as rows of scalars; rows that differ in length are a ``ShapeError``."""
     if isinstance(matrix, CoeffMatrix):
         return [list(row) for row in matrix.entries]
-    return [[as_scalar(x) for x in row] for row in matrix]
+    grid = [[as_scalar(x) for x in row] for row in matrix]
+    lengths = {len(row) for row in grid}
+    if len(lengths) > 1:
+        raise ShapeError(f"rows of a matrix must have one length, got {sorted(lengths)}")
+    return grid
 
 
 # --- prime fields ------------------------------------------------------------
@@ -401,9 +407,8 @@ def exact_rank(matrix) -> RankResult:
     pivots of first-nonzero elimination.  No threshold is involved.
     ``matrix`` is a :class:`CoeffMatrix`, whose amplitudes are read from
     its state's shared scaling (``state_cuts``) or a scaling of their own,
-    or a grid, whose nonzero entries are scaled together; a grid whose rows
-    differ in length is a ``ShapeError``.  Either way only the block of
-    nonzero rows and nonzero columns is eliminated.
+    or a grid, whose nonzero entries are scaled together.  Either way only
+    the block of nonzero rows and nonzero columns is eliminated.
     """
     if isinstance(matrix, CoeffMatrix):
         scaled = matrix._scaled or _Scaled(matrix.values.values())
@@ -411,8 +416,6 @@ def exact_rank(matrix) -> RankResult:
     else:
         grid = _grid(matrix)
         width = len(grid[0]) if grid else 0
-        if any(len(row) != width for row in grid):
-            raise ShapeError(f"rows of a matrix must have one length, got {sorted({len(row) for row in grid})}")
         flat = [x for row in grid for x in row]
         positions = [k for k, x in enumerate(flat) if x]
         scaled = _Scaled([flat[k] for k in positions])
@@ -478,9 +481,9 @@ def exact_det(matrix) -> Scalar:
             flat[position] = x
     else:
         grid = _grid(matrix)
-        n = len(grid)
-        if any(len(row) != n for row in grid):
-            raise ShapeError(f"determinant needs a square matrix, got {n}x{len(grid[0]) if grid else 0}")
+        n, width = len(grid), len(grid[0]) if grid else 0
+        if n != width:
+            raise ShapeError(f"determinant needs a square matrix, got {n}x{width}")
         den, flat = scaled_coords(chain.from_iterable(grid))
     if n == 0:
         return ONE

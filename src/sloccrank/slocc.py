@@ -10,20 +10,20 @@ orders.  The left side transforms the state qubit by qubit
 then applies each slot's operator to the matrix, picking the operator of
 the qubit that ``sigma`` puts in that slot.
 
-Both sides compute on integer coordinates, whole vectors at a time.  The
-amplitudes and each operator are scaled to Z[i, sqrt2] once
-(``scalar.scaled_coords``), and the amplitudes are packed into four
-planes, one Python int per coordinate of (1, i, sqrt2, i*sqrt2): lane k of
-a plane holds that coordinate of the k-th entry of the vector as a signed
-value of W bits, the plane being sum v_k * 2^(W*k).  One operator's pass
-over a bit of the lane index is a mode product: every plane is split into
-LO, the lanes whose bit is 0, and HI, their partners, shifted down, and
-the new planes are a*LO + b*HI and (c*LO + d*HI) shifted up, each
-product taken coordinate by coordinate as ``Scalar.__mul__`` takes it, a
-small int times a whole plane.  To split, add BIAS, 2^(W-1) in every lane,
-so that every lane holds v_k + 2^(W-1) in [0, 2^W) and no borrow crosses
-a lane; mask the lanes (MASK) and take BIAS & MASK off again.  The scales
-are divided out only when the canonical scalars are made at the end.
+Both sides are one transform, ``_transform``, on integer coordinates and
+whole vectors at a time.  The amplitudes and each operator are scaled to
+Z[i, sqrt2] once (``scalar.scaled_coords``), and the amplitudes are packed
+into four planes, one Python int per coordinate of (1, i, sqrt2, i*sqrt2):
+lane k of a plane holds that coordinate of the k-th entry of the vector as
+a signed value of W bits, the plane being sum v_k * 2^(W*k).  One
+operator's pass over a bit of the lane index is a mode product: every
+plane is split into LO, the lanes whose bit is 0, and HI, their partners,
+shifted down, and the new planes are a*LO + b*HI and (c*LO + d*HI) shifted
+up, each product taken coordinate by coordinate as ``Scalar.__mul__`` takes
+it, a small int times a whole plane.  To split, add BIAS, 2^(W-1) in every
+lane, so that every lane holds v_k + 2^(W-1) in [0, 2^W) and no borrow
+crosses a lane; mask the lanes (MASK) and take BIAS & MASK off again.  The
+scales are divided out only when the canonical scalars are made at the end.
 
 Why W holds.  mu(a, b, c, d) = |a| + |b| + 2(|c| + |d|)
 (``scalar.coord_bound``) bounds every coordinate, and mu(u*x) <=
@@ -34,13 +34,12 @@ passes.  W is the bit length of the largest mu of the amplitudes, plus
 that of every operator's growth, plus a sign bit, rounded up to whole
 bytes: every lane lies in (-2^(W-1), 2^(W-1)) after every pass.
 
-The two sides share ``coefficient_matrix``, that scaling, and the plane
-helpers (``_operator``, ``_pack``, ``_mode_product`` and ``_lanes``), but
-each keeps its own loop and layout: ``apply_local`` puts index k in lane k
-and runs the operators in qubit order, while the right side puts each
-amplitude at its row-major position in M(sigma) and runs the slots in
-order, slot s taking the operator of qubit ``sigma.image(s)``.  The right
-side never calls ``apply_local``.  So a pass does not check the plane
+The two sides differ only in where each amplitude is placed and in which
+operator makes which pass.  ``apply_local`` puts index k in lane k and
+passes the operators in qubit order.  The right side puts each amplitude
+at its row-major position in M(sigma) (``cut.positions()``), and slot s's
+pass is made by the operator of qubit ``sigma.image(s)``.  The right side
+never calls ``apply_local``.  So a pass does not check the plane
 arithmetic or the reshaping itself; it shows that relabeling and the
 choice of operator commute.
 """
@@ -142,38 +141,8 @@ def _operator(op: LocalOperator) -> tuple[int, list[list[tuple[int, int]]], int]
     return op._pass
 
 
-def _lane_width(coords, operators) -> int:
-    """W in bytes for ``coords`` under every one of ``operators``, as the module docstring sets it."""
-    bits = max(map(coord_bound, coords), default=0).bit_length() + 1
-    return -(-(bits + sum(growth.bit_length() for _, _, growth in operators)) // 8)
-
-
-def _bias(width: int, count: int) -> int:
-    """2^(W-1) in each of ``count`` lanes of ``width`` bytes."""
-    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
-
-
-def _pack(coords, positions, count: int, width: int) -> list[int]:
-    """The four planes of ``count`` lanes holding ``coords[k]`` in lane ``positions[k]``, zeros elsewhere.
-
-    Each lane is written as ``width`` bytes of two's complement; XOR with
-    BIAS turns a lane into v + 2^(W-1), and taking BIAS off leaves v.
-    """
-    bias = _bias(width, count)
-    zero = bytes(width)
-    planes = []
-    for j in range(4):
-        cells = [zero] * count
-        for position, x in zip(positions, coords):
-            if x[j]:
-                cells[position] = x[j].to_bytes(width, "little", signed=True)
-        planes.append((int.from_bytes(b"".join(cells), "little") ^ bias) - bias)
-    return planes
-
-
-def _mode_product(planes: list[int], rows, count: int, width: int, block: int) -> list[int]:
+def _mode_product(planes: list[int], rows, bias: int, count: int, width: int, block: int) -> list[int]:
     """One pass of ``rows``: lanes k and k + block are mixed for every k with k & block == 0."""
-    bias = _bias(width, count)
     mask = int.from_bytes((b"\xff" * (width * block) + bytes(width * block)) * (count // (2 * block)), "little")
     low = bias & mask
     shift = 8 * width * block
@@ -185,9 +154,37 @@ def _mode_product(planes: list[int], rows, count: int, width: int, block: int) -
     return [new[j] + (new[4 + j] << shift) for j in range(4)]
 
 
-def _lanes(planes: list[int], count: int, width: int):
-    """The (a, b, c, d) of each of the ``count`` lanes, in order."""
-    bias = _bias(width, count)
+def _transform(state: PureState, ops, positions):
+    """(den, lanes): ``state`` under ``ops``, its k-th amplitude placed in lane ``positions[k]``.
+
+    The scaled amplitudes are packed into the planes of the module
+    docstring, 2^n lanes of W bits (``width`` bytes) each written as two's
+    complement, so that XOR with BIAS turns a lane into v + 2^(W-1) and
+    taking BIAS off leaves v.  ``ops[s - 1]`` then makes the pass over bit
+    n - s of the lane index, for s = 1..n, and each operator's scale
+    multiplies the common denominator ``den``.  ``lanes`` yields the
+    (a, b, c, d) of every lane in order; the value in lane k is that over
+    ``den``.
+    """
+    n = state.n
+    den, coords = scaled_coords(state.amps.values())
+    operators = [_operator(op) for op in ops]
+    bits = max(map(coord_bound, coords), default=0).bit_length() + 1  # with the sign bit
+    width = -(-(bits + sum(growth.bit_length() for _, _, growth in operators)) // 8)
+    count = 1 << n
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    zero = bytes(width)
+    planes = []
+    for j in range(4):
+        cells = [zero] * count
+        for position, x in zip(positions, coords):
+            if x[j]:
+                cells[position] = x[j].to_bytes(width, "little", signed=True)
+        planes.append((int.from_bytes(b"".join(cells), "little") ^ bias) - bias)
+    del cells, coords  # the planes hold them now; at n = 16 they are megabytes the passes need not keep
+    for s, (e, rows, _) in enumerate(operators, 1):
+        den *= e
+        planes = _mode_product(planes, rows, bias, count, width, 1 << (n - s))
     columns = []
     for plane in planes:
         if not plane:  # a Gaussian vector's sqrt2 planes
@@ -196,58 +193,43 @@ def _lanes(planes: list[int], count: int, width: int):
         data = ((plane + bias) ^ bias).to_bytes(width * count, "little")
         columns.append([int.from_bytes(data[k:k + width], "little", signed=True)
                         for k in range(0, width * count, width)])
-    return zip(*columns)
+    return den, zip(*columns)
 
 
 def apply_local(state: PureState, ops) -> PureState:
     """Act with one operator per qubit via successive single-qubit contractions.
 
-    Lane k of the planes (module docstring) holds the amplitude of index k,
-    so qubit q owns bit n - q of the lane index, and qubit q's pass mixes
-    the lanes 2^(n-q) apart.  That is n passes of a few dozen big-int
-    operations each, O(n * 2^n * W) bit operations, and the full tensor
-    product is never materialized.  Each operator's scale multiplies the
-    common denominator ``den``; canonical scalars are made once, at the
-    end, for the lanes that are not zero.  Singular operators may
-    annihilate the state entirely; the result is then the tagged zero state.
+    ``_transform`` with the state's own indices as lane positions and the
+    operators in qubit order: lane k holds the amplitude of index k, qubit
+    q owns bit n - q of the lane index, and qubit q's pass mixes the lanes
+    2^(n-q) apart.  That is n passes of a few dozen big-int operations
+    each, O(n * 2^n * W) bit operations, and the full tensor product is
+    never materialized.  Canonical scalars are made once, at the end, for
+    the lanes that are not zero.  Singular operators may annihilate the
+    state entirely; the result is then the tagged zero state.
     """
     ops = list(ops)
-    n = state.n
-    if len(ops) != n:
-        raise ValueError(f"need exactly {n} operators, got {len(ops)}")
-    den, coords = scaled_coords(state.amps.values())
-    operators = [_operator(op) for op in ops]
-    count, width = 1 << n, _lane_width(coords, operators)
-    planes = _pack(coords, list(state.amps), count, width)
-    for qubit, (e, rows, _) in enumerate(operators, 1):
-        den *= e
-        planes = _mode_product(planes, rows, count, width, 1 << (n - qubit))
-    amps = {index: _make(*x, den) for index, x in enumerate(_lanes(planes, count, width)) if any(x)}
-    return PureState(n, amps, allow_zero=True)
+    if len(ops) != state.n:
+        raise ValueError(f"need exactly {state.n} operators, got {len(ops)}")
+    den, lanes = _transform(state, ops, state.amps)
+    amps = {index: _make(*x, den) for index, x in enumerate(lanes) if any(x)}
+    return PureState(state.n, amps, allow_zero=True)
 
 
 def _predicted_matrix(state: PureState, ops, sigma: QubitPermutation):
     """Right side of the equation that ``verify_matrix_equation`` checks.
 
-    M(sigma) is laid out row-major in the lanes of the planes (module
-    docstring): the scaled amplitudes sit at ``cut.positions()`` and zeros
-    elsewhere.  Entry (i, j) sits in lane i << w | j, and slot s of the cut
-    owns bit n - s of that position, row slots and column slots alike.  The
-    Kronecker products on either side then act as n mode products: for
-    each slot s, the operator of the qubit ``sigma.image(s)``, scaled like
-    the amplitudes, mixes every pair of lanes that differ only in slot s's
-    bit.  The scalars are made once, at the end.
+    ``_transform`` with M(sigma) laid out row-major in the lanes: each
+    amplitude sits at its position in ``cut.positions()``, so entry (i, j)
+    sits in lane i << w | j and slot s of the cut owns bit n - s of the
+    lane index, row slots and column slots alike.  The Kronecker products
+    on either side then act as n mode products, slot s's pass made by the
+    operator of the qubit ``sigma.image(s)``.  The scalars are made once,
+    at the end.
     """
-    n = state.n
     cut = coefficient_matrix(state, sigma)
-    den, coords = scaled_coords(state.amps.values())
-    operators = [_operator(ops[sigma.image(slot) - 1]) for slot in range(1, n + 1)]
-    count, width = 1 << n, _lane_width(coords, operators)
-    planes = _pack(coords, cut.positions(), count, width)
-    for slot, (e, rows, _) in enumerate(operators, 1):
-        den *= e
-        planes = _mode_product(planes, rows, count, width, 1 << (n - slot))
-    entries = [_make(*x, den) for x in _lanes(planes, count, width)]
+    den, lanes = _transform(state, [ops[sigma.image(s) - 1] for s in range(1, state.n + 1)], cut.positions())
+    entries = [_make(*x, den) for x in lanes]
     cols = cut.cols
     return tuple(tuple(entries[k:k + cols]) for k in range(0, len(entries), cols))
 

@@ -197,10 +197,11 @@ class TestModularEngine:
         assert exact_rank([]) == RankResult(0, ())
         assert exact_rank([[]]) == RankResult(0, ())
 
+    @pytest.mark.parametrize("function", [exact_rank, exact_det, numeric_rank, to_complex_array])
     @pytest.mark.parametrize("grid", [[[1], [2, 3]], [[0, 1], [1]], [[1, 2], [3]], [[], [1]]])
-    def test_ragged_grid_raises(self, grid):
-        with pytest.raises(ShapeError):
-            exact_rank(scalar_grid(grid))
+    def test_ragged_grid_raises(self, grid, function):
+        with pytest.raises(ShapeError, match="one length"):
+            function(scalar_grid(grid))
 
     @pytest.mark.parametrize("size", [4, 16])
     def test_a_prime_showing_a_lower_rank_lowers_nothing(self, monkeypatch, size):
@@ -887,6 +888,11 @@ class TestExactDet:
     def test_non_square_raises(self):
         with pytest.raises(ShapeError):
             exact_det(coefficient_matrix(ghz_state(3)))
+
+    @pytest.mark.parametrize("grid, shape", [([[1, 2, 3], [4, 5, 6]], "2x3"), ([[1], [2]], "2x1"), ([[]], "1x0")])
+    def test_non_square_grid_names_its_shape(self, grid, shape):
+        with pytest.raises(ShapeError, match=f"square matrix, got {shape}$"):
+            exact_det(grid)
 
     def test_det_nonzero_iff_full_rank(self):
         rng = random.Random(29)
