@@ -17,12 +17,11 @@ from itertools import chain
 
 from .classify import TABLE_IDS, classify_table, dicke_rank_scan, rank_signature
 from .coeffmatrix import QubitPermutation, coefficient_matrix, enumerate_sigmas
-from .rank import NumericFailure, ShapeError, exact_rank, numeric_rank
+from .rank import NumericFailure, exact_rank, numeric_rank
 from .scalar import ParseError, scalar_parse
 from .slocc import verify_trials
 from .states import (
     _FAMILY_PARAMS,
-    StateFormatError,
     basis_state,
     dicke_state,
     family_state,
@@ -32,8 +31,16 @@ from .states import (
     save_state,
 )
 
+# Each n-qubit gen family: its builder, called as builder(n, *flags), and its int flags in payload order.
+_BUILDERS = {
+    "basis": (basis_state, ("index",)),
+    "ghz": (ghz_state, ()),
+    "w": (lambda n: dicke_state(n, 1), ()),
+    "dicke": (dicke_state, ("ell",)),
+    "ladder": (ladder_state, ("r",)),
+}
 # The flags each gen family takes besides --n; any other one is a usage error.
-_GEN_FLAGS = {"basis": ("index",), "ghz": (), "w": (), "dicke": ("ell",), "ladder": ("r",), **_FAMILY_PARAMS}
+_GEN_FLAGS = {**{family: flags for family, (_, flags) in _BUILDERS.items()}, **_FAMILY_PARAMS}
 # Every family parameter once, in first-use order: a, b, c, alpha, beta.
 _PARAM_NAMES = tuple(dict.fromkeys(chain.from_iterable(_FAMILY_PARAMS.values())))
 # The most --trials or --samples a command takes: the work grows linearly in
@@ -106,13 +113,6 @@ def _parse_scalar_flag(name: str, text: str | None):
         raise UsageError(f"bad scalar for --{name}: {exc}") from exc
 
 
-def _parse_sigma(text: str) -> QubitPermutation:
-    try:
-        return QubitPermutation.from_text(text)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _check_repeats(flag: str, count: int) -> None:
     if not 1 <= count <= MAX_REPEATS:
         raise UsageError(f"{flag} must be in 1..{MAX_REPEATS}, got {count}")
@@ -120,39 +120,24 @@ def _check_repeats(flag: str, count: int) -> None:
 
 def _cmd_gen(args) -> tuple[dict, int]:
     family = args.family
+    names = _GEN_FLAGS[family]
     for name in chain.from_iterable(_GEN_FLAGS.values()):
-        if getattr(args, name) is not None and name not in _GEN_FLAGS[family]:
+        if getattr(args, name) is not None and name not in names:
             raise UsageError(f"gen --family {family} does not take --{name}")
-    payload: dict = {"family": family, "n": args.n}
-    if family == "basis":
-        index = 0 if args.index is None else args.index
-        state = basis_state(args.n, index)
-        payload["index"] = index
-    elif family == "ghz":
-        state = ghz_state(args.n)
-    elif family == "w":
-        state = dicke_state(args.n, 1)
-    elif family == "dicke":
-        if args.ell is None:
-            raise UsageError("gen --family dicke requires --ell")
-        state = dicke_state(args.n, args.ell)
-        payload["ell"] = args.ell
-    elif family == "ladder":
-        if args.r is None:
-            raise UsageError("gen --family ladder requires --r")
-        state = ladder_state(args.n, args.r)
-        payload["r"] = args.r
+    flags = {name: getattr(args, name) for name in names}
+    if family == "basis" and flags["index"] is None:
+        flags["index"] = 0
+    if family in _BUILDERS:
+        for name, value in flags.items():
+            if value is None:
+                raise UsageError(f"gen --family {family} requires --{name}")
+        state = _BUILDERS[family][0](args.n, *flags.values())
     else:
         if args.n != 4:
             raise UsageError(f"family {family} is defined on 4 qubits")
-        names = _FAMILY_PARAMS[family]
-        params = {name: _parse_scalar_flag(name, getattr(args, name)) for name in names}
-        state = family_state(family, **params)
-        for name in names:
-            payload[name] = getattr(args, name)
+        state = family_state(family, **{name: _parse_scalar_flag(name, text) for name, text in flags.items()})
     save_state(state, args.output)
-    payload["terms"] = len(state.amps)
-    payload["output"] = args.output
+    payload = {"family": family, "n": args.n, **flags, "terms": len(state.amps), "output": args.output}
     _log(f"gen: wrote {family} state on {state.n} qubits to {args.output}")
     return payload, 0
 
@@ -161,7 +146,7 @@ def _cmd_rank(args) -> tuple[dict, int]:
     if args.tol is not None and not args.numeric:
         raise UsageError("--tol applies only with --numeric")
     state = load_state(args.state)
-    sigma = _parse_sigma(args.sigma)
+    sigma = QubitPermutation.from_text(args.sigma)
     matrix = coefficient_matrix(state, sigma)
     if args.numeric:
         value = numeric_rank(matrix, tol=args.tol)
@@ -179,7 +164,7 @@ def _cmd_signature(args) -> tuple[dict, int]:
     if args.sigmas == "all":
         sigmas = enumerate_sigmas(state.n)
     else:
-        sigmas = [_parse_sigma(chunk) for chunk in args.sigmas.split(";")]
+        sigmas = [QubitPermutation.from_text(chunk) for chunk in args.sigmas.split(";")]
     payload = {"n": state.n, **rank_signature(state, sigmas).to_json_dict()}
     _log(f"signature: n={state.n}, {len(sigmas)} swap sets")
     return payload, 0
@@ -257,8 +242,7 @@ def main(argv=None) -> int:
     handler = _HANDLERS[args.command]
     try:
         payload, code = handler(args)
-    except (UsageError, StateFormatError, ParseError, ShapeError, NumericFailure,
-            ValueError, OSError) as exc:
+    except (UsageError, NumericFailure, ValueError, OSError) as exc:
         _log(f"error: {exc}")
         return 2
     try:

@@ -49,8 +49,9 @@ from __future__ import annotations
 import json
 import random
 
+from .classify import rank_signature
 from .coeffmatrix import IDENTITY, QubitPermutation, coefficient_matrix, enumerate_sigmas
-from .rank import ShapeError, exact_det, exact_rank, state_cuts
+from .rank import ShapeError, exact_det
 from .scalar import (
     GaussRational,
     ONE,
@@ -63,7 +64,7 @@ from .scalar import (
     scalar_parse,
     scaled_coords,
 )
-from .states import PureState
+from .states import PureState, _read_json
 
 __all__ = [
     "LocalOperator",
@@ -279,13 +280,15 @@ def verify_trials(state: PureState, trials: int, seed: int, allow_singular: bool
     operators once, and checks on that transformed state: the matrix equation
     under the identity and under the swap set, the ranks on every swap set
     (equal to the untransformed ones, or no larger with singular operators),
-    and for an even qubit count the determinant law.
+    and for an even qubit count the determinant law.  Both sets of ranks are
+    ``rank_signature`` over the enumerated swap sets: the untransformed
+    state's once, and each trial's transformed state's.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     n = state.n
     sigmas = enumerate_sigmas(n)
-    base_ranks = tuple(exact_rank(cut).rank for cut in state_cuts(state, sigmas))
+    base_ranks = rank_signature(state, sigmas).ranks
     base_det = exact_det(coefficient_matrix(state)) if n % 2 == 0 else None
     master = random.Random(seed)
     equation_failures = rank_failures = det_failures = 0
@@ -297,7 +300,7 @@ def verify_trials(state: PureState, trials: int, seed: int, allow_singular: bool
         for s in (IDENTITY, sigma):
             if coefficient_matrix(transformed, s).entries != _predicted_matrix(state, ops, s):
                 equation_failures += 1
-        after = tuple(exact_rank(cut).rank for cut in state_cuts(transformed, sigmas))
+        after = rank_signature(transformed, sigmas).ranks
         if allow_singular:
             rank_failures += any(a > b for a, b in zip(after, base_ranks))
         else:
@@ -383,11 +386,4 @@ def save_operators(ops, path) -> None:
 
 
 def load_operators(path) -> list[LocalOperator]:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except ValueError as exc:  # bad syntax, or an integer over the int-string limit
-            raise ValueError(f"operator file is not valid JSON: {exc}") from exc
-        except RecursionError as exc:
-            raise ValueError("operator file is not valid JSON: nested too deeply") from exc
-    return operators_from_json(payload)
+    return operators_from_json(_read_json(path, ValueError, "operator file is not valid JSON"))

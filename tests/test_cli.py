@@ -17,7 +17,15 @@ from sloccrank.cli import MAX_REPEATS, entrypoint, main
 from sloccrank.rank import RankResult
 from sloccrank.scalar import scalar_format, scalar_parse
 from sloccrank.slocc import apply_local, operators_to_json, random_invertible_ops
-from sloccrank.states import PureState, basis_state, ghz_state, save_state
+from sloccrank.states import (
+    PureState,
+    basis_state,
+    dicke_state,
+    family_state,
+    ghz_state,
+    ladder_state,
+    save_state,
+)
 
 SRC = str(Path(sloccrank.__file__).resolve().parents[1])
 
@@ -28,7 +36,39 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# Every gen family with fixed flags, in the order its payload lists them, and the state
+# the library builds for it.
+GEN_CASES = [
+    ("basis", 3, {"index": 5}, lambda: basis_state(3, 5)),
+    ("ghz", 4, {}, lambda: ghz_state(4)),
+    ("w", 3, {}, lambda: dicke_state(3, 1)),
+    ("dicke", 5, {"ell": 2}, lambda: dicke_state(5, 2)),
+    ("ladder", 5, {"r": 2}, lambda: ladder_state(5, 2)),
+    ("L_a2b2", 4, {"a": "1/2", "b": "i"},
+     lambda: family_state("L_a2b2", a=scalar_parse("1/2"), b=scalar_parse("i"))),
+    ("L_ab3", 4, {"a": "1", "b": "2"}, lambda: family_state("L_ab3", a=1, b=2)),
+    ("L_abc2", 4, {"a": "1", "b": "2", "c": "3"}, lambda: family_state("L_abc2", a=1, b=2, c=3)),
+    ("span_0kPsi", 4, {"alpha": "1", "beta": "s2"},
+     lambda: family_state("span_0kPsi", alpha=1, beta=scalar_parse("s2"))),
+]
+
+
 class TestGenAndRank:
+    @pytest.mark.parametrize("family, n, flags, build", GEN_CASES, ids=[case[0] for case in GEN_CASES])
+    def test_every_family_byte_for_byte(self, capsys, tmp_path, family, n, flags, build):
+        path = str(tmp_path / "gen.json")
+        argv = ["gen", "--family", family, "--n", str(n), "-o", path]
+        for name, value in flags.items():
+            argv += [f"--{name}", str(value)]
+        code, out, err = run(capsys, *argv)
+        state = build()
+        assert code == 0
+        assert out == json.dumps({"family": family, "n": n, **flags, "terms": len(state.amps),
+                                  "output": path}) + "\n"
+        assert err == f"gen: wrote {family} state on {n} qubits to {path}\n"
+        save_state(state, tmp_path / "library.json")
+        assert Path(path).read_bytes() == (tmp_path / "library.json").read_bytes()
+
     def test_ghz_rank_exact_output(self, capsys, tmp_path):
         path = str(tmp_path / "ghz4.json")
         code, _, _ = run(capsys, "gen", "--family", "ghz", "--n", "4", "-o", path)
@@ -171,7 +211,8 @@ class TestVerify:
         }
         path = str(tmp_path / "s.json")
         run(capsys, "gen", "--family", "ghz", "--n", "4", "-o", path)
-        monkeypatch.setattr(sloccrank.slocc, helper, wrong[helper])
+        module = sloccrank.classify if helper == "exact_rank" else sloccrank.slocc
+        monkeypatch.setattr(module, helper, wrong[helper])
         code, out, err = run(capsys, "verify", "--state", path, "--trials", "3", *flags)
         checks = json.loads(out)["checks"]
         assert code == 1

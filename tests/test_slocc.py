@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import sloccrank.classify
 import sloccrank.slocc
 from sloccrank.coeffmatrix import QubitPermutation, coefficient_matrix, enumerate_sigmas
 from sloccrank.rank import ShapeError, exact_det, exact_rank
@@ -405,20 +406,29 @@ class TestVerifyTrials:
     def test_operators_applied_once_per_trial_and_base_computed_once(self, monkeypatch):
         calls = {"apply_local": 0, "exact_rank": 0, "exact_det": 0}
         for name in calls:
-            def counted(*args, _name=name, _real=getattr(sloccrank.slocc, name)):
+            module = sloccrank.classify if name == "exact_rank" else sloccrank.slocc
+            def counted(*args, _name=name, _real=getattr(module, name)):
                 calls[_name] += 1
                 return _real(*args)
-            monkeypatch.setattr(sloccrank.slocc, name, counted)
+            monkeypatch.setattr(module, name, counted)
         checks = verify_trials(ladder_state(4, 2), 3, seed=1)
         assert all(check["failures"] == 0 for check in checks.values())
         # 3 cuts of 4 qubits; the untransformed state is ranked once, each trial once more
         assert calls == {"apply_local": 3, "exact_rank": 3 * 4, "exact_det": 1 + 3}
 
+    def test_rank_check_ranks_the_transformed_state(self, monkeypatch):
+        # GHZ has rank 2 on every cut, the ladder state rank 4 on the identity cut: a rank
+        # check that ranked anything but apply_local's result would see no difference.
+        monkeypatch.setattr(sloccrank.slocc, "apply_local", lambda state, ops: ladder_state(state.n, 2))
+        for allow_singular, check in ((False, "rank_invariance"), (True, "rank_monotonicity")):
+            checks = verify_trials(ghz_state(4), 3, seed=1, allow_singular=allow_singular)
+            assert checks[check] == {"runs": 3, "failures": 3}
+
     def test_each_state_is_scaled_once_for_all_its_cuts(self, monkeypatch):
         scaled, ranked = [], []
-        real_scaled, real_rank = sloccrank.rank._Scaled, sloccrank.slocc.exact_rank
+        real_scaled, real_rank = sloccrank.rank._Scaled, sloccrank.classify.exact_rank
         monkeypatch.setattr(sloccrank.rank, "_Scaled", lambda *args: scaled.append(1) or real_scaled(*args))
-        monkeypatch.setattr(sloccrank.slocc, "exact_rank", lambda cut: ranked.append(cut) or real_rank(cut))
+        monkeypatch.setattr(sloccrank.classify, "exact_rank", lambda cut: ranked.append(cut) or real_rank(cut))
         verify_trials(ladder_state(4, 2), 3, seed=1)
         assert len(scaled) == 1 + 3
         # 3 cuts per state, the untransformed one first: each state's cuts share one scaling
