@@ -130,8 +130,10 @@ class CoeffMatrix:
 
     - every one of the 2^n indices holds an amplitude: the block is the
       whole matrix, and slot k is index k, so cell (i, j) holds slot
-      relabel(i << w) | relabel(j), w = n - n//2.  That costs 2^(n//2) +
-      2^(n - n//2) relabelings and one OR per cell;
+      relabel(i << w) | relabel(j), w = n - n//2.  A relabeling only moves
+      bits, so the row parts relabel(i << w) and the column parts relabel(j)
+      double by OR-ing in one relabeled bit at a time: n relabelings and
+      about one OR per cell;
     - otherwise :meth:`positions` places each amplitude in the matrix in
       O(terms), and the block is read off those positions
       (:func:`block_slots`), so a sparse cut never touches the 2^n zeros
@@ -178,8 +180,11 @@ class CoeffMatrix:
             return block_slots(self.positions(), self.cols)
         relabel = _relabel(self.sigma, self.n)
         width = self.n - self.n // 2
-        rows = [relabel(r << width) for r in range(self.rows)]
-        cols = [relabel(c) for c in range(self.cols)]
+        rows, cols = [0], [0]
+        for bit in range(self.n):
+            parts = cols if bit < width else rows
+            image = relabel(1 << bit)
+            parts += [part | image for part in parts]
         return [r | c for r in rows for c in cols], range(self.cols)
 
     @property

@@ -30,21 +30,28 @@ about as much at 81 bits as at 62 (a residue is three 30-bit digits either
 way), and 81 bits is as wide as 13-base Miller-Rabin proves a prime, so
 each prime certifies as many bits as that proof allows.  A rank mod p never
 exceeds the true rank, so for every column prefix the engine keeps the
-largest rank any prime has shown.
+largest rank any prime has shown, as the smallest k-th lead of any prime
+for each k: a prefix's rank is the number of those inside it.
 
 Stop rule.  Let d in {1, 2, 4} be the degree of the smallest of Q, Q(i),
-Q(sqrt2), Q(i*sqrt2) holding every entry, and P the Hadamard bound (from the
-entries' integer coordinates, summed along the block's rows and columns) on
-|s(m)|^2 for every conjugate s(m) of every minor m that could still be
-missing.  Primes are added until their product M satisfies M^2 > P^d.
-Proof: each p = 1 (mod 8) splits completely, so a minor m that vanishes
-mod p lies in a prime of norm p and p divides N_{K/Q}(m); M then divides
-that norm, which is at most P^(d/2) < M, so m = 0.  Every prefix rank, hence
-the rank and the pivot columns, is exact.  No tolerance is involved.  The
-rule holds on the block as it does on the whole matrix: a zero row or
-column would enter the Hadamard bound with the factor 1 (``_minor_bounds``
-counts every sum as at least 1), and the cap min(c+1, rows) on the rank of
-columns 0..c only tightens when the rows counted are the nonzero ones.
+Q(sqrt2), Q(i*sqrt2) holding every entry.  Columns 0..c hold rank at most
+min(c+1, rows); below that cap, a minor one larger than their rank may
+still be missing.  Prefix ranks rise with c, so the largest such size,
+``missing``, is the rank plus 1 while the rank is below both counts, the
+rank when it equals the row count and a column before the last lead
+raised no rank, and none otherwise.  P bounds |s(m)|^2 for every conjugate
+s(m) of every such minor m: by Hadamard, the product of the ``missing``
+largest sums of e^2 (e = ``coord_bound`` of an entry) along the block's
+rows, or along its columns if smaller.  Each sum counts as at least 1, so
+P also bounds the smaller minors missing at lower prefixes.  Primes are
+added until their product M satisfies M^2 > P^d.  Proof: each p = 1 (mod
+8) splits completely, so a minor m that vanishes mod p lies in a prime of
+norm p and p divides N_{K/Q}(m); M then divides that norm, which is at
+most P^(d/2) < M, so m = 0.  Every prefix rank, hence the rank and the
+pivot columns, is exact.  No tolerance is involved.  The rule holds on the
+block as it does on the whole matrix: a zero row or column would enter the
+bound with the factor 1, and the cap min(c+1, rows) on the rank of columns
+0..c only tightens when the rows counted are the nonzero ones.
 
 Elimination.  Each row in turn is reduced against the basis rows, in the
 order they were found: it loses f times basis row b, f being its entry at
@@ -65,12 +72,15 @@ wide or more, its rows packed as below.
 
 Lanes.  ``_pivots_lanes`` packs each row into one int: column j's residue
 mod p in lane j, the ``width`` bytes from bit 8*width*j, column 0 lowest.
-A basis row is kept as its lead's shift, the inverse of its lead mod p and
-its negation (p - b in each lane).  The row that fills the basis and the
+A basis row is kept as its lead's shift, the mask ``below`` of the bits up
+to its lead lane's top, the inverse of its lead mod p and its negation
+(p - b in each lane).  The row that fills the basis and the
 block's last row are read by no later row, so they keep only their lead
 and take no inverse.  Reducing a row against a basis row is one lane
 read, one multiply by that inverse mod p, and one multiply-add of the
-factor times the negation, with no reduction in between.  A lane x then
+factor times the negation, with no reduction in between.  The lane is read
+from the row's low end, (x & below) >> shift (no lane is ever negative),
+so a lead in lane j costs O(j) digits, not a shift of the whole row.  A lane x then
 holds less than (count+1)*p^2 < 2^(2L+e), where count is the number of
 lanes (a bound on the basis size), L = p.bit_length() and e =
 (count+1).bit_length().  All lanes are then reduced at once, by a Barrett
@@ -111,7 +121,7 @@ import math
 import threading
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from itertools import accumulate, chain
+from itertools import chain
 from operator import itemgetter
 
 from .coeffmatrix import CoeffMatrix, block_slots, coefficient_matrix
@@ -260,39 +270,22 @@ def _pivots_lanes(rows: list[int], m: int, count: int) -> list[int]:
     """Pivot columns of rows packed as ``count`` lanes of residues mod m: the module docstring's elimination."""
     lanes = _lanes(m, count)
     bits = 8 * lanes[0]
-    lane = (1 << bits) - 1
     negate = lanes[-1] * m
-    basis: list[tuple[int, int, int]] = []  # (lead's shift, lead's inverse mod m, negated row)
+    basis: list[tuple[int, int, int, int]] = []  # (lead's shift, below, lead's inverse mod m, negated row)
     leads = []
     last = len(rows) - 1
     for r, x in enumerate(rows):
-        for shift, inv, neg in basis:
-            x += (x >> shift & lane) * inv % m * neg
+        for shift, below, inv, neg in basis:
+            x += ((x & below) >> shift) * inv % m * neg
         x = _reduce_lanes(x, m, lanes)
         if x:
             shift = ((x & -x).bit_length() - 1) // bits * bits
             leads.append(shift // bits)
             if len(leads) == count or r == last:  # no later row is reduced against this one
                 break
-            basis.append((shift, pow(x >> shift & lane, -1, m), negate - x))
+            below = (1 << shift + bits) - 1
+            basis.append((shift, below, pow((x & below) >> shift, -1, m), negate - x))
     return sorted(leads)
-
-
-def _minor_bounds(row_sums, col_sums) -> list[int]:
-    """out[k] bounds |s(m)|^2 for every conjugate s(m) of every nonzero k x k minor m.
-
-    By Hadamard, |s(m)|^2 is at most the product of the k largest row sums of
-    e^2, and likewise of the column sums; a row or column of a nonzero minor
-    has a sum of at least 1.
-    """
-    size = min(len(row_sums), len(col_sums))
-    products = []
-    for sums in (row_sums, col_sums):
-        out = [1]
-        for value in sorted(sums, reverse=True)[:size]:
-            out.append(out[-1] * max(value, 1))
-        products.append(out)
-    return [min(by_row, by_col) for by_row, by_col in zip(*products)]
 
 
 def _gather(slots: list[int]):
@@ -318,17 +311,19 @@ def _certified_rank(scaled: _Scaled, slots: list[int], ncols: int) -> RankResult
 
     Entry (i, j) is value ``slots[i * ncols + j]`` of ``scaled``.  Each
     prime's lane bytes, as a flat tuple, are gathered through the slots in
-    one call and joined into packed rows, and the e^2 sums' squares are
-    gathered the same way and cut into rows by slices.  The primes are
-    eliminated one at a time by ``_pivots_lanes``, whatever the block's width.
+    one call and joined into packed rows, and eliminated by
+    ``_pivots_lanes``, whatever the block's width.  ``best[k]``, the
+    smallest (k+1)-th lead any prime has shown, is lowered in place by each
+    prime's sorted leads; it holds the pivots, and its entries up to c count
+    the rank of columns 0..c.  The e^2 sums are sorted once per block, and
+    each check multiplies only the ``missing`` largest.
     """
     gather = _gather(slots)
     size = len(slots)
     nrows = size // ncols
-    # best[c]: the largest rank of columns 0..c seen modulo any prime so far.
-    best = [0] * ncols
+    best: list[int] = []
     modulus = 1
-    bounds = None
+    row_sums = col_sums = None
     k = 0
     while True:
         p = _field(k)[0]
@@ -336,23 +331,23 @@ def _certified_rank(scaled: _Scaled, slots: list[int], ncols: int) -> RankResult
         leads = _pivots_lanes(_packed(gather(scaled.lane_bytes(k, width)), ncols * width), p, ncols)
         k += 1
         modulus *= p
-        raised = [0] * ncols
-        for lead in leads:
-            raised[lead] = 1
-        best = list(map(max, best, accumulate(raised)))
-        # Columns 0..c hold rank at most min(c+1, nrows); below that, a minor
-        # of size best[c]+1 may have vanished modulo every prime so far.
-        missing = max([b + 1 for c, b in enumerate(best, 1) if b < c and b < nrows], default=0)
-        if not missing:
+        if len(leads) > len(best):
+            best, leads = leads, best
+        best[:len(leads)] = map(min, best, leads)
+        rank = len(best)
+        # Every prefix is at its cap min(c+1, nrows) only if the rank is
+        # ncols, or nrows with no column skipped before the last lead.
+        if rank == ncols or rank == nrows and best[-1] == rank - 1:
             break
-        if bounds is None:
+        missing = rank + 1 if rank < nrows else rank
+        if row_sums is None:
             squares = gather(scaled.squares())
-            bounds = _minor_bounds([sum(squares[i:i + ncols]) for i in range(0, size, ncols)],
-                                   [sum(squares[c::ncols]) for c in range(ncols)])
-        if modulus * modulus > bounds[missing] ** scaled.degree:
+            # A row or column of a nonzero minor has a sum of at least 1.
+            row_sums = sorted([sum(squares[i:i + ncols]) or 1 for i in range(0, size, ncols)], reverse=True)
+            col_sums = sorted([sum(squares[c::ncols]) or 1 for c in range(ncols)], reverse=True)
+        if modulus * modulus > min(math.prod(row_sums[:missing]), math.prod(col_sums[:missing])) ** scaled.degree:
             break
-    pivot_columns = tuple(c for c in range(ncols) if best[c] > (best[c - 1] if c else 0))
-    return RankResult(best[-1], pivot_columns)
+    return RankResult(rank, tuple(best))
 
 
 class _Scaled:

@@ -59,12 +59,16 @@ class PureState:
         check_qubits(n)
         dim = 1 << n
         for index in amps:
+            if type(index) is int and 0 <= index < dim:
+                continue
             if not isinstance(index, int) or isinstance(index, bool) or not 0 <= index < dim:
                 raise ValueError(f"basis index {index!r} out of range for n={n}")
         cleaned: dict[int, Scalar] = {}
         for index in sorted(amps):
-            value = as_scalar(amps[index])
-            if value:
+            value = amps[index]
+            if type(value) is not Scalar:
+                value = as_scalar(value)
+            if value.coords != (0, 0, 0, 0, 1):  # not zero, as Scalar.__bool__ tests it
                 cleaned[index] = value
         if not cleaned and not allow_zero:
             raise ValueError("state must have at least one nonzero amplitude")

@@ -28,6 +28,7 @@ from sloccrank.coeffmatrix import (
     IDENTITY,
     CoeffMatrix,
     QubitPermutation,
+    block_slots,
     coefficient_matrix,
     enumerate_sigmas,
 )
@@ -483,6 +484,16 @@ class TestBlockLayout:
         expected = [reference_rank(coefficient_matrix(ordered, sigma)) for sigma in sigmas]
         assert results == [expected] * 3
 
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_full_support_layout_equals_the_positions_route(self, n):
+        # The full-support route doubles relabeled bits; block_slots of the
+        # amplitudes' positions is its reference, on every cut.
+        state = PureState(n, {index: index + 1 for index in range(1 << n)})
+        for sigma in enumerate_sigmas(n):
+            cut = coefficient_matrix(state, sigma)
+            slots, cols = cut.block()
+            assert (slots, list(cols)) == block_slots(cut.positions(), cut.cols)
+
     def test_only_a_cut_with_an_empty_cell_reads_positions(self, monkeypatch):
         dense = dense_state(3, 6, field=True)[0]
         assert len(dense.amps) == 1 << 6
@@ -667,6 +678,29 @@ class TestPrimeGroups:
         # Two 81-bit primes per cut (three 62-bit ones).
         assert self.dense_dicke_eliminations(monkeypatch, 10, 3) == 252
 
+    @staticmethod
+    def rank_three_eliminations(monkeypatch, state: PureState) -> int:
+        """Eliminations in the signature of a dense, non-symmetric 8-qubit state of rank 3 on every cut."""
+        assert len(state.amps) == 256
+        calls = record_eliminations(monkeypatch)
+        assert rank_signature(state, enumerate_sigmas(8)).ranks == (3,) * 35
+        return len(calls)
+
+    def test_dense_eight_qubit_dicke_signature_one_operator_per_qubit(self, monkeypatch):
+        # [[1+i, q], [1, -1+2i]] on qubit q: the state is no longer symmetric,
+        # and each cut closes on two 81-bit primes, so a stop rule that spends
+        # one prime more, or stops one early, on any cut fails.
+        ops = [LocalOperator([[scalar_parse("1+i"), q], [1, scalar_parse("-1+2i")]]) for q in range(1, 9)]
+        assert self.rank_three_eliminations(monkeypatch, apply_local(dicke_state(8, 2), ops)) == 70
+
+    def test_dense_eight_qubit_sum_of_three_products_signature(self, monkeypatch):
+        # Term t is the product over qubits q of (1, g_tq), g_tq a nonzero Gaussian integer.
+        rng = random.Random(0)
+        terms = [[random_gauss_int(rng, 3, nonzero=True) for _ in range(8)] for _ in range(3)]
+        state = PureState(8, {x: sum(math.prod(g for q, g in enumerate(term) if x >> 7 - q & 1) for term in terms)
+                              for x in range(256)})
+        assert self.rank_three_eliminations(monkeypatch, state) == 70
+
 
 def list_pivots(rows: list[list[int]], m: int) -> list[int]:
     """Pivot columns of residue rows mod m: the module docstring's elimination, on lists."""
@@ -735,6 +769,24 @@ class TestLanes:
         expected = list_pivots(rows, m)
         assert rank_module._pivots_lanes(pack(rows, m), m, ncols) == expected
         assert len(expected) < nrows
+
+    @pytest.mark.parametrize("ncols", [16, 40])
+    @pytest.mark.parametrize("m", LANE_MODULI)
+    def test_a_basis_lead_in_every_lane(self, m, ncols):
+        # Echelon row i has its lead in lane ncols-1-i, the top lane first.
+        # Before it comes a combination of the echelon rows so far, which
+        # vanishes only if the factor read at every lead above is exact.
+        rng = random.Random(m * 100 + ncols)
+        echelon: list[list[int]] = []
+        rows = []
+        for lead in reversed(range(ncols)):
+            if echelon:
+                coefs = [rng.randrange(1, m) for _ in echelon]
+                rows.append([sum(c * row[j] for c, row in zip(coefs, echelon)) % m for j in range(ncols)])
+            echelon.append([0] * lead + [rng.randrange(1, m) for _ in range(ncols - lead)])
+            rows.append(echelon[-1])
+        assert list_pivots(rows, m) == list(range(ncols))
+        assert rank_module._pivots_lanes(pack(rows, m), m, ncols) == list(range(ncols))
 
     @pytest.mark.parametrize("m", list(COMPOSITES))
     def test_composite_modulus_with_a_non_unit_lead_raises(self, m):
