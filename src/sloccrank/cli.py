@@ -64,6 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a named state and write it to a JSON file")
+    gen.set_defaults(handler=_cmd_gen)
     gen.add_argument("--family", required=True, choices=_GEN_FLAGS)
     gen.add_argument("--n", type=int, required=True, help="qubit count")
     gen.add_argument("--ell", type=int, help="excitation count (dicke)")
@@ -74,19 +75,23 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("-o", "--output", required=True, help="output state file")
 
     rank_cmd = sub.add_parser("rank", help="rank of a state's coefficient matrix")
+    rank_cmd.set_defaults(handler=_cmd_rank)
     rank_cmd.add_argument("--state", required=True)
     rank_cmd.add_argument("--sigma", default="", help='swap set as "q:t,..." (default: identity)')
     rank_cmd.add_argument("--numeric", action="store_true", help="use the SVD backend instead")
     rank_cmd.add_argument("--tol", type=float, help="singular-value threshold for --numeric")
 
     sig = sub.add_parser("signature", help="ranks under a list of swap sets")
+    sig.set_defaults(handler=_cmd_signature)
     sig.add_argument("--state", required=True)
     sig.add_argument("--sigmas", default="all", help='"all" or semicolon-separated swap sets')
 
     perms = sub.add_parser("permutations", help="list the enumerated swap sets for n qubits")
+    perms.set_defaults(handler=_cmd_permutations)
     perms.add_argument("--n", type=int, required=True)
 
     verify = sub.add_parser("verify", help="randomized checks of the transformation identities")
+    verify.set_defaults(handler=_cmd_verify)
     verify.add_argument("--state", required=True)
     verify.add_argument("--trials", type=int, required=True, help=f"trial count, 1..{MAX_REPEATS}")
     verify.add_argument("--seed", type=int, default=0)
@@ -94,11 +99,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="draw unconstrained operators and check rank monotonicity")
 
     table = sub.add_parser("table", help="reproduce one of the built-in family tables")
+    table.set_defaults(handler=_cmd_table)
     table.add_argument("--id", required=True, choices=TABLE_IDS)
     table.add_argument("--samples", type=int, required=True, help=f"samples per cell, 1..{MAX_REPEATS}")
     table.add_argument("--seed", type=int, default=0)
 
     scan = sub.add_parser("dicke-scan", help="rank and row structure of the Dicke states")
+    scan.set_defaults(handler=_cmd_dicke_scan)
     scan.add_argument("--n", type=int, required=True)
 
     return parser
@@ -225,23 +232,11 @@ def _cmd_dicke_scan(args) -> tuple[dict, int]:
     return payload, 0
 
 
-_HANDLERS = {
-    "gen": _cmd_gen,
-    "rank": _cmd_rank,
-    "signature": _cmd_signature,
-    "permutations": _cmd_permutations,
-    "verify": _cmd_verify,
-    "table": _cmd_table,
-    "dicke-scan": _cmd_dicke_scan,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handler = _HANDLERS[args.command]
     try:
-        payload, code = handler(args)
+        payload, code = args.handler(args)
     except (UsageError, NumericFailure, ValueError, OSError) as exc:
         _log(f"error: {exc}")
         return 2

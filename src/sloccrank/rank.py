@@ -7,11 +7,11 @@ nonzero columns are pivots, and the block's pivots map back through the
 sorted column list.  The block is laid out once, as one row-major list of
 slots, slot k holding the k-th value and one more slot holding 0, the
 entry of every empty cell.  A ``CoeffMatrix`` lays out its own block
-(``CoeffMatrix.block``) and is never laid out as scalars here: when every
-one of its 2^n indices holds an amplitude, the block is the whole matrix,
-whose slots are the relabeled indices themselves (a state keeps its
-amplitudes in index order); otherwise it comes from the O(terms)
-positions of the amplitudes.  A raw grid's block comes from the
+(``CoeffMatrix.block``) and is never laid out as scalars for its rank:
+when every one of its 2^n indices holds an amplitude, the block is the
+whole matrix, whose slots are the relabeled indices themselves (a state
+keeps its amplitudes in index order); otherwise it comes from the
+O(terms) positions of the amplitudes.  A raw grid's block comes from the
 positions of its nonzero entries.  The values are scaled by the lcm of
 their denominators, so every value lies in Z[i, sqrt2]; scaling by a
 nonzero integer changes no rank and no pivot.  (Z[i, sqrt2] is not the
@@ -453,11 +453,11 @@ def _other_conjugates(x: tuple[int, int, int, int]) -> tuple[tuple[int, int, int
 def exact_det(matrix) -> Scalar:
     """Exact determinant by fraction-free (Bareiss) elimination on integer coordinates.
 
-    The cells are scaled once to 4-tuples of Z[i, sqrt2] by the lcm ``den``
-    of their denominators; a ``CoeffMatrix`` is read from its amplitudes
-    and their positions, zeros elsewhere.  Step k takes the first row with
-    a nonzero entry in column k as its pivot row (a swap flips the sign),
-    and the determinant is 0 when there is none.  Each entry below it
+    The matrix is read as scalar rows by ``_grid``, as ``to_complex_array``
+    reads it, and its cells are scaled once to 4-tuples of Z[i, sqrt2] by the
+    lcm ``den`` of their denominators.  Step k takes the first row with a
+    nonzero entry in column k as its pivot row (a swap flips the sign), and
+    the determinant is 0 when there is none.  Each entry below it
     becomes (pivot * a_ij - a_ik * a_kj) / q, q the previous step's pivot.
     That is a minor of the scaled matrix (Sylvester's identity), so the
     division is exact: a product by c, the product of q's other conjugates,
@@ -466,20 +466,11 @@ def exact_det(matrix) -> Scalar:
     so each entry costs one ``mix`` and, unless N = 1, four int divisions.
     The last entry, over den^n, is the determinant.
     """
-    if isinstance(matrix, CoeffMatrix):
-        n, width = matrix.rows, matrix.cols
-        if n != width:
-            raise ShapeError(f"determinant needs a square matrix, got {n}x{width}")
-        den, coords = scaled_coords(matrix.values.values())
-        flat = [_ZERO4] * (n * n)
-        for position, x in zip(matrix.positions(), coords):
-            flat[position] = x
-    else:
-        grid = _grid(matrix)
-        n, width = len(grid), len(grid[0]) if grid else 0
-        if n != width:
-            raise ShapeError(f"determinant needs a square matrix, got {n}x{width}")
-        den, flat = scaled_coords(chain.from_iterable(grid))
+    grid = _grid(matrix)
+    n, width = len(grid), len(grid[0]) if grid else 0
+    if n != width:
+        raise ShapeError(f"determinant needs a square matrix, got {n}x{width}")
+    den, flat = scaled_coords(chain.from_iterable(grid))
     if n == 0:
         return ONE
     grid = [flat[k:k + n] for k in range(0, n * n, n)]

@@ -34,14 +34,18 @@ passes.  W is the bit length of the largest mu of the amplitudes, plus
 that of every operator's growth, plus a sign bit, rounded up to whole
 bytes: every lane lies in (-2^(W-1), 2^(W-1)) after every pass.
 
-The two sides differ only in where each amplitude is placed and in which
-operator makes which pass.  ``apply_local`` puts index k in lane k and
-passes the operators in qubit order.  The right side puts each amplitude
-at its row-major position in M(sigma) (``cut.positions()``), and slot s's
-pass is made by the operator of qubit ``sigma.image(s)``.  The right side
-never calls ``apply_local``.  So a pass does not check the plane
-arithmetic or the reshaping itself; it shows that relabeling and the
-choice of operator commute.
+The two sides differ in where each amplitude is placed, in which
+operator makes which pass, and in the order of the passes.
+``apply_local`` puts index k in lane k and makes the passes in qubit
+order, from the top bit of the lane index down.  The right side puts each
+amplitude at its row-major position in M(sigma) (``cut.positions()``),
+slot s's pass is made by the operator of qubit ``sigma.image(s)``, and the
+passes run in reverse slot order, from the bottom bit up.  The right side
+never calls ``apply_local``.  Under the identity cut the placement and the
+operators coincide and only the order differs, so a pass there shows that
+the passes commute, as exact mode products on distinct bits do and as a
+fault in one pass's plane arithmetic in general does not.  Under any other
+cut it also shows that relabeling and the choice of operator commute.
 """
 
 from __future__ import annotations
@@ -155,24 +159,23 @@ def _mode_product(planes: list[int], rows, bias: int, count: int, width: int, bl
     return [new[j] + (new[4 + j] << shift) for j in range(4)]
 
 
-def _transform(state: PureState, ops, positions):
-    """(den, lanes): ``state`` under ``ops``, its k-th amplitude placed in lane ``positions[k]``.
+def _transform(state: PureState, passes, positions):
+    """(den, lanes): ``state`` under ``passes``, its k-th amplitude placed in lane ``positions[k]``.
 
     The scaled amplitudes are packed into the planes of the module
     docstring, 2^n lanes of W bits (``width`` bytes) each written as two's
     complement, so that XOR with BIAS turns a lane into v + 2^(W-1) and
-    taking BIAS off leaves v.  ``ops[s - 1]`` then makes the pass over bit
-    n - s of the lane index, for s = 1..n, and each operator's scale
-    multiplies the common denominator ``den``.  ``lanes`` yields the
-    (a, b, c, d) of every lane in order; the value in lane k is that over
-    ``den``.
+    taking BIAS off leaves v.  Each ``(block, op)`` of ``passes``, in
+    order, then makes ``op``'s pass over the lane-index bit of value
+    ``block``, and each operator's scale multiplies the common denominator
+    ``den``.  ``lanes`` yields the (a, b, c, d) of every lane in order;
+    the value in lane k is that over ``den``.
     """
-    n = state.n
     den, coords = scaled_coords(state.amps.values())
-    operators = [_operator(op) for op in ops]
+    passes = [(block, _operator(op)) for block, op in passes]
     bits = max(map(coord_bound, coords), default=0).bit_length() + 1  # with the sign bit
-    width = -(-(bits + sum(growth.bit_length() for _, _, growth in operators)) // 8)
-    count = 1 << n
+    width = -(-(bits + sum(growth.bit_length() for _, (_, _, growth) in passes)) // 8)
+    count = 1 << state.n
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
     zero = bytes(width)
     planes = []
@@ -183,9 +186,9 @@ def _transform(state: PureState, ops, positions):
                 cells[position] = x[j].to_bytes(width, "little", signed=True)
         planes.append((int.from_bytes(b"".join(cells), "little") ^ bias) - bias)
     del cells, coords  # the planes hold them now; at n = 16 they are megabytes the passes need not keep
-    for s, (e, rows, _) in enumerate(operators, 1):
+    for block, (e, rows, _) in passes:
         den *= e
-        planes = _mode_product(planes, rows, bias, count, width, 1 << (n - s))
+        planes = _mode_product(planes, rows, bias, count, width, block)
     columns = []
     for plane in planes:
         if not plane:  # a Gaussian vector's sqrt2 planes
@@ -201,8 +204,8 @@ def apply_local(state: PureState, ops) -> PureState:
     """Act with one operator per qubit via successive single-qubit contractions.
 
     ``_transform`` with the state's own indices as lane positions and the
-    operators in qubit order: lane k holds the amplitude of index k, qubit
-    q owns bit n - q of the lane index, and qubit q's pass mixes the lanes
+    passes in qubit order: lane k holds the amplitude of index k, qubit q
+    owns bit n - q of the lane index, and qubit q's pass mixes the lanes
     2^(n-q) apart.  That is n passes of a few dozen big-int operations
     each, O(n * 2^n * W) bit operations, and the full tensor product is
     never materialized.  Canonical scalars are made once, at the end, for
@@ -212,7 +215,7 @@ def apply_local(state: PureState, ops) -> PureState:
     ops = list(ops)
     if len(ops) != state.n:
         raise ValueError(f"need exactly {state.n} operators, got {len(ops)}")
-    den, lanes = _transform(state, ops, state.amps)
+    den, lanes = _transform(state, [(1 << (state.n - q), op) for q, op in enumerate(ops, 1)], state.amps)
     amps = {index: _make(*x, den) for index, x in enumerate(lanes) if any(x)}
     return PureState(state.n, amps, allow_zero=True)
 
@@ -225,11 +228,16 @@ def _predicted_matrix(state: PureState, ops, sigma: QubitPermutation):
     sits in lane i << w | j and slot s of the cut owns bit n - s of the
     lane index, row slots and column slots alike.  The Kronecker products
     on either side then act as n mode products, slot s's pass made by the
-    operator of the qubit ``sigma.image(s)``.  The scalars are made once,
-    at the end.
+    operator of the qubit ``sigma.image(s)``.  The passes run in reverse
+    slot order, column slots first, M * B^T and then A * (M * B^T): the
+    reverse of ``apply_local``'s order, so on the identity cut of two or
+    more qubits the two sides never make the same sequence of passes.  The
+    scalars are made once, at the end.
     """
+    n = state.n
     cut = coefficient_matrix(state, sigma)
-    den, lanes = _transform(state, [ops[sigma.image(s) - 1] for s in range(1, state.n + 1)], cut.positions())
+    passes = [(1 << (n - s), ops[sigma.image(s) - 1]) for s in range(n, 0, -1)]
+    den, lanes = _transform(state, passes, cut.positions())
     entries = [_make(*x, den) for x in lanes]
     cols = cut.cols
     return tuple(tuple(entries[k:k + cols]) for k in range(0, len(entries), cols))

@@ -224,8 +224,9 @@ def _read_json(path, error, prefix: str):
 def load_state(path) -> PureState:
     """Read a state file, validating the schema strictly.
 
-    Indices must be strictly increasing and in range, values must parse in
-    the scalar grammar, and explicit zero amplitudes are rejected.
+    Indices must be in range, which is checked first, and strictly
+    increasing; values must parse in the scalar grammar, and explicit zero
+    amplitudes are rejected.
     """
     payload = _read_json(path, StateFormatError, "not valid JSON")
     if not isinstance(payload, dict):
@@ -250,12 +251,12 @@ def load_state(path) -> PureState:
         index = item["index"]
         if not isinstance(index, int) or isinstance(index, bool):
             raise StateFormatError(f"amplitude {position}: index must be an integer")
+        if not 0 <= index < dim:
+            raise StateFormatError(f"amplitude {position}: index {index} out of range for n={n}")
         if index <= previous:
             raise StateFormatError(
                 f"amplitude {position}: indices must be strictly increasing (saw {index} after {previous})"
             )
-        if index >= dim:
-            raise StateFormatError(f"amplitude {position}: index {index} out of range for n={n}")
         text = item["value"]
         if not isinstance(text, str):
             raise StateFormatError(f"amplitude {position}: value must be a string")

@@ -294,6 +294,18 @@ class TestErrorPaths:
         assert code == 2
         assert "out of range" in err
 
+    def test_negative_first_index_is_out_of_range(self, tmp_path):
+        # Range is checked before order: -5 is no index, not one that follows -1.
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": 3, "amplitudes": [{"index": -5, "value": "1"}]}))
+        env = {**os.environ, "PYTHONPATH": SRC}
+        done = subprocess.run([sys.executable, "-m", "sloccrank.cli", "rank", "--state", str(path)],
+                              env=env, capture_output=True, text=True, timeout=30)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert "amplitude 0: index -5 out of range for n=3" in done.stderr
+        assert "Traceback" not in done.stderr
+
     def test_bad_scalar_flag(self, capsys, tmp_path):
         code, _, err = run(capsys, "gen", "--family", "L_a2b2", "--n", "4",
                            "--a", "1+", "--b", "2", "-o", str(tmp_path / "x.json"))

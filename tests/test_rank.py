@@ -1193,3 +1193,15 @@ def test_separable_states_have_rank_one():
     for n in range(2, 7):
         state = basis_state(n, (1 << n) - 1)
         assert exact_rank(coefficient_matrix(state)).rank == 1
+
+
+def test_package_republishes_every_module_all():
+    modules = ["scalar", "states", "coeffmatrix", "rank", "classify", "slocc"]
+    names = []
+    for name in modules:
+        module = importlib.import_module(f"sloccrank.{name}")
+        names += module.__all__
+        for attr in module.__all__:
+            assert getattr(sloccrank, attr) is getattr(module, attr), attr
+    assert len(set(names)) == len(names)
+    assert sloccrank.__all__ == names

@@ -366,6 +366,21 @@ class TestMatrixEquation:
         ops = [LocalOperator(((1, 2), (3, 4)))]
         assert verify_matrix_equation(state, ops)
 
+    def test_identity_cut_catches_a_corrupted_pass(self, monkeypatch):
+        # One pass's plane arithmetic goes wrong: 1 is added to lane 0 of
+        # plane 0 after the pass over the top bit.  The two sides make their
+        # passes in opposite orders, so the fault does not cancel.
+        mode_product = sloccrank.slocc._mode_product
+
+        def corrupted(planes, rows, bias, count, width, block):
+            planes = mode_product(planes, rows, bias, count, width, block)
+            if 2 * block == count:
+                planes[0] += 1
+            return planes
+
+        monkeypatch.setattr(sloccrank.slocc, "_mode_product", corrupted)
+        assert not verify_matrix_equation(dicke_state(4, 2), random_invertible_ops(4, 1))
+
 
 class TestDetRelation:
     def test_identity_ops_keep_det(self):
