@@ -22,7 +22,7 @@ ranked again; sample counts and hits still count every draw.
 from __future__ import annotations
 
 import random
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Callable
 from fractions import Fraction
 from math import comb
@@ -75,12 +75,13 @@ DickeScanRow = namedtuple("DickeScanRow", ["ell", "rank", "distinct_nonzero_rows
 def dicke_rank_scan(n: int) -> list[DickeScanRow]:
     """Rank and row structure of every Dicke matrix with ell <= n//2.
 
-    For each excitation count the matrix rank is ell + 1, the distinct
-    nonzero rows number ell + 1, and the rows whose row bits carry j ones
-    (j <= ell) repeat exactly C(n//2, j) times.  The mirrored state with
-    n - ell excitations must show the same rank.  All of this is computed
-    from the matrices and re-checked here; a mismatch raises, since it would
-    mean the rank engine or the generators are broken.
+    Each nonzero row is paired with the weight of its index, the number of
+    ones in its row bits.  One condition then holds for every excitation
+    count, or the scan raises, since a mismatch would mean the rank engine
+    or the generators are broken: the rank is ell + 1, there are ell + 1
+    distinct rows, each distinct row sits at one weight, weight j holds
+    C(n//2, j) rows, and the mirrored state with n - ell excitations has the
+    same rank.
     """
     check_qubits(n)
     half = n // 2
@@ -89,30 +90,15 @@ def dicke_rank_scan(n: int) -> list[DickeScanRow]:
         matrix = coefficient_matrix(dicke_state(n, ell))
         rank = exact_rank(matrix).rank
 
-        groups: dict[tuple, list[int]] = {}
-        for row_index, row in enumerate(matrix.entries):
-            if any(row):
-                groups.setdefault(row, []).append(row_index)
-        distinct = len(groups)
-
-        by_weight: dict[int, int] = {}
-        for indices in groups.values():
-            weights = {index.bit_count() for index in indices}
-            if len(weights) != 1:
-                raise RuntimeError(f"Dicke scan n={n} ell={ell}: mixed-weight identical rows")
-            (weight,) = weights
-            if weight in by_weight:
-                raise RuntimeError(f"Dicke scan n={n} ell={ell}: two row values share weight {weight}")
-            by_weight[weight] = len(indices)
-        if sorted(by_weight) != list(range(ell + 1)):
-            raise RuntimeError(f"Dicke scan n={n} ell={ell}: nonzero rows at unexpected weights")
-        multiplicities = tuple(by_weight[j] for j in range(ell + 1))
-
+        pairs = [(row, index.bit_count()) for index, row in enumerate(matrix.entries) if any(row)]
+        distinct = len({row for row, _ in pairs})
+        by_weight = Counter(weight for _, weight in pairs)
         mirror = exact_rank(coefficient_matrix(dicke_state(n, n - ell))).rank
-        predicted = tuple(comb(half, j) for j in range(ell + 1))
-        if rank != ell + 1 or distinct != ell + 1 or multiplicities != predicted or mirror != rank:
+        predicted = {j: comb(half, j) for j in range(ell + 1)}
+        if (rank != ell + 1 or distinct != ell + 1 or len(set(pairs)) != distinct
+                or by_weight != predicted or mirror != rank):
             raise RuntimeError(f"Dicke scan n={n} ell={ell}: rank structure mismatch")
-        out.append(DickeScanRow(ell, rank, distinct, multiplicities))
+        out.append(DickeScanRow(ell, rank, distinct, tuple(by_weight[j] for j in range(ell + 1))))
     return out
 
 

@@ -8,7 +8,8 @@ invertible.  ``verify_matrix_equation`` recomputes both sides in opposite
 orders.  The left side transforms the state qubit by qubit
 (``apply_local``) and then reshapes it.  The right side reshapes first and
 then applies each slot's operator to the matrix, picking the operator of
-the qubit that ``sigma`` puts in that slot.
+the qubit that ``sigma`` puts in that slot.  Each side is compared as a map
+from row-major position to nonzero entry, since a transform drops zero lanes.
 
 Both sides are one transform, ``_transform``, on integer coordinates and
 whole vectors at a time.  The amplitudes and each operator are scaled to
@@ -52,6 +53,7 @@ from __future__ import annotations
 
 import json
 import random
+from math import prod
 
 from .classify import rank_signature
 from .coeffmatrix import IDENTITY, QubitPermutation, coefficient_matrix, enumerate_sigmas
@@ -159,8 +161,8 @@ def _mode_product(planes: list[int], rows, bias: int, count: int, width: int, bl
     return [new[j] + (new[4 + j] << shift) for j in range(4)]
 
 
-def _transform(state: PureState, passes, positions):
-    """(den, lanes): ``state`` under ``passes``, its k-th amplitude placed in lane ``positions[k]``.
+def _transform(state: PureState, passes, positions) -> dict[int, Scalar]:
+    """{lane: scalar}: ``state`` under ``passes``, its k-th amplitude placed in lane ``positions[k]``.
 
     The scaled amplitudes are packed into the planes of the module
     docstring, 2^n lanes of W bits (``width`` bytes) each written as two's
@@ -168,8 +170,8 @@ def _transform(state: PureState, passes, positions):
     taking BIAS off leaves v.  Each ``(block, op)`` of ``passes``, in
     order, then makes ``op``'s pass over the lane-index bit of value
     ``block``, and each operator's scale multiplies the common denominator
-    ``den``.  ``lanes`` yields the (a, b, c, d) of every lane in order;
-    the value in lane k is that over ``den``.
+    ``den``.  Lane k holds its (a, b, c, d) over ``den``; zero lanes are
+    dropped, and only here do the others become canonical scalars.
     """
     den, coords = scaled_coords(state.amps.values())
     passes = [(block, _operator(op)) for block, op in passes]
@@ -197,7 +199,7 @@ def _transform(state: PureState, passes, positions):
         data = ((plane + bias) ^ bias).to_bytes(width * count, "little")
         columns.append([int.from_bytes(data[k:k + width], "little", signed=True)
                         for k in range(0, width * count, width)])
-    return den, zip(*columns)
+    return {lane: _make(*x, den) for lane, x in enumerate(zip(*columns)) if any(x)}
 
 
 def apply_local(state: PureState, ops) -> PureState:
@@ -208,20 +210,18 @@ def apply_local(state: PureState, ops) -> PureState:
     owns bit n - q of the lane index, and qubit q's pass mixes the lanes
     2^(n-q) apart.  That is n passes of a few dozen big-int operations
     each, O(n * 2^n * W) bit operations, and the full tensor product is
-    never materialized.  Canonical scalars are made once, at the end, for
-    the lanes that are not zero.  Singular operators may annihilate the
-    state entirely; the result is then the tagged zero state.
+    never materialized.  The nonzero lanes are the new amplitudes; singular
+    operators may annihilate the state, giving the tagged zero state.
     """
     ops = list(ops)
     if len(ops) != state.n:
         raise ValueError(f"need exactly {state.n} operators, got {len(ops)}")
-    den, lanes = _transform(state, [(1 << (state.n - q), op) for q, op in enumerate(ops, 1)], state.amps)
-    amps = {index: _make(*x, den) for index, x in enumerate(lanes) if any(x)}
+    amps = _transform(state, [(1 << (state.n - q), op) for q, op in enumerate(ops, 1)], state.amps)
     return PureState(state.n, amps, allow_zero=True)
 
 
-def _predicted_matrix(state: PureState, ops, sigma: QubitPermutation):
-    """Right side of the equation that ``verify_matrix_equation`` checks.
+def _predicted_matrix(state: PureState, ops, sigma: QubitPermutation) -> dict[int, Scalar]:
+    """Right side of the matrix equation: its nonzero entries, keyed by row-major position.
 
     ``_transform`` with M(sigma) laid out row-major in the lanes: each
     amplitude sits at its position in ``cut.positions()``, so entry (i, j)
@@ -231,24 +231,27 @@ def _predicted_matrix(state: PureState, ops, sigma: QubitPermutation):
     operator of the qubit ``sigma.image(s)``.  The passes run in reverse
     slot order, column slots first, M * B^T and then A * (M * B^T): the
     reverse of ``apply_local``'s order, so on the identity cut of two or
-    more qubits the two sides never make the same sequence of passes.  The
-    scalars are made once, at the end.
+    more qubits the two sides never make the same sequence of passes.
     """
     n = state.n
-    cut = coefficient_matrix(state, sigma)
     passes = [(1 << (n - s), ops[sigma.image(s) - 1]) for s in range(n, 0, -1)]
-    den, lanes = _transform(state, passes, cut.positions())
-    entries = [_make(*x, den) for x in lanes]
-    cols = cut.cols
-    return tuple(tuple(entries[k:k + cols]) for k in range(0, len(entries), cols))
+    return _transform(state, passes, coefficient_matrix(state, sigma).positions())
 
 
-def _predicted_det(det: Scalar, ops, n: int) -> Scalar:
-    """Right side of the law that ``verify_det_relation`` checks, given the old ``det``."""
-    det_product = ONE
-    for op in ops:
-        det_product = det_product * op.det()
-    return det * det_product ** (1 << ((n - 2) // 2))
+def _equation_holds(state: PureState, ops, transformed: PureState, sigma: QubitPermutation) -> bool:
+    """The matrix equation under ``sigma`` for ``transformed`` = ``apply_local(state, ops)``.
+
+    Both sides map row-major position in M(sigma) to nonzero entry, and a relabeling
+    is a bijection of positions: the maps are equal exactly when the matrices are.
+    """
+    lhs = dict(zip(coefficient_matrix(transformed, sigma).positions(), transformed.amps.values()))
+    return lhs == _predicted_matrix(state, ops, sigma)
+
+
+def _det_law_holds(det: Scalar, ops, transformed: PureState) -> bool:
+    """det M(psi') = det M(psi) * prod_q det(A_q)^(2^((n-2)/2)), given ``det`` and psi' = ``transformed``."""
+    law = det * prod((op.det() for op in ops), start=ONE) ** (1 << ((transformed.n - 2) // 2))
+    return exact_det(coefficient_matrix(transformed)) == law
 
 
 def verify_matrix_equation(state: PureState, ops, sigma: QubitPermutation | None = None) -> bool:
@@ -259,10 +262,8 @@ def verify_matrix_equation(state: PureState, ops, sigma: QubitPermutation | None
     column-slot operators)^T, with operators indexed by the qubit occupying
     each slot after the relabeling.
     """
-    sigma = IDENTITY if sigma is None else sigma
     ops = list(ops)
-    lhs = coefficient_matrix(apply_local(state, ops), sigma)
-    return lhs.entries == _predicted_matrix(state, ops, sigma)
+    return _equation_holds(state, ops, apply_local(state, ops), IDENTITY if sigma is None else sigma)
 
 
 def verify_det_relation(state: PureState, ops) -> bool:
@@ -272,12 +273,10 @@ def verify_det_relation(state: PureState, ops) -> bool:
     determinant times the product of all operator determinants raised to
     2^((n - 2) / 2).
     """
-    n = state.n
-    if n % 2:
+    if state.n % 2:
         raise ShapeError("the determinant relation needs an even number of qubits")
     ops = list(ops)
-    lhs = exact_det(coefficient_matrix(apply_local(state, ops)))
-    return lhs == _predicted_det(exact_det(coefficient_matrix(state)), ops, n)
+    return _det_law_holds(exact_det(coefficient_matrix(state)), ops, apply_local(state, ops))
 
 
 def verify_trials(state: PureState, trials: int, seed: int, allow_singular: bool = False) -> dict:
@@ -306,16 +305,14 @@ def verify_trials(state: PureState, trials: int, seed: int, allow_singular: bool
         sigma = sigmas[master.randrange(len(sigmas))]
         transformed = apply_local(state, ops)
         for s in (IDENTITY, sigma):
-            if coefficient_matrix(transformed, s).entries != _predicted_matrix(state, ops, s):
-                equation_failures += 1
+            equation_failures += not _equation_holds(state, ops, transformed, s)
         after = rank_signature(transformed, sigmas).ranks
         if allow_singular:
             rank_failures += any(a > b for a, b in zip(after, base_ranks))
         else:
             rank_failures += after != base_ranks
         if base_det is not None:
-            det = exact_det(coefficient_matrix(transformed))
-            det_failures += det != _predicted_det(base_det, ops, n)
+            det_failures += not _det_law_holds(base_det, ops, transformed)
     rank_check = "monotonicity" if allow_singular else "invariance"
     return {
         "matrix_equation": {"runs": 2 * trials, "failures": equation_failures},

@@ -20,9 +20,10 @@ from sloccrank.classify import (
     rank_signature,
 )
 from sloccrank.classify import _REGIONS, _TABLES
-from sloccrank.coeffmatrix import IDENTITY, QubitPermutation, enumerate_sigmas
+from sloccrank.coeffmatrix import IDENTITY, QubitPermutation, coefficient_matrix, enumerate_sigmas
+from sloccrank.rank import exact_rank
 from sloccrank.slocc import apply_local, random_invertible_ops
-from sloccrank.states import basis_state, dicke_state, family_state, ghz_state, ladder_state
+from sloccrank.states import PureState, basis_state, dicke_state, family_state, ghz_state, ladder_state
 
 from conftest import random_product_state
 
@@ -93,6 +94,24 @@ class TestDickeScan:
             assert row.rank == row.ell + 1
             assert row.distinct_nonzero_rows == row.ell + 1
             assert row.row_multiplicities == tuple(comb(n // 2, j) for j in range(row.ell + 1))
+
+    @pytest.mark.parametrize("n, change", [
+        (4, {12: 1}),  # row 3 repeats rows 1 and 2, at weight 2
+        (4, {8: 2}),  # rows 1 and 2 differ, both at weight 1
+        (6, {32: 0}),  # row 4 is zero: weight 1 holds two rows, not C(3, 1) = 3
+    ])
+    def test_broken_row_structure_at_the_right_rank_raises(self, monkeypatch, n, change):
+        def perturbed(m, ell):
+            state = dicke_state(m, ell)
+            if (m, ell) != (n, 1):
+                return state
+            amps = {**state.amps, **change}
+            return PureState(m, {index: x for index, x in amps.items() if x})
+
+        assert exact_rank(coefficient_matrix(perturbed(n, 1))).rank == 2
+        monkeypatch.setattr(sloccrank.classify, "dicke_state", perturbed)
+        with pytest.raises(RuntimeError, match=f"n={n} ell=1: rank structure mismatch"):
+            dicke_rank_scan(n)
 
     def test_too_small(self):
         # One qubit has no ell in 1..n//2, so its scan is empty; zero qubits is no state.

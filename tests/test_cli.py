@@ -197,15 +197,15 @@ class TestVerify:
 
     @pytest.mark.parametrize("helper, check, flags", [
         ("_predicted_matrix", "matrix_equation", []),
-        ("_predicted_det", "det_relation", []),
+        ("_det_law_holds", "det_relation", []),
         ("exact_rank", "rank_invariance", []),
         ("exact_rank", "rank_monotonicity", ["--allow-singular"]),
     ])
     def test_each_check_can_fail(self, capsys, monkeypatch, tmp_path, helper, check, flags):
         rising = itertools.count(1)
         wrong = {
-            "_predicted_matrix": lambda state, ops, sigma: (),
-            "_predicted_det": lambda det, ops, n: det + 1,
+            "_predicted_matrix": lambda state, ops, sigma: {},
+            "_det_law_holds": lambda det, ops, transformed: False,
             # each call answers one more than the last, so every trial outranks the base
             "exact_rank": lambda matrix: RankResult(next(rising), ()),
         }

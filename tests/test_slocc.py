@@ -10,11 +10,12 @@ import pytest
 
 import sloccrank.classify
 import sloccrank.slocc
-from sloccrank.coeffmatrix import QubitPermutation, coefficient_matrix, enumerate_sigmas
+from sloccrank.coeffmatrix import CoeffMatrix, QubitPermutation, coefficient_matrix, enumerate_sigmas
 from sloccrank.rank import ShapeError, exact_det, exact_rank
 from sloccrank.scalar import GaussRational, Scalar, scalar_parse
 from sloccrank.slocc import (
     LocalOperator,
+    _equation_holds,
     _predicted_matrix,
     apply_local,
     load_operators,
@@ -153,12 +154,15 @@ def matmul(left, right):
 
 
 def predicted_oracle(state, ops, sigma):
-    """(row-slot operators)^⊗ · M(sigma) · ((column-slot operators)^⊗)^T, from explicit grids."""
+    """(row-slot operators)^⊗ · M(sigma) · ((column-slot operators)^⊗)^T, from explicit grids.
+
+    Returned as ``_predicted_matrix`` returns it: the nonzero entries, keyed by row-major position.
+    """
     rows, cols = cut_qubits(sigma, state.n)
     matrix = split_matrix(state, rows, cols)
     right = kron_oracle([ops[q - 1] for q in cols])
     product = matmul(matmul(kron_oracle([ops[q - 1] for q in rows]), matrix), list(zip(*right)))
-    return tuple(tuple(row) for row in product)
+    return {i * len(row) + j: x for i, row in enumerate(product) for j, x in enumerate(row) if x}
 
 
 def full_support_state(rng, n):
@@ -195,7 +199,7 @@ class TestPredictedMatrix:
         # zero low half with a nonzero high half.
         state = PureState(3, {4: 1})
         ops = [LocalOperator(((1, 2), (3, 4)))] + identity_ops(2)
-        assert _predicted_matrix(state, ops, QubitPermutation()) == ((2, 0, 0, 0), (4, 0, 0, 0))
+        assert _predicted_matrix(state, ops, QubitPermutation()) == {0: 2, 4: 4}
 
     def test_dense_ten_qubit_dicke_under_two_transpositions(self):
         op = LocalOperator([[scalar_parse("1+i"), 2], [1, scalar_parse("-1+2i")]])
@@ -208,8 +212,7 @@ class TestPredictedMatrix:
         # One entry of qubit 7's operator, which sits in row slot 2, changed by 1.
         (a, b), (c, d) = ops[6].entries
         changed = ops[:6] + [LocalOperator(((a, b + 1), (c, d)))] + ops[7:]
-        lhs = coefficient_matrix(apply_local(state, ops), sigma).entries
-        assert _predicted_matrix(state, changed, sigma) != lhs
+        assert not _equation_holds(state, changed, apply_local(state, ops), sigma)
 
 
 def prime_denominator_state(rng, n):
@@ -319,7 +322,7 @@ def test_no_scalar_arithmetic_in_the_transforms(monkeypatch):
     ops[1] = field_singular_operator(rng)
     sigma = QubitPermutation(((1, 3),))
     want_amps, want_matrix = kron_applied(state, ops), predicted_oracle(state, ops, sigma)
-    assert want_amps and any(map(any, want_matrix))
+    assert want_amps and want_matrix
 
     def refuse(*args):
         raise AssertionError("Scalar arithmetic inside a transform")
@@ -466,6 +469,20 @@ class TestVerifyTrials:
             drawn.append(sigmas[master.randrange(len(sigmas))])
         assert any(not sigma.is_identity for sigma in drawn)
         assert seen == [s for sigma in drawn for s in (QubitPermutation(), sigma)]
+
+    @pytest.mark.parametrize("n, reads", [(5, 0), (6, 1 + 3)])
+    def test_only_determinants_lay_a_cut_out(self, monkeypatch, n, reads):
+        # The equation compares maps of nonzero entries; only exact_det reads
+        # CoeffMatrix.entries: the base determinant, then one per trial.
+        state = ladder_state(n, 2)
+        laid_out = []
+        real = CoeffMatrix.entries
+        monkeypatch.setattr(CoeffMatrix, "entries", property(lambda self: laid_out.append(1) or real.fget(self)))
+        assert verify_matrix_equation(state, random_invertible_ops(n, 5), enumerate_sigmas(n)[-1])
+        assert laid_out == []
+        checks = verify_trials(state, 3, seed=1)
+        assert all(check["failures"] == 0 for check in checks.values())
+        assert len(laid_out) == reads
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_trial_count_below_one_raises(self, trials):
