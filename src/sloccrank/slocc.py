@@ -47,6 +47,15 @@ operators coincide and only the order differs, so a pass there shows that
 the passes commute, as exact mode products on distinct bits do and as a
 fault in one pass's plane arithmetic in general does not.  Under any other
 cut it also shows that relabeling and the choice of operator commute.
+
+What a state keeps.  A ``PureState``'s amplitudes are never mutated, so
+two results are kept on it once taken: ``apply_local`` keeps the last image with the
+operators that made it, and ``_identity_det`` the determinant of the
+identity cut.  Checks repeated on one (state, operators) pair, such as
+``verify_matrix_equation`` under several swap sets and
+``verify_det_relation``, share one image, and every determinant-law check
+on one state reuses its determinant.  Each right side of the matrix
+equation is still its own transform.
 """
 
 from __future__ import annotations
@@ -212,12 +221,23 @@ def apply_local(state: PureState, ops) -> PureState:
     each, O(n * 2^n * W) bit operations, and the full tensor product is
     never materialized.  The nonzero lanes are the new amplitudes; singular
     operators may annihilate the state, giving the tagged zero state.
+
+    The state keeps its last image with the operators that made it: a call
+    whose operators equal those, entry by entry and in qubit order, returns
+    that same ``PureState`` and makes no pass.
     """
-    ops = list(ops)
+    ops = tuple(ops)
     if len(ops) != state.n:
         raise ValueError(f"need exactly {state.n} operators, got {len(ops)}")
+    for position, op in enumerate(ops):
+        if not isinstance(op, LocalOperator):
+            raise TypeError(f"operator {position}: expected a LocalOperator, got {type(op).__name__}")
+    if state._image is not None and state._image[0] == ops:
+        return state._image[1]
     amps = _transform(state, [(1 << (state.n - q), op) for q, op in enumerate(ops, 1)], state.amps)
-    return PureState(state.n, amps, allow_zero=True)
+    image = PureState(state.n, amps, allow_zero=True)
+    state._image = ops, image
+    return image
 
 
 def _predicted_matrix(state: PureState, ops, sigma: QubitPermutation) -> dict[int, Scalar]:
@@ -248,10 +268,17 @@ def _equation_holds(state: PureState, ops, transformed: PureState, sigma: QubitP
     return lhs == _predicted_matrix(state, ops, sigma)
 
 
+def _identity_det(state: PureState) -> Scalar:
+    """det M(state) on the identity cut, taken once per state and kept on it."""
+    if state._det is None:
+        state._det = exact_det(coefficient_matrix(state))
+    return state._det
+
+
 def _det_law_holds(det: Scalar, ops, transformed: PureState) -> bool:
     """det M(psi') = det M(psi) * prod_q det(A_q)^(2^((n-2)/2)), given ``det`` and psi' = ``transformed``."""
     law = det * prod((op.det() for op in ops), start=ONE) ** (1 << ((transformed.n - 2) // 2))
-    return exact_det(coefficient_matrix(transformed)) == law
+    return _identity_det(transformed) == law
 
 
 def verify_matrix_equation(state: PureState, ops, sigma: QubitPermutation | None = None) -> bool:
@@ -271,12 +298,17 @@ def verify_det_relation(state: PureState, ops) -> bool:
 
     The determinant of the transformed matrix equals the original
     determinant times the product of all operator determinants raised to
-    2^((n - 2) / 2).
+    2^((n - 2) / 2).  A state keeps the determinant of its identity cut and
+    its last image (``apply_local``), and the image keeps its own
+    determinant: checks repeated on one state take its determinant once,
+    and a check repeated with the same operators makes no pass and takes
+    no determinant.
     """
     if state.n % 2:
         raise ShapeError("the determinant relation needs an even number of qubits")
     ops = list(ops)
-    return _det_law_holds(exact_det(coefficient_matrix(state)), ops, apply_local(state, ops))
+    transformed = apply_local(state, ops)
+    return _det_law_holds(_identity_det(state), ops, transformed)
 
 
 def verify_trials(state: PureState, trials: int, seed: int, allow_singular: bool = False) -> dict:
@@ -296,7 +328,7 @@ def verify_trials(state: PureState, trials: int, seed: int, allow_singular: bool
     n = state.n
     sigmas = enumerate_sigmas(n)
     base_ranks = rank_signature(state, sigmas).ranks
-    base_det = exact_det(coefficient_matrix(state)) if n % 2 == 0 else None
+    base_det = _identity_det(state) if n % 2 == 0 else None
     master = random.Random(seed)
     equation_failures = rank_failures = det_failures = 0
     for _ in range(trials):

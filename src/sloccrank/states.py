@@ -47,13 +47,16 @@ class PureState:
     ``amps`` holds its indices in ascending order, whatever the order they
     were given in: the amplitude vector in the order the paper reshapes it.
     So the k-th amplitude of a state whose every index holds one is that of
-    index k.  ``amps`` is not to be mutated after construction.  Zero
+    index k.  ``amps`` is not to be mutated after construction, also
+    because two private slots keep results derived from it, each ``None``
+    until its first use: ``_image``, the last ``apply_local`` image with its
+    operators, and ``_det``, the determinant of the identity cut.  Zero
     amplitudes are dropped on construction.  A state with no amplitude at
     all cannot be built directly; it is only produced via :meth:`zero`, the
     image of a singular local operator.
     """
 
-    __slots__ = ("n", "amps")
+    __slots__ = ("n", "amps", "_image", "_det")
 
     def __init__(self, n: int, amps, *, allow_zero: bool = False) -> None:
         check_qubits(n)
@@ -74,6 +77,7 @@ class PureState:
             raise ValueError("state must have at least one nonzero amplitude")
         self.n = n
         self.amps = cleaned
+        self._image = self._det = None
 
     @classmethod
     def zero(cls, n: int) -> PureState:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from unittest.mock import ANY
 
 import pytest
 
@@ -418,6 +419,83 @@ class TestDetRelation:
 def test_operator_count_mismatch(check):
     with pytest.raises(ValueError, match="need exactly 4 operators, got 3"):
         check(ghz_state(4), identity_ops(3))
+
+
+@pytest.mark.parametrize("check", [apply_local, verify_matrix_equation, verify_det_relation])
+@pytest.mark.parametrize("other", [1, ANY], ids=["int", "ANY"])
+def test_operator_type_checked_before_the_kept_image(check, other):
+    # ANY equals every operator: read before the check, the kept image would answer.
+    state = ghz_state(2)
+    apply_local(state, identity_ops(2))
+    with pytest.raises(TypeError, match="operator 1: expected a LocalOperator, got "):
+        check(state, [LocalOperator.identity(), other])
+
+
+def count_calls(monkeypatch, name):
+    """The list that gains one item per call of ``sloccrank.slocc.<name>`` from now on."""
+    calls = []
+    real = getattr(sloccrank.slocc, name)
+    monkeypatch.setattr(sloccrank.slocc, name, lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+class TestKeptResults:
+    """A state keeps its last ``apply_local`` image and the determinant of its identity cut."""
+
+    def test_repeat_operators_return_the_kept_image(self, monkeypatch):
+        state = full_support_state(random.Random(71), 4)
+        ops = random_invertible_ops(4, 7)
+        transforms = count_calls(monkeypatch, "_transform")
+        first = apply_local(state, ops)
+        assert apply_local(state, ops) is first
+        assert apply_local(state, random_invertible_ops(4, 7)) is first  # equal, built apart
+        assert len(transforms) == 1
+
+    @pytest.mark.parametrize("change", ["one entry", "order"])
+    def test_other_operators_transform_again(self, monkeypatch, change):
+        state = full_support_state(random.Random(73), 4)
+        ops = random_invertible_ops(4, 9)
+        first = apply_local(state, ops)
+        if change == "order":
+            other = ops[::-1]
+        else:
+            (a, b), row = ops[2].entries
+            other = ops[:2] + [LocalOperator(((a + 1, b), row))] + ops[3:]
+        transforms = count_calls(monkeypatch, "_transform")
+        image = apply_local(state, other)
+        assert len(transforms) == 1
+        assert image != first
+        assert image == apply_local(PureState(4, state.amps), other)
+
+    def test_a_failed_transform_keeps_nothing(self, monkeypatch):
+        def fail(*args):
+            raise MemoryError
+
+        state = ladder_state(4, 2)
+        monkeypatch.setattr(sloccrank.slocc, "_transform", fail)
+        with pytest.raises(MemoryError):
+            apply_local(state, identity_ops(4))
+        assert state._image is None
+
+    def test_every_swap_set_shares_one_image(self, monkeypatch):
+        state = full_support_state(random.Random(79), 6)
+        ops = random_invertible_ops(6, 11)
+        sigmas = enumerate_sigmas(6)
+        transforms = count_calls(monkeypatch, "_transform")
+        assert all(verify_matrix_equation(state, ops, sigma) for sigma in sigmas)
+        # one image, then one right side per swap set
+        assert len(transforms) == 1 + len(sigmas)
+
+    def test_det_relation_takes_the_base_determinant_once(self, monkeypatch):
+        state = full_support_state(random.Random(83), 6)
+        assert exact_det(coefficient_matrix(state))  # the law is not only 0 = 0
+        dets = count_calls(monkeypatch, "exact_det")
+        assert verify_det_relation(state, random_invertible_ops(6, 1))
+        assert len(dets) == 2  # the base and the image
+        assert verify_det_relation(state, random_invertible_ops(6, 2))
+        assert len(dets) == 3  # the new image only
+        assert verify_det_relation(state, random_invertible_ops(6, 2))
+        assert len(dets) == 3  # the kept image kept its determinant
 
 
 class TestVerifyTrials:
