@@ -49,13 +49,13 @@ fault in one pass's plane arithmetic in general does not.  Under any other
 cut it also shows that relabeling and the choice of operator commute.
 
 What a state keeps.  A ``PureState``'s amplitudes are never mutated, so
-two results are kept on it once taken: ``apply_local`` keeps the last image with the
-operators that made it, and ``_identity_det`` the determinant of the
-identity cut.  Checks repeated on one (state, operators) pair, such as
-``verify_matrix_equation`` under several swap sets and
-``verify_det_relation``, share one image, and every determinant-law check
-on one state reuses its determinant.  Each right side of the matrix
-equation is still its own transform.
+two results are kept on it once taken: ``apply_local`` keeps the last
+image with the operators that made it, and ``_identity_det`` the
+determinant of the identity cut.  Checks repeated on one (state,
+operators) pair, such as ``verify_matrix_equation`` under several swap
+sets and ``verify_det_relation``, share one image, and every
+determinant-law check on one state reuses its determinant.  Each right
+side of the matrix equation is still its own transform.
 """
 
 from __future__ import annotations
