@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import comb
 
 from .coeffmatrix import IDENTITY, QubitPermutation, coefficient_matrix
-from .rank import exact_rank, state_cuts
+from .rank import exact_rank
 from .states import PureState, check_qubits, dicke_state, family_state
 
 __all__ = [
@@ -60,7 +60,7 @@ class FamilySignature(namedtuple("FamilySignature", ["sigmas", "ranks"])):
 
 def rank_signature(state: PureState, sigmas) -> FamilySignature:
     sigmas = tuple(sigmas)
-    ranks = tuple(exact_rank(cut).rank for cut in state_cuts(state, sigmas))
+    ranks = tuple(exact_rank(coefficient_matrix(state, sigma)).rank for sigma in sigmas)
     return FamilySignature(sigmas, ranks)
 
 

@@ -118,13 +118,13 @@ IDENTITY = QubitPermutation()
 class CoeffMatrix:
     """The coefficient matrix of a state under the cut ``sigma``, laid out only when read.
 
-    A cut is the state's amplitude map ``values``, in ascending index order
-    as a ``PureState`` keeps it, plus ``(n, sigma)``: entry (i, j) of the
+    A cut is ``(state, sigma)``, read through the state's amplitude map,
+    in the ascending index order a ``PureState`` keeps: entry (i, j) of the
     2^(n//2) by 2^(n - n//2) matrix is the amplitude at the basis index
     whose relabeling by ``sigma`` reads i << (n - n//2) | j, zero where
     there is none.  The rank engine reads a cut through :meth:`block`, the
     slots of its block of nonzero rows and columns, row by row, a slot being
-    an amplitude's place in the order of ``values``; ``entries`` lays the
+    an amplitude's place in the order of ``state.amps``; ``entries`` lays the
     whole matrix out as scalars.  The block is laid out one of two ways, by
     the size of the support:
 
@@ -139,23 +139,20 @@ class CoeffMatrix:
       (:func:`block_slots`), so a sparse cut never touches the 2^n zeros
       around its block.
 
-    Cuts made by ``rank.state_cuts`` also share one scaling of their state
-    in ``_scaled``, so ``exact_rank`` reduces the state once per prime,
-    however many of its cuts it ranks.
+    The rank engine reads the slots' values from the scaling kept on ``state``.
     """
 
-    __slots__ = ("values", "n", "sigma", "_scaled")
+    __slots__ = ("state", "n", "sigma")
 
-    def __init__(self, values: dict[int, Scalar], n: int, sigma: QubitPermutation) -> None:
-        if sigma.max_label() > n:
-            raise ValueError(f"transposition label {sigma.max_label()} exceeds n={n}")
-        self.values = values
-        self.n = n
+    def __init__(self, state: PureState, sigma: QubitPermutation) -> None:
+        if sigma.max_label() > state.n:
+            raise ValueError(f"transposition label {sigma.max_label()} exceeds n={state.n}")
+        self.state = state
+        self.n = state.n
         self.sigma = sigma
-        self._scaled = None
 
     def positions(self) -> list[int]:
-        """The row-major position in the matrix of each amplitude, in the order of ``values``.
+        """The row-major position in the matrix of each amplitude, in the order of ``state.amps``.
 
         A relabeling only moves bits, and row bits and column bits never
         share a position, so relabel(r << w | c) = relabel(r << w) |
@@ -166,17 +163,18 @@ class CoeffMatrix:
         relabel = _relabel(self.sigma, self.n)
         width = self.n - self.n // 2
         mask = (1 << width) - 1
-        rows = {r: relabel(r << width) for r in {index >> width for index in self.values}}
-        cols = {c: relabel(c) for c in {index & mask for index in self.values}}
-        return [rows[index >> width] | cols[index & mask] for index in self.values]
+        amps = self.state.amps
+        rows = {r: relabel(r << width) for r in {index >> width for index in amps}}
+        cols = {c: relabel(c) for c in {index & mask for index in amps}}
+        return [rows[index >> width] | cols[index & mask] for index in amps]
 
     def block(self) -> tuple[list[int], Sequence[int]]:
         """(slots, cols): the block of nonzero rows and columns, as :func:`block_slots` gives it.
 
-        Slot k holds the k-th amplitude of ``values``, and slot
-        ``len(values)`` the zero of an empty cell.
+        Slot k holds the k-th amplitude of ``state.amps``, and slot
+        ``len(state.amps)`` the zero of an empty cell.
         """
-        if len(self.values) < 1 << self.n:
+        if len(self.state.amps) < 1 << self.n:
             return block_slots(self.positions(), self.cols)
         relabel = _relabel(self.sigma, self.n)
         width = self.n - self.n // 2
@@ -190,7 +188,7 @@ class CoeffMatrix:
     @property
     def entries(self) -> tuple[tuple[Scalar, ...], ...]:
         flat = [ZERO] * (self.rows * self.cols)
-        for position, value in zip(self.positions(), self.values.values()):
+        for position, value in zip(self.positions(), self.state.amps.values()):
             flat[position] = value
         cols = self.cols
         return tuple(tuple(flat[k:k + cols]) for k in range(0, len(flat), cols))
@@ -262,4 +260,4 @@ def coefficient_matrix(state: PureState, sigma: QubitPermutation | None = None) 
     ascending index order; entry (i, j) is the amplitude whose row bits read
     i in binary and whose column bits read j.  Nothing is laid out here.
     """
-    return CoeffMatrix(state.amps, state.n, IDENTITY if sigma is None else sigma)
+    return CoeffMatrix(state, IDENTITY if sigma is None else sigma)

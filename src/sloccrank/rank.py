@@ -12,26 +12,26 @@ when every one of its 2^n indices holds an amplitude, the block is the
 whole matrix, whose slots are the relabeled indices themselves (a state
 keeps its amplitudes in index order); otherwise it comes from the
 O(terms) positions of the amplitudes.  A raw grid's block comes from the
-positions of its nonzero entries.  The values are scaled by the lcm of
-their denominators, so every value lies in Z[i, sqrt2]; scaling by a
-nonzero integer changes no rank and no pivot.  (Z[i, sqrt2] is not the
+positions of its nonzero entries (``_block``).  The values are scaled by
+the lcm of their denominators, so every value lies in Z[i, sqrt2]; scaling
+by a nonzero integer changes no rank and no pivot.  (Z[i, sqrt2] is not the
 ring of integers of Q(zeta_8): it has index 2 in Z[zeta_8], since zeta_8 =
 (1+i)*sqrt2/2 has half-integer coordinates.)  The values are reduced once
 per prime, on first use, to one byte string per value: its residue as one
-lane of the packed rows below.  The cuts from ``state_cuts`` share one
-scaling, hence one such set per prime and lane width, for their whole
-state.  Per prime, one gather through the slot list
-(``operator.itemgetter``) reads the block's lane bytes as one flat tuple,
-which is joined and cut into rows; the squares behind the stop rule's row
-and column sums are gathered the same way.  The block is then eliminated
-over F_p for primes p = 1 (mod 8) below 2^81, where i -> w^2 and sqrt2 ->
-w + 1/w for a primitive 8th root of unity w mod p.  An elimination costs
-about as much at 81 bits as at 62 (a residue is three 30-bit digits either
-way), and 81 bits is as wide as 13-base Miller-Rabin proves a prime, so
-each prime certifies as many bits as that proof allows.  A rank mod p never
-exceeds the true rank, so for every column prefix the engine keeps the
-largest rank any prime has shown, as the smallest k-th lead of any prime
-for each k: a prefix's rank is the number of those inside it.
+lane of the packed rows below.  A state keeps its scaling (``_scaling``),
+so its cuts share one such set per prime and lane width.  Per prime, one
+gather through the slot list (``operator.itemgetter``) reads the block's
+lane bytes as one flat tuple, which is joined and cut into rows; the
+squares behind the stop rule's row and column sums are gathered the same
+way.  The block is then eliminated over F_p for primes p = 1 (mod 8) below
+2^81, where i -> w^2 and sqrt2 -> w + 1/w for a primitive 8th root of
+unity w mod p.  An elimination costs about as much at 81 bits as at 62 (a
+residue is three 30-bit digits either way), and 81 bits is as wide as
+13-base Miller-Rabin proves a prime, so each prime certifies as many bits
+as that proof allows.  A rank mod p never exceeds the true rank, so for
+every column prefix the engine keeps the largest rank any prime has shown,
+as the smallest k-th lead of any prime for each k: a prefix's rank is the
+number of those inside it.
 
 Stop rule.  Let d in {1, 2, 4} be the degree of the smallest of Q, Q(i),
 Q(sqrt2), Q(i*sqrt2) holding every entry.  Columns 0..c hold rank at most
@@ -96,16 +96,16 @@ the next and the subtraction of q*p borrows across none.  One packed
 conditional subtraction, testing bit L+1 of x + 2^(L+1) - p, leaves every
 lane in [0, p).
 
-``exact_det`` runs fraction-free (Bareiss) elimination on integer
-coordinates: the cells are scaled once to Z[i, sqrt2], as for the rank, and
-the scaled matrix's determinant is divided by den^n at the end.  Each step
-divides its new entries by the previous step's pivot q.  The division is
-exact: by Sylvester's identity every entry after step k is a (k+1) x (k+1)
-minor of the scaled matrix, so it lies in Z[i, sqrt2].  It is done on ints,
-with no inverse: the product c of q's other conjugates (under i -> -i,
-sqrt2 -> -sqrt2, or both) makes N = q * c an int, +-(the constant term of
-q's minimal polynomial), and x / q = (x * c) / N, each coordinate of x * c
-divided exactly by N.
+``exact_det`` reads the same block: with fewer than n rows or columns it
+has determinant 0, and otherwise it is the whole matrix, whose scaled
+values fraction-free (Bareiss) elimination runs on; the result is divided
+by den^n at the end.  Each step divides its new entries by the previous
+step's pivot q.  The division is exact: by Sylvester's identity every
+entry after step k is a (k+1) x (k+1) minor of the scaled matrix, so it
+lies in Z[i, sqrt2].  It is done on ints, with no inverse: the product c
+of q's other conjugates (under i -> -i, sqrt2 -> -sqrt2, or both) makes
+N = q * c an int, +-(the constant term of q's minimal polynomial), and
+x / q = (x * c) / N, each coordinate of x * c divided exactly by N.
 
 Every function here takes a ``CoeffMatrix`` or a grid of ints, Fractions
 or scalars.  A grid entry of any other type is a ``TypeError``, and a grid
@@ -120,11 +120,10 @@ import functools
 import math
 import threading
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
-from itertools import chain
+from collections.abc import Iterable, Sequence
 from operator import itemgetter
 
-from .coeffmatrix import CoeffMatrix, block_slots, coefficient_matrix
+from .coeffmatrix import CoeffMatrix, block_slots
 from .scalar import ONE, ZERO, Scalar, _make, as_scalar, coord_bound, mix, scaled_coords
 from .states import PureState
 
@@ -138,7 +137,6 @@ __all__ = [
     "ShapeError",
     "NumericFailure",
     "exact_rank",
-    "state_cuts",
     "exact_det",
     "numeric_rank",
     "to_complex_array",
@@ -351,7 +349,7 @@ def _certified_rank(scaled: _Scaled, slots: list[int], ncols: int) -> RankResult
 
 
 class _Scaled:
-    """Values scaled to Z[i, sqrt2] by the lcm of their denominators, plus one zero slot.
+    """Values times ``den``, the lcm of their denominators, as ``coords`` in Z[i, sqrt2], plus one zero slot.
 
     Slot k holds ``values[k]`` and slot ``len(values)`` holds 0, the entry a
     block takes where the matrix has no value.  ``degree`` is the degree of
@@ -359,13 +357,13 @@ class _Scaled:
     ``squares()`` are made on first use and kept.
     """
 
-    __slots__ = ("degree", "_entries", "_squares", "_bytes")
+    __slots__ = ("den", "coords", "degree", "_squares", "_bytes")
 
     def __init__(self, values: Iterable[Scalar]) -> None:
-        _, entries = scaled_coords(values)
-        entries.append((0, 0, 0, 0))
-        self._entries = entries
-        self.degree = _degree(entries)
+        self.den, coords = scaled_coords(values)
+        coords.append((0, 0, 0, 0))
+        self.coords = coords
+        self.degree = _degree(coords)
         self._squares: list[int] | None = None
         self._bytes: dict[tuple[int, int], list[bytes]] = {}
 
@@ -375,23 +373,37 @@ class _Scaled:
         if key not in self._bytes:
             p, i_p, s_p = _field(k)
             self._bytes[key] = [((a + b * i_p + (c + d * i_p) * s_p) % p).to_bytes(width, "little")
-                                for a, b, c, d in self._entries]
+                                for a, b, c, d in self.coords]
         return self._bytes[key]
 
     def squares(self) -> list[int]:
         """e^2 per value, where e = ``coord_bound`` of the value bounds the modulus of every conjugate."""
         if self._squares is None:
-            self._squares = [coord_bound(x) ** 2 for x in self._entries]
+            self._squares = [coord_bound(x) ** 2 for x in self.coords]
         return self._squares
 
 
-def state_cuts(state: PureState, sigmas) -> Iterator[CoeffMatrix]:
-    """``coefficient_matrix(state, sigma)`` for each sigma, in order, all sharing one scaling."""
-    scaled = _Scaled(state.amps.values())
-    for sigma in sigmas:
-        cut = coefficient_matrix(state, sigma)
-        cut._scaled = scaled
-        yield cut
+def _scaling(state: PureState) -> _Scaled:
+    """The scaling of ``state``'s amplitudes, in the order of ``state.amps``: made on first use, kept on the state."""
+    if state._scaled is None:
+        state._scaled = _Scaled(state.amps.values())
+    return state._scaled
+
+
+def _block(matrix) -> tuple[_Scaled, list[int], Sequence[int], int, int]:
+    """(scaled, slots, cols, rows, width): the block of the module docstring, and the matrix's shape.
+
+    A cut's slots index its state's kept scaling; a grid's nonzero entries are scaled together.
+    """
+    if isinstance(matrix, CoeffMatrix):
+        slots, cols = matrix.block()
+        return _scaling(matrix.state), slots, cols, matrix.rows, matrix.cols
+    grid = _grid(matrix)
+    width = len(grid[0]) if grid else 0
+    flat = [x for row in grid for x in row]
+    positions = [k for k, x in enumerate(flat) if x]
+    slots, cols = block_slots(positions, width)
+    return _Scaled([flat[k] for k in positions]), slots, cols, len(grid), width
 
 
 def exact_rank(matrix) -> RankResult:
@@ -400,21 +412,10 @@ def exact_rank(matrix) -> RankResult:
     The pivot columns are those that raise the rank of the columns before
     them: the leads of the module docstring's elimination, which are the
     pivots of first-nonzero elimination.  No threshold is involved.
-    ``matrix`` is a :class:`CoeffMatrix`, whose amplitudes are read from
-    its state's shared scaling (``state_cuts``) or a scaling of their own,
-    or a grid, whose nonzero entries are scaled together.  Either way only
-    the block of nonzero rows and nonzero columns is eliminated.
+    Only the block of nonzero rows and nonzero columns (``_block``) is
+    eliminated.
     """
-    if isinstance(matrix, CoeffMatrix):
-        scaled = matrix._scaled or _Scaled(matrix.values.values())
-        slots, cols = matrix.block()
-    else:
-        grid = _grid(matrix)
-        width = len(grid[0]) if grid else 0
-        flat = [x for row in grid for x in row]
-        positions = [k for k, x in enumerate(flat) if x]
-        scaled = _Scaled([flat[k] for k in positions])
-        slots, cols = block_slots(positions, width)
+    scaled, slots, cols, _, _ = _block(matrix)
     if not slots:
         return RankResult(0, ())
     result = _certified_rank(scaled, slots, len(cols))
@@ -453,27 +454,24 @@ def _other_conjugates(x: tuple[int, int, int, int]) -> tuple[tuple[int, int, int
 def exact_det(matrix) -> Scalar:
     """Exact determinant by fraction-free (Bareiss) elimination on integer coordinates.
 
-    The matrix is read as scalar rows by ``_grid``, as ``to_complex_array``
-    reads it, and its cells are scaled once to 4-tuples of Z[i, sqrt2] by the
-    lcm ``den`` of their denominators.  Step k takes the first row with a
-    nonzero entry in column k as its pivot row (a swap flips the sign), and
-    the determinant is 0 when there is none.  Each entry below it
-    becomes (pivot * a_ij - a_ik * a_kj) / q, q the previous step's pivot.
-    That is a minor of the scaled matrix (Sylvester's identity), so the
-    division is exact: a product by c, the product of q's other conjugates,
-    then an int division of each coordinate by N = q * c (see the module
-    docstring).  The product by c is taken once per step, on the pivot row,
-    so each entry costs one ``mix`` and, unless N = 1, four int divisions.
-    The last entry, over den^n, is the determinant.
+    The matrix is read through ``_block``, as ``exact_rank`` reads it.  Step
+    k takes the first row with a nonzero entry in column k as its pivot row
+    (a swap flips the sign), and the determinant is 0 when there is none.
+    Each entry below it becomes (pivot * a_ij - a_ik * a_kj) / q, q the
+    previous step's pivot, divided exactly as the module docstring says:
+    the product by c, q's other conjugates, is taken once per step, on the
+    pivot row, so each entry costs one ``mix`` and, unless N = 1, four int
+    divisions.  The last entry, over den^n, is the determinant.
     """
-    grid = _grid(matrix)
-    n, width = len(grid), len(grid[0]) if grid else 0
+    scaling, slots, _, n, width = _block(matrix)
     if n != width:
         raise ShapeError(f"determinant needs a square matrix, got {n}x{width}")
-    den, flat = scaled_coords(chain.from_iterable(grid))
     if n == 0:
         return ONE
-    grid = [flat[k:k + n] for k in range(0, n * n, n)]
+    if len(slots) < n * n:
+        return ZERO
+    den, coords = scaling.den, scaling.coords
+    grid = [[coords[k] for k in slots[i:i + n]] for i in range(0, n * n, n)]
     sign = 1
     conj, norm = _ONE4, 1  # the previous pivot's other conjugates and its norm
     for _ in range(n - 1):

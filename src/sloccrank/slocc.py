@@ -13,7 +13,7 @@ from row-major position to nonzero entry, since a transform drops zero lanes.
 
 Both sides are one transform, ``_transform``, on integer coordinates and
 whole vectors at a time.  The amplitudes and each operator are scaled to
-Z[i, sqrt2] once (``scalar.scaled_coords``), and the amplitudes are packed
+Z[i, sqrt2] once (``_scaling``, ``_operator``), and the amplitudes are packed
 into four planes, one Python int per coordinate of (1, i, sqrt2, i*sqrt2):
 lane k of a plane holds that coordinate of the k-th entry of the vector as
 a signed value of W bits, the plane being sum v_k * 2^(W*k).  One
@@ -48,14 +48,15 @@ the passes commute, as exact mode products on distinct bits do and as a
 fault in one pass's plane arithmetic in general does not.  Under any other
 cut it also shows that relabeling and the choice of operator commute.
 
-What a state keeps.  A ``PureState``'s amplitudes are never mutated, so
-two results are kept on it once taken: ``apply_local`` keeps the last
-image with the operators that made it, and ``_identity_det`` the
-determinant of the identity cut.  Checks repeated on one (state,
-operators) pair, such as ``verify_matrix_equation`` under several swap
-sets and ``verify_det_relation``, share one image, and every
-determinant-law check on one state reuses its determinant.  Each right
-side of the matrix equation is still its own transform.
+What a state keeps.  A ``PureState``'s amplitudes are read-only, so three
+results are kept on it once taken: ``apply_local`` keeps the last image
+with the operators that made it, ``_identity_det`` the determinant of the
+identity cut, and ``rank._scaling`` the scaled amplitudes that every
+transform of it and every rank and determinant of its cuts read.  Checks
+repeated on one (state, operators) pair, such as ``verify_matrix_equation``
+under several swap sets and ``verify_det_relation``, share one image, and
+every determinant-law check on one state reuses its determinant.  Each
+right side of the matrix equation is still its own transform.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from math import prod
 
 from .classify import rank_signature
 from .coeffmatrix import IDENTITY, QubitPermutation, coefficient_matrix, enumerate_sigmas
-from .rank import ShapeError, exact_det
+from .rank import ShapeError, _scaling, exact_det
 from .scalar import (
     GaussRational,
     ONE,
@@ -182,9 +183,10 @@ def _transform(state: PureState, passes, positions) -> dict[int, Scalar]:
     ``den``.  Lane k holds its (a, b, c, d) over ``den``; zero lanes are
     dropped, and only here do the others become canonical scalars.
     """
-    den, coords = scaled_coords(state.amps.values())
+    scaled = _scaling(state)
+    den, coords = scaled.den, scaled.coords  # coords ends with the zero slot, which no position reads
     passes = [(block, _operator(op)) for block, op in passes]
-    bits = max(map(coord_bound, coords), default=0).bit_length() + 1  # with the sign bit
+    bits = max(map(coord_bound, coords)).bit_length() + 1  # with the sign bit
     width = -(-(bits + sum(growth.bit_length() for _, (_, _, growth) in passes)) // 8)
     count = 1 << state.n
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
@@ -196,7 +198,7 @@ def _transform(state: PureState, passes, positions) -> dict[int, Scalar]:
             if x[j]:
                 cells[position] = x[j].to_bytes(width, "little", signed=True)
         planes.append((int.from_bytes(b"".join(cells), "little") ^ bias) - bias)
-    del cells, coords  # the planes hold them now; at n = 16 they are megabytes the passes need not keep
+    del cells  # the planes hold them now; at n = 16 they are megabytes the passes need not keep
     for block, (e, rows, _) in passes:
         den *= e
         planes = _mode_product(planes, rows, bias, count, width, block)

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from types import MappingProxyType
 
-from .scalar import GaussRational, ParseError, Scalar, as_scalar, scalar_format, scalar_parse
+from .scalar import GaussRational, ParseError, Scalar, ZERO, as_scalar, scalar_format, scalar_parse
 
 __all__ = [
     "MAX_QUBITS",
@@ -47,16 +48,18 @@ class PureState:
     ``amps`` holds its indices in ascending order, whatever the order they
     were given in: the amplitude vector in the order the paper reshapes it.
     So the k-th amplitude of a state whose every index holds one is that of
-    index k.  ``amps`` is not to be mutated after construction, also
-    because two private slots keep results derived from it, each ``None``
-    until its first use: ``_image``, the last ``apply_local`` image with its
-    operators, and ``_det``, the determinant of the identity cut.  Zero
+    index k.  ``amps`` is a read-only view: writing to it raises
+    ``TypeError``, since three private slots keep results derived from it,
+    each ``None`` until its first use: ``_image``, the last ``apply_local``
+    image with its operators; ``_det``, the determinant of the identity
+    cut; and ``_scaled``, the amplitudes scaled to Z[i, sqrt2] that every
+    cut's rank and determinant and every transform of the state read.  Zero
     amplitudes are dropped on construction.  A state with no amplitude at
     all cannot be built directly; it is only produced via :meth:`zero`, the
     image of a singular local operator.
     """
 
-    __slots__ = ("n", "amps", "_image", "_det")
+    __slots__ = ("n", "amps", "_image", "_det", "_scaled")
 
     def __init__(self, n: int, amps, *, allow_zero: bool = False) -> None:
         check_qubits(n)
@@ -76,8 +79,8 @@ class PureState:
         if not cleaned and not allow_zero:
             raise ValueError("state must have at least one nonzero amplitude")
         self.n = n
-        self.amps = cleaned
-        self._image = self._det = None
+        self.amps = MappingProxyType(cleaned)
+        self._image = self._det = self._scaled = None
 
     @classmethod
     def zero(cls, n: int) -> PureState:
@@ -89,7 +92,7 @@ class PureState:
         return not self.amps
 
     def amplitude(self, index: int) -> Scalar:
-        return self.amps.get(index, _ZERO)
+        return self.amps.get(index, ZERO)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PureState):
@@ -99,8 +102,6 @@ class PureState:
     def __repr__(self) -> str:
         return f"PureState(n={self.n}, {len(self.amps)} amplitudes)"
 
-
-_ZERO = Scalar()
 
 
 def basis_state(n: int, index: int) -> PureState:

@@ -261,7 +261,7 @@ class TestBitSplit:
             for sigma in enumerate_sigmas(n):
                 assert sorted(coefficient_matrix(state, sigma).positions()) == list(range(1 << n))
         with pytest.raises(ValueError, match="exceeds n=4"):
-            CoeffMatrix(ghz_state(4).amps, 4, QubitPermutation(((2, 5),)))
+            CoeffMatrix(ghz_state(4), QubitPermutation(((2, 5),)))
         with pytest.raises(ValueError):
             split_matrix(ghz_state(4), (1, 2), (2, 3))
 

@@ -41,7 +41,6 @@ from sloccrank.rank import (
     exact_det,
     exact_rank,
     numeric_rank,
-    state_cuts,
     to_complex_array,
 )
 from sloccrank.scalar import GaussRational, I, SQRT2, Scalar, ZERO, scalar_parse
@@ -236,7 +235,7 @@ class TestModularEngine:
 
 
 def cut_ranks(state: PureState, sigmas) -> list[RankResult]:
-    return [exact_rank(cut) for cut in state_cuts(state, sigmas)]
+    return [exact_rank(coefficient_matrix(state, sigma)) for sigma in sigmas]
 
 
 def short_root(p: int, t: int) -> tuple[int, int]:
@@ -356,19 +355,20 @@ def dense_state_of_kind(seed: int, n: int, kind: str) -> PureState:
 
 
 class TestStateRoute:
-    """``state_cuts`` reads every cut from one scaling of its state: one set of lane bytes per prime."""
+    """Every cut of a state reads the scaling kept on that state: one set of lane bytes per prime."""
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
            kind=st.sampled_from(["rational", "gauss", "sqrt2", "i*sqrt2", "mixed", "sparse"]))
     def test_equals_matrix_route_and_reference(self, n, seed, kind):
+        # The grid of a cut's entries is scaled on its own: the matrix route.
         state = dense_state_of_kind(seed, n, kind)
         sigmas = enumerate_sigmas(n) if n > 1 else [IDENTITY]
-        for sigma, cut in zip(sigmas, state_cuts(state, sigmas), strict=True):
-            matrix = coefficient_matrix(state, sigma)
-            assert (cut.n, cut.sigma) == (n, sigma)
-            assert cut.entries == matrix.entries == split_matrix(state, *cut_qubits(sigma, n))
-            assert exact_rank(cut) == exact_rank(matrix) == reference_rank(matrix)
+        for sigma in sigmas:
+            cut = coefficient_matrix(state, sigma)
+            assert (cut.state, cut.n, cut.sigma) == (state, n, sigma)
+            assert cut.entries == split_matrix(state, *cut_qubits(sigma, n))
+            assert exact_rank(cut) == exact_rank([list(row) for row in cut.entries]) == reference_rank(cut)
 
     def test_zero_state(self):
         assert cut_ranks(PureState.zero(4), enumerate_sigmas(4)) == [RankResult(0, ())] * 3
@@ -391,13 +391,29 @@ class TestStateRoute:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_every_engine_takes_a_state_cut(self, n):
         state = dense_state(n, n, field=True)[0]
-        sigmas = enumerate_sigmas(n) if n > 1 else [IDENTITY]
-        for sigma, cut in zip(sigmas, state_cuts(state, sigmas), strict=True):
-            matrix = coefficient_matrix(state, sigma)
+        for sigma in enumerate_sigmas(n) if n > 1 else [IDENTITY]:
+            cut = coefficient_matrix(state, sigma)
+            grid = [list(row) for row in cut.entries]
             if n % 2 == 0:
-                assert exact_det(cut) == exact_det(matrix)
-            assert numeric_rank(cut) == numeric_rank(matrix)
-            assert np.array_equal(to_complex_array(cut), to_complex_array(matrix))
+                assert exact_det(cut) == exact_det(grid)
+            assert numeric_rank(cut) == numeric_rank(grid)
+            assert np.array_equal(to_complex_array(cut), to_complex_array(grid))
+
+    def test_every_cut_reads_the_scaling_kept_on_its_state(self, monkeypatch):
+        state = dense_state(7, 6, field=True)[0]
+        assert state._scaled is None
+        built, read = [], []
+        real_scaled, real_rank = rank_module._Scaled, rank_module._certified_rank
+        monkeypatch.setattr(rank_module, "_Scaled", lambda values: built.append(1) or real_scaled(values))
+        monkeypatch.setattr(rank_module, "_certified_rank",
+                            lambda scaled, *args: read.append(scaled) or real_rank(scaled, *args))
+        cuts = [coefficient_matrix(state, sigma) for sigma in enumerate_sigmas(6)]
+        assert [exact_rank(cut) for cut in cuts] == [reference_rank(cut) for cut in cuts]
+        assert exact_det(cuts[0]) == reference_det(cuts[0])
+        apply_local(state, [LocalOperator(((1, 1), (0, 1)))] * 6)
+        # the cuts, the determinant and the transform read one scaling, kept on the state
+        assert len(built) == 1 and len(read) == len(cuts)
+        assert state._scaled is not None and all(scaled is state._scaled for scaled in read)
 
     def test_signature_ranks_each_cut_through_exact_rank(self, monkeypatch):
         # rank_signature calls classify.exact_rank once per cut, so a fault
@@ -415,7 +431,7 @@ class TestStateRoute:
         monkeypatch.setattr(classify_module, "exact_rank", off_by_one)
         assert rank_signature(state, sigmas).ranks == tuple(r + 1 for r in expected)
         assert [cut.sigma for cut in seen] == sigmas
-        assert seen[0]._scaled is not None and all(cut._scaled is seen[0]._scaled for cut in seen)
+        assert state._scaled is not None and all(cut.state is state for cut in seen)
 
 
 class TestNonzeroBlock:
@@ -450,12 +466,10 @@ class TestNonzeroBlock:
     @pytest.mark.parametrize("family", ["ghz", "w"])
     def test_every_sixteen_qubit_cut_from_a_scaling_of_terms_plus_one(self, family):
         state = ghz_state(16) if family == "ghz" else dicke_state(16, 1)
-        cuts = state_cuts(state, enumerate_sigmas(16))
-        first = next(cuts)
-        ranks = [exact_rank(first).rank, *(exact_rank(cut).rank for cut in cuts)]
-        assert len(ranks) == 6435 and set(ranks) == {2}
-        kept = first._scaled._bytes
-        assert {len(cells) for cells in kept.values()} == {len(first._scaled.squares())} == {len(state.amps) + 1}
+        ranks = cut_ranks(state, enumerate_sigmas(16))
+        assert len(ranks) == 6435 and {rank for rank, _ in ranks} == {2}
+        kept = state._scaled._bytes
+        assert {len(cells) for cells in kept.values()} == {len(state._scaled.squares())} == {len(state.amps) + 1}
 
 
 class TestBlockLayout:
@@ -504,12 +518,10 @@ class TestBlockLayout:
         real = CoeffMatrix.positions
         monkeypatch.setattr(CoeffMatrix, "positions", lambda self: pytest.fail("positions() was called"))
         assert exact_rank(coefficient_matrix(dense, sigma)) == expected[0]
-        assert [exact_rank(cut) for cut in state_cuts(dense, [sigma])] == expected[:1]
         called = []
         monkeypatch.setattr(CoeffMatrix, "positions", lambda self: called.append(self.sigma) or real(self))
         assert exact_rank(coefficient_matrix(holed, sigma)) == expected[1]
-        assert [exact_rank(cut) for cut in state_cuts(holed, [sigma])] == expected[1:]
-        assert called == [sigma, sigma]
+        assert called == [sigma]
 
 
 def gf2_rank(rows: list[int]) -> int:
@@ -945,6 +957,38 @@ class TestExactDet:
     def test_non_square_grid_names_its_shape(self, grid, shape):
         with pytest.raises(ShapeError, match=f"square matrix, got {shape}$"):
             exact_det(grid)
+
+    @pytest.mark.parametrize("family", ["ghz", "w"])
+    def test_sixteen_qubit_block_narrower_than_the_cut_is_zero_unlaid(self, monkeypatch, family):
+        # 2 and 9 nonzero rows of 256: a zero row, found without laying the cut out or eliminating.
+        state = ghz_state(16) if family == "ghz" else dicke_state(16, 1)
+        monkeypatch.setattr(CoeffMatrix, "entries", property(lambda self: pytest.fail("entries were laid out")))
+        monkeypatch.setattr(rank_module, "_other_conjugates", lambda x: pytest.fail("an elimination step ran"))
+        assert exact_det(coefficient_matrix(state)) == ZERO
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_cut_equals_its_laid_out_grid(self, n):
+        # Dense cuts take the full-support block; the others read positions,
+        # with a full block, an empty row or an empty column.
+        rng = random.Random(n)
+        dense = PureState(n, {index: random_scalar(rng) or Scalar(1) for index in range(1 << n)})
+        w = n - n // 2  # the identity cut's column bits
+        amps = dense.amps.items()
+        states = [
+            dense,
+            PureState(n, {i: x for i, x in amps if i % 7 != 3 or i >> w == 0}),  # holes, every row and column kept
+            PureState(n, {i: x for i, x in amps if i >> w != 1}),  # row 1 empty
+            PureState(n, {i: x for i, x in amps if i % (1 << w) != 1}),  # column 1 empty
+            PureState(n, {(k << w) | k: k + 1 for k in range(1 << n // 2)}),  # the diagonal
+        ]
+        sigmas = enumerate_sigmas(n)
+        dets = []
+        for state in states:
+            for sigma in sigmas:
+                matrix = coefficient_matrix(state, sigma)
+                dets.append(exact_det(matrix))
+                assert dets[-1] == exact_det([list(row) for row in matrix.entries])
+        assert all(dets[:len(sigmas)]) and dets[-len(sigmas)]  # not only 0 = 0
 
     def test_det_nonzero_iff_full_rank(self):
         rng = random.Random(29)

@@ -529,8 +529,24 @@ class TestVerifyTrials:
         assert len(scaled) == 1 + 3
         # 3 cuts per state, the untransformed one first: each state's cuts share one scaling
         assert len(ranked) == 3 * 4
-        assert [len({id(cut._scaled) for cut in ranked[k:k + 3]}) for k in range(0, 12, 3)] == [1] * 4
-        assert len({id(cut._scaled) for cut in ranked}) == 4 and ranked[0]._scaled is not None
+        assert [len({id(cut.state) for cut in ranked[k:k + 3]}) for k in range(0, 12, 3)] == [1] * 4
+        assert len({id(cut.state._scaled) for cut in ranked}) == 4 and ranked[0].state._scaled is not None
+
+    def test_one_scaling_of_each_state_serves_its_ranks_determinants_and_transforms(self, monkeypatch):
+        # The base state's scaling serves its signature, its determinant and
+        # every transform; each trial's image is scaled once more, for its own.
+        state = full_support_state(random.Random(89), 6)
+        sizes = []
+        for module in (sloccrank.rank, sloccrank.slocc):
+            def counted(values, _real=module.scaled_coords):
+                values = list(values)
+                sizes.append(len(values))
+                return _real(values)
+            monkeypatch.setattr(module, "scaled_coords", counted)
+        checks = verify_trials(state, 3, seed=1)
+        assert all(check["failures"] == 0 for check in checks.values())
+        assert checks["det_relation"]["runs"] == 3
+        assert sizes.count(64) == 1 + 3
 
     def test_equation_checked_under_identity_and_the_drawn_swap_set(self, monkeypatch):
         seen = []
@@ -548,10 +564,10 @@ class TestVerifyTrials:
         assert any(not sigma.is_identity for sigma in drawn)
         assert seen == [s for sigma in drawn for s in (QubitPermutation(), sigma)]
 
-    @pytest.mark.parametrize("n, reads", [(5, 0), (6, 1 + 3)])
-    def test_only_determinants_lay_a_cut_out(self, monkeypatch, n, reads):
-        # The equation compares maps of nonzero entries; only exact_det reads
-        # CoeffMatrix.entries: the base determinant, then one per trial.
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_no_check_lays_a_cut_out(self, monkeypatch, n):
+        # The equation compares maps of nonzero entries, and exact_det reads
+        # a cut's block of nonzero rows and columns, as exact_rank does.
         state = ladder_state(n, 2)
         laid_out = []
         real = CoeffMatrix.entries
@@ -560,7 +576,8 @@ class TestVerifyTrials:
         assert laid_out == []
         checks = verify_trials(state, 3, seed=1)
         assert all(check["failures"] == 0 for check in checks.values())
-        assert len(laid_out) == reads
+        assert checks["det_relation"]["runs"] == (3 if n % 2 == 0 else 0)
+        assert laid_out == []
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_trial_count_below_one_raises(self, trials):

@@ -63,6 +63,18 @@ class TestPureState:
         with pytest.raises(ValueError):
             PureState(17, {0: 1})
 
+    def test_amplitudes_are_read_only(self):
+        # A state keeps results derived from its amplitudes, so they cannot change under it.
+        given = {0: 1, 3: 2}
+        state = PureState(2, given)
+        with pytest.raises(TypeError):
+            state.amps[1] = Scalar(1)
+        with pytest.raises(TypeError):
+            del state.amps[0]
+        given[1] = 5
+        assert list(state.amps.items()) == [(0, Scalar(1)), (3, Scalar(2))]
+        assert state == PureState(2, {3: 2, 0: 1}) != PureState(2, {0: 1, 3: 3})
+
 
 class TestIndexOrder:
     """``amps`` holds its indices in ascending order, however the state was made."""
