@@ -23,15 +23,33 @@ so its cuts share one such set per prime and lane width.  Per prime, one
 gather through the slot list (``operator.itemgetter``) reads the block's
 lane bytes as one flat tuple, which is joined and cut into rows; the
 squares behind the stop rule's row and column sums are gathered the same
-way.  The block is then eliminated over F_p for primes p = 1 (mod 8) below
-2^81, where i -> w^2 and sqrt2 -> w + 1/w for a primitive 8th root of
-unity w mod p.  An elimination costs about as much at 81 bits as at 62 (a
-residue is three 30-bit digits either way), and 81 bits is as wide as
-13-base Miller-Rabin proves a prime, so each prime certifies as many bits
-as that proof allows.  A rank mod p never exceeds the true rank, so for
-every column prefix the engine keeps the largest rank any prime has shown,
-as the smallest k-th lead of any prime for each k: a prefix's rank is the
-number of those inside it.
+way.  The block is then eliminated over F_p for primes p = 1 (mod 8),
+where i -> w^2 and sqrt2 -> w + 1/w for a primitive 8th root of unity w
+mod p.  A rank mod p never exceeds the true rank, so for every column
+prefix the engine keeps the largest rank any prime has shown, as the
+smallest k-th lead of any prime for each k: a prefix's rank is the number
+of those inside it.
+
+Prime sizes.  Primes come in two sizes, each searched by ``_field`` and
+kept in its own list.  A one-digit prime lies below 2^bits_per_digit
+(2^30 on 64-bit CPython), so each residue is one digit of a Python int.
+An 81-bit prime is as wide as 13-base Miller-Rabin proves a prime, and an
+elimination costs about as much at 81 bits as at 62 (a residue is three
+30-bit digits either way).  A one-digit elimination costs a third to two
+fifths as much: ``_pivots_lanes`` on 16 x 16 residues took 64 against
+192 us at full rank and 27 against 69 us at rank 3 (Python 3.11, a
+2-core Xeon).  Per certified bit that is 0.91 against 0.85 us, and packing
+a block's rows adds about 11 us per prime at either size, so an 81-bit
+prime certifies bits a little more cheaply, while a one-digit prime finds
+a rank at a third of the cost.
+
+Prime plan.  The first elimination of every block is modulo the largest
+one-digit prime.  It finds the rank, and it alone closes a block whose
+rank needs no bound (full column rank, or full row rank with no column
+skipped).  While the stop rule below is not met, each further prime is
+the next 81-bit one, unless one more one-digit prime would close it; then
+it is the next one-digit prime.  The two lists share no prime, so M below
+is a product of distinct primes = 1 (mod 8), whichever sizes it took.
 
 Stop rule.  Let d in {1, 2, 4} be the degree of the smallest of Q, Q(i),
 Q(sqrt2), Q(i*sqrt2) holding every entry.  Columns 0..c hold rank at most
@@ -44,14 +62,15 @@ s(m) of every such minor m: by Hadamard, the product of the ``missing``
 largest sums of e^2 (e = ``coord_bound`` of an entry) along the block's
 rows, or along its columns if smaller.  Each sum counts as at least 1, so
 P also bounds the smaller minors missing at lower prefixes.  Primes are
-added until their product M satisfies M^2 > P^d.  Proof: each p = 1 (mod
-8) splits completely, so a minor m that vanishes mod p lies in a prime of
-norm p and p divides N_{K/Q}(m); M then divides that norm, which is at
-most P^(d/2) < M, so m = 0.  Every prefix rank, hence the rank and the
-pivot columns, is exact.  No tolerance is involved.  The rule holds on the
-block as it does on the whole matrix: a zero row or column would enter the
-bound with the factor 1, and the cap min(c+1, rows) on the rank of columns
-0..c only tightens when the rows counted are the nonzero ones.
+added, by the plan above, until their product M satisfies M^2 > P^d.
+Proof: each p = 1 (mod 8) splits completely, so a minor m that vanishes
+mod p lies in a prime of norm p and p divides N_{K/Q}(m); M then divides
+that norm, which is at most P^(d/2) < M, so m = 0.  Every prefix rank,
+hence the rank and the pivot columns, is exact.  No tolerance is involved.
+The rule holds on the block as it does on the whole matrix: a zero row or
+column would enter the bound with the factor 1, and the cap min(c+1, rows)
+on the rank of columns 0..c only tightens when the rows counted are the
+nonzero ones.
 
 Elimination.  Each row in turn is reduced against the basis rows, in the
 order they were found: it loses f times basis row b, f being its entry at
@@ -90,17 +109,18 @@ L-2 bits of x costs the quotient less than 2^(L-2)/p <= 1/2, and truncating
 mu less than t/2^(L+e+3) < 1/2, so q is floor(x/p) or one less and x - q*p
 lies in [0, 2p).  The products t*mu stay below 2^(2L+2e+4), the lane width
 in bits, rounded up to whole bytes (16 lanes of 81-bit residues fill 22
-bytes exactly).  After each shift the next lane's bits start at or above
-the mask taken, L+e+2 bits for t and L+e+1 for q, so no lane spills into
-the next and the subtraction of q*p borrows across none.  One packed
-conditional subtraction, testing bit L+1 of x + 2^(L+1) - p, leaves every
-lane in [0, p).
+bytes exactly; 16 of one-digit residues take 10).  After each shift the
+next lane's bits start at or above the mask taken, L+e+2 bits for t and
+L+e+1 for q, so no lane spills into the next and the subtraction of q*p
+borrows across none.  One packed conditional subtraction, testing bit L+1
+of x + 2^(L+1) - p, leaves every lane in [0, p).
 
 ``exact_det`` reads the same block: with fewer than n rows or columns it
 has determinant 0, and otherwise it is the whole matrix, whose scaled
 values fraction-free (Bareiss) elimination runs on; the result is divided
-by den^n at the end.  Each step divides its new entries by the previous
-step's pivot q.  The division is exact: by Sylvester's identity every
+by den^n at the end; the determinant of a state's identity cut is kept on
+the state.  Each step divides its new entries by the previous step's
+pivot q.  The division is exact: by Sylvester's identity every
 entry after step k is a (k+1) x (k+1) minor of the scaled matrix, so it
 lies in Z[i, sqrt2].  It is done on ints, with no inverse: the product c
 of q's other conjugates (under i -> -i, sqrt2 -> -sqrt2, or both) makes
@@ -118,6 +138,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import threading
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
@@ -167,15 +188,20 @@ def _grid(matrix) -> list[list[Scalar]]:
 
 # --- prime fields ------------------------------------------------------------
 
+# A residue below 2^bits_per_digit is one digit of a Python int (2^30 on
+# 64-bit CPython), so an elimination modulo such a prime costs a third to
+# two fifths of one modulo an 81-bit prime (the module docstring).
+_DIGIT_LIMIT = 1 << sys.int_info.bits_per_digit
 _PRIME_LIMIT = 1 << 81
 # Miller-Rabin with the first 13 primes as bases is deterministic below
 # psi_13 = 3.317e24, beyond 2^81 (Sorenson and Webster, Math. Comp. 86, 2017);
 # the first 12 alone only below psi_12 = 3.187e23, about 2^78.1.
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# (p, i_p, s_p) with p = 1 (mod 8), i_p^2 = -1 and s_p^2 = 2 (mod p), largest
-# p first; found on first use and kept for the life of the process.  The list
-# only grows, under the lock, so no prime can enter it twice.
-_fields: list[tuple[int, int, int]] = []
+# Per limit, (p, i_p, s_p) with p = 1 (mod 8) below it, i_p^2 = -1 and
+# s_p^2 = 2 (mod p), largest p first; found on first use and kept for the
+# life of the process.  Each list only grows, under the one lock, so no prime
+# can enter it twice, and the two lists share none.
+_fields: dict[int, list[tuple[int, int, int]]] = {_DIGIT_LIMIT: [], _PRIME_LIMIT: []}
 _fields_lock = threading.Lock()
 
 
@@ -201,13 +227,17 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _field(k: int) -> tuple[int, int, int]:
-    """The k-th prime field below 2^81 that holds i and sqrt2; the first is p = 2^81 - 63."""
-    if k < len(_fields):
-        return _fields[k]
+def _field(k: int, limit: int = _PRIME_LIMIT) -> tuple[int, int, int]:
+    """The k-th prime field below ``limit`` (2^81 or 2^bits_per_digit) that holds i and sqrt2.
+
+    The first below 2^81 is p = 2^81 - 63, and the first below 2^30 is p = 2^30 - 135.
+    """
+    fields = _fields[limit]
+    if k < len(fields):
+        return fields[k]
     with _fields_lock:
-        while len(_fields) <= k:
-            p = _fields[-1][0] - 8 if _fields else _PRIME_LIMIT - 7
+        while len(fields) <= k:
+            p = fields[-1][0] - 8 if fields else limit - 7
             while not _is_prime(p):
                 p -= 8
             g = 2
@@ -215,8 +245,8 @@ def _field(k: int) -> tuple[int, int, int]:
                 g += 1
             # g is a non-residue, so w^4 = g^((p-1)/2) = -1: w has order 8.
             w = pow(g, (p - 1) // 8, p)
-            _fields.append((p, w * w % p, (w + pow(w, 7, p)) % p))
-    return _fields[k]
+            fields.append((p, w * w % p, (w + pow(w, 7, p)) % p))
+    return fields[k]
 
 
 # --- exact rank --------------------------------------------------------------
@@ -314,7 +344,8 @@ def _certified_rank(scaled: _Scaled, slots: list[int], ncols: int) -> RankResult
     smallest (k+1)-th lead any prime has shown, is lowered in place by each
     prime's sorted leads; it holds the pivots, and its entries up to c count
     the rank of columns 0..c.  The e^2 sums are sorted once per block, and
-    each check multiplies only the ``missing`` largest.
+    each check multiplies only the ``missing`` largest.  The primes follow
+    the module docstring's plan: ``taken[limit]`` counts those of each size.
     """
     gather = _gather(slots)
     size = len(slots)
@@ -322,12 +353,14 @@ def _certified_rank(scaled: _Scaled, slots: list[int], ncols: int) -> RankResult
     best: list[int] = []
     modulus = 1
     row_sums = col_sums = None
-    k = 0
+    taken = {_DIGIT_LIMIT: 0, _PRIME_LIMIT: 0}
+    limit = _DIGIT_LIMIT
     while True:
-        p = _field(k)[0]
+        field = _field(taken[limit], limit)
+        taken[limit] += 1
+        p = field[0]
         width = _lanes(p, ncols)[0]
-        leads = _pivots_lanes(_packed(gather(scaled.lane_bytes(k, width)), ncols * width), p, ncols)
-        k += 1
+        leads = _pivots_lanes(_packed(gather(scaled.lane_bytes(field, width)), ncols * width), p, ncols)
         modulus *= p
         if len(leads) > len(best):
             best, leads = leads, best
@@ -343,8 +376,11 @@ def _certified_rank(scaled: _Scaled, slots: list[int], ncols: int) -> RankResult
             # A row or column of a nonzero minor has a sum of at least 1.
             row_sums = sorted([sum(squares[i:i + ncols]) or 1 for i in range(0, size, ncols)], reverse=True)
             col_sums = sorted([sum(squares[c::ncols]) or 1 for c in range(ncols)], reverse=True)
-        if modulus * modulus > min(math.prod(row_sums[:missing]), math.prod(col_sums[:missing])) ** scaled.degree:
+        bound = min(math.prod(row_sums[:missing]), math.prod(col_sums[:missing])) ** scaled.degree
+        if modulus * modulus > bound:
             break
+        top_up = modulus * _field(taken[_DIGIT_LIMIT], _DIGIT_LIMIT)[0]
+        limit = _DIGIT_LIMIT if top_up * top_up > bound else _PRIME_LIMIT
     return RankResult(rank, tuple(best))
 
 
@@ -353,7 +389,7 @@ class _Scaled:
 
     Slot k holds ``values[k]`` and slot ``len(values)`` holds 0, the entry a
     block takes where the matrix has no value.  ``degree`` is the degree of
-    the smallest field holding them all; ``lane_bytes(k, width)`` and
+    the smallest field holding them all; ``lane_bytes(field, width)`` and
     ``squares()`` are made on first use and kept.
     """
 
@@ -367,11 +403,11 @@ class _Scaled:
         self._squares: list[int] | None = None
         self._bytes: dict[tuple[int, int], list[bytes]] = {}
 
-    def lane_bytes(self, k: int, width: int) -> list[bytes]:
-        """The values' residues modulo prime k as ``width``-byte little-endian lanes."""
-        key = (k, width)
+    def lane_bytes(self, field: tuple[int, int, int], width: int) -> list[bytes]:
+        """The values' residues in ``field`` = (p, i_p, s_p), as ``width``-byte little-endian lanes, kept per (p, width)."""
+        p, i_p, s_p = field
+        key = (p, width)
         if key not in self._bytes:
-            p, i_p, s_p = _field(k)
             self._bytes[key] = [((a + b * i_p + (c + d * i_p) * s_p) % p).to_bytes(width, "little")
                                 for a, b, c, d in self.coords]
         return self._bytes[key]
@@ -454,9 +490,24 @@ def _other_conjugates(x: tuple[int, int, int, int]) -> tuple[tuple[int, int, int
 def exact_det(matrix) -> Scalar:
     """Exact determinant by fraction-free (Bareiss) elimination on integer coordinates.
 
-    The matrix is read through ``_block``, as ``exact_rank`` reads it.  Step
-    k takes the first row with a nonzero entry in column k as its pivot row
-    (a swap flips the sign), and the determinant is 0 when there is none.
+    The matrix is read through ``_block``, as ``exact_rank`` reads it, and
+    eliminated by ``_bareiss``.  The determinant of a state's identity cut
+    is kept on the state (``PureState._det``): taken on its first use and
+    read on every later one.
+    """
+    if isinstance(matrix, CoeffMatrix) and matrix.sigma.is_identity:
+        state = matrix.state
+        if state._det is None:
+            state._det = _bareiss(matrix)
+        return state._det
+    return _bareiss(matrix)
+
+
+def _bareiss(matrix) -> Scalar:
+    """The determinant of ``matrix``, read through ``_block``, by the module docstring's Bareiss elimination.
+
+    Step k takes the first row with a nonzero entry in column k as its pivot
+    row (a swap flips the sign), and the determinant is 0 when there is none.
     Each entry below it becomes (pivot * a_ij - a_ik * a_kj) / q, q the
     previous step's pivot, divided exactly as the module docstring says:
     the product by c, q's other conjugates, is taken once per step, on the

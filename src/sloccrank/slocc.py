@@ -28,12 +28,13 @@ scales are divided out only when the canonical scalars are made at the end.
 
 Why W holds.  mu(a, b, c, d) = |a| + |b| + 2(|c| + |d|)
 (``scalar.coord_bound``) bounds every coordinate, and mu(u*x) <=
-mu(u)*mu(x) under that product.  A pass
-therefore multiplies the largest mu of a lane by at most the operator's
-growth, max(mu(a) + mu(b), mu(c) + mu(d)), whatever the order of the
-passes.  W is the bit length of the largest mu of the amplitudes, plus
-that of every operator's growth, plus a sign bit, rounded up to whole
-bytes: every lane lies in (-2^(W-1), 2^(W-1)) after every pass.
+mu(u)*mu(x) under that product.  A pass therefore multiplies the largest
+mu of a lane by at most the operator's growth, max(mu(a) + mu(b), mu(c) +
+mu(d)), whatever the order of the passes.  W is the bit length of the
+largest mu of the amplitudes, the square root of the largest e^2 that the
+state's scaling keeps, plus that of every operator's growth, plus a sign
+bit, rounded up to whole bytes: every lane lies in (-2^(W-1), 2^(W-1))
+after every pass.
 
 The two sides differ in where each amplitude is placed, in which
 operator makes which pass, and in the order of the passes.
@@ -50,20 +51,21 @@ cut it also shows that relabeling and the choice of operator commute.
 
 What a state keeps.  A ``PureState``'s amplitudes are read-only, so three
 results are kept on it once taken: ``apply_local`` keeps the last image
-with the operators that made it, ``_identity_det`` the determinant of the
-identity cut, and ``rank._scaling`` the scaled amplitudes that every
-transform of it and every rank and determinant of its cuts read.  Checks
-repeated on one (state, operators) pair, such as ``verify_matrix_equation``
-under several swap sets and ``verify_det_relation``, share one image, and
-every determinant-law check on one state reuses its determinant.  Each
-right side of the matrix equation is still its own transform.
+with the operators that made it, ``exact_det`` the determinant of the
+identity cut, and ``rank._scaling`` the scaled amplitudes and their e^2
+(``squares()``), which every transform of it and every rank and
+determinant of its cuts read.  Checks repeated on one (state, operators)
+pair, such as ``verify_matrix_equation`` under several swap sets and
+``verify_det_relation``, share one image, and every determinant-law check
+on one state, or determinant of its identity cut, reuses its determinant.
+Each right side of the matrix equation is still its own transform.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from math import prod
+from math import isqrt, prod
 
 from .classify import rank_signature
 from .coeffmatrix import IDENTITY, QubitPermutation, coefficient_matrix, enumerate_sigmas
@@ -186,7 +188,7 @@ def _transform(state: PureState, passes, positions) -> dict[int, Scalar]:
     scaled = _scaling(state)
     den, coords = scaled.den, scaled.coords  # coords ends with the zero slot, which no position reads
     passes = [(block, _operator(op)) for block, op in passes]
-    bits = max(map(coord_bound, coords)).bit_length() + 1  # with the sign bit
+    bits = isqrt(max(scaled.squares())).bit_length() + 1  # the largest mu, with the sign bit
     width = -(-(bits + sum(growth.bit_length() for _, (_, _, growth) in passes)) // 8)
     count = 1 << state.n
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
@@ -270,17 +272,10 @@ def _equation_holds(state: PureState, ops, transformed: PureState, sigma: QubitP
     return lhs == _predicted_matrix(state, ops, sigma)
 
 
-def _identity_det(state: PureState) -> Scalar:
-    """det M(state) on the identity cut, taken once per state and kept on it."""
-    if state._det is None:
-        state._det = exact_det(coefficient_matrix(state))
-    return state._det
-
-
 def _det_law_holds(det: Scalar, ops, transformed: PureState) -> bool:
     """det M(psi') = det M(psi) * prod_q det(A_q)^(2^((n-2)/2)), given ``det`` and psi' = ``transformed``."""
     law = det * prod((op.det() for op in ops), start=ONE) ** (1 << ((transformed.n - 2) // 2))
-    return _identity_det(transformed) == law
+    return exact_det(coefficient_matrix(transformed)) == law
 
 
 def verify_matrix_equation(state: PureState, ops, sigma: QubitPermutation | None = None) -> bool:
@@ -310,7 +305,7 @@ def verify_det_relation(state: PureState, ops) -> bool:
         raise ShapeError("the determinant relation needs an even number of qubits")
     ops = list(ops)
     transformed = apply_local(state, ops)
-    return _det_law_holds(_identity_det(state), ops, transformed)
+    return _det_law_holds(exact_det(coefficient_matrix(state)), ops, transformed)
 
 
 def verify_trials(state: PureState, trials: int, seed: int, allow_singular: bool = False) -> dict:
@@ -330,7 +325,7 @@ def verify_trials(state: PureState, trials: int, seed: int, allow_singular: bool
     n = state.n
     sigmas = enumerate_sigmas(n)
     base_ranks = rank_signature(state, sigmas).ranks
-    base_det = _identity_det(state) if n % 2 == 0 else None
+    base_det = exact_det(coefficient_matrix(state)) if n % 2 == 0 else None
     master = random.Random(seed)
     equation_failures = rank_failures = det_failures = 0
     for _ in range(trials):

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import threading
 import typing
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,6 +37,8 @@ from sloccrank.rank import (
     NumericFailure,
     RankResult,
     ShapeError,
+    _DIGIT_LIMIT,
+    _PRIME_LIMIT,
     _field,
     _is_prime,
     exact_det,
@@ -43,7 +46,7 @@ from sloccrank.rank import (
     numeric_rank,
     to_complex_array,
 )
-from sloccrank.scalar import GaussRational, I, SQRT2, Scalar, ZERO, scalar_parse
+from sloccrank.scalar import GaussRational, I, SQRT2, Scalar, ZERO, coord_bound, scalar_parse
 from sloccrank.slocc import LocalOperator, apply_local
 from sloccrank.states import PureState, basis_state, dicke_state, ghz_state, ladder_state
 
@@ -156,28 +159,56 @@ class TestModularEngine:
             assert exact_rank(list(zip(*matrix.entries))).rank == rank
             assert rank <= min(terms, matrix.rows, matrix.cols)
 
-    def test_entry_divisible_by_first_prime(self):
-        p1 = _field(0)[0]
-        assert exact_rank(scalar_grid([[p1, 1]])) == RankResult(1, (0,))
+    @staticmethod
+    def divisible_entries(first: int) -> None:
+        # An entry divisible by the plan's first prime (one digit), or by its
+        # first two (that one and the first 81-bit prime).
+        product = math.prod(PLAN_START[:first])
+        assert exact_rank(scalar_grid([[product, 1]])) == RankResult(1, (0,))
         # the zero row must not zero the bound for the 2 x 2 minors
-        assert exact_rank(scalar_grid([[p1, 1], [0, 0]])) == RankResult(1, (0,))
+        assert exact_rank(scalar_grid([[product, 1], [0, 0]])) == RankResult(1, (0,))
+
+    def test_entry_divisible_by_first_prime(self):
+        self.divisible_entries(1)
+
+    def test_entry_divisible_by_first_two_primes(self):
+        self.divisible_entries(2)
 
     def test_entry_divisible_by_first_three_primes(self):
-        product = _field(0)[0] * _field(1)[0] * _field(2)[0]
+        # the first three primes of each size, so whichever three the plan takes
+        product = math.prod(_field(k, limit)[0] for limit in (_DIGIT_LIMIT, _PRIME_LIMIT) for k in range(3))
         assert exact_rank(scalar_grid([[product]])) == RankResult(1, (0,))
 
-    def test_entries_in_the_kernel_of_the_first_embedding(self):
-        _, i_p, s_p = _field(0)
-        # i - i_p and sqrt2 - s_p map to 0 mod the first prime but are nonzero
-        for entry in (I - i_p, SQRT2 - s_p):
+    @staticmethod
+    def kernel_entries(first: int) -> None:
+        # i - t and sqrt2 - t map to 0 modulo each of the plan's first primes,
+        # t being i_p, or s_p, modulo each one (by the Chinese remainder
+        # theorem), yet are nonzero.
+        fields = PLAN_FIELDS[:first]
+        for unit, part in ((I, 1), (SQRT2, 2)):
+            entry = unit - crt([(field[0], field[part]) for field in fields])
+            assert all(residue(entry, field) == 0 for field in fields)
             assert exact_rank([[entry, Scalar(1)]]) == RankResult(1, (0,))
 
-    def test_minor_divisible_by_first_prime(self):
-        p1 = _field(0)[0]
-        grid = scalar_grid([[1, 1], [1, 1 + p1]])  # det = p1
+    def test_entries_in_the_kernel_of_the_first_embedding(self):
+        self.kernel_entries(1)
+
+    def test_entries_in_the_kernel_of_the_first_two_embeddings(self):
+        self.kernel_entries(2)
+
+    @staticmethod
+    def divisible_minors(first: int) -> None:
+        product = math.prod(PLAN_START[:first])
+        grid = scalar_grid([[1, 1], [1, 1 + product]])  # det = product
         assert exact_rank(grid) == RankResult(2, (0, 1))
-        grid = scalar_grid([[p1, 0, 1], [0, 1, 0]])
+        grid = scalar_grid([[product, 0, 1], [0, 1, 0]])
         assert exact_rank(grid) == reference_rank(grid) == RankResult(2, (0, 1))
+
+    def test_minor_divisible_by_first_prime(self):
+        self.divisible_minors(1)
+
+    def test_minor_divisible_by_first_two_primes(self):
+        self.divisible_minors(2)
 
     def test_tiny_fraction_entry(self):
         row = [Scalar(1), Scalar(Fraction(1, 10**300))]
@@ -234,6 +265,20 @@ class TestModularEngine:
             assert exact_rank(grid) == reference_rank(grid)
 
 
+# The fields of the plan's first two primes: the first below 2^bits_per_digit, then the first below 2^81.
+PLAN_FIELDS = [_field(0, _DIGIT_LIMIT), _field(0)]
+PLAN_START = [p for p, _, _ in PLAN_FIELDS]
+
+
+def crt(pairs: list[tuple[int, int]]) -> int:
+    """The t in [0, product of the p) with t = r (mod p) for every (p, r) of ``pairs``."""
+    t, modulus = 0, 1
+    for p, r in pairs:
+        t += modulus * ((r - t) * pow(modulus, -1, p) % p)
+        modulus *= p
+    return t
+
+
 def cut_ranks(state: PureState, sigmas) -> list[RankResult]:
     return [exact_rank(coefficient_matrix(state, sigma)) for sigma in sigmas]
 
@@ -250,64 +295,98 @@ def short_root(p: int, t: int) -> tuple[int, int]:
     return r1, t1
 
 
-def first_prime_zero(ring: str) -> Scalar:
-    """A short nonzero element of ``ring`` that maps to 0 modulo the first prime."""
-    p, i_p, s_p = _field(0)
+def plan_zero(ring: str, first: int) -> Scalar:
+    """A short nonzero element of ``ring`` that maps to 0 modulo each of the plan's ``first`` primes."""
+    fields = PLAN_FIELDS[:first]
+    modulus = math.prod(p for p, _, _ in fields)
     if ring == "Z":
-        return Scalar(p)
-    unit, t = {"Z[i]": (I, i_p), "Z[sqrt2]": (SQRT2, s_p), "Z[sqrt-2]": (I * SQRT2, i_p * s_p % p)}[ring]
-    a, b = short_root(p, t)
+        return Scalar(modulus)
+    unit = {"Z[i]": I, "Z[sqrt2]": SQRT2, "Z[sqrt-2]": I * SQRT2}[ring]
+    images = [(p, {"Z[i]": i_p, "Z[sqrt2]": s_p, "Z[sqrt-2]": i_p * s_p % p}[ring]) for p, i_p, s_p in fields]
+    a, b = short_root(modulus, crt(images))
     return a - b * unit
 
 
-def residue(x: Scalar, k: int = 0) -> int:
-    p, i_p, s_p = _field(k)
+def residue(x: Scalar, field: tuple[int, int, int]) -> int:
+    """The image of ``x`` in ``field`` = (p, i_p, s_p)."""
+    p, i_p, s_p = field
     a, b, c, d, den = x.coords
     return (a + b * i_p + (c + d * i_p) * s_p) * pow(den, -1, p) % p
 
 
-class TestDegreeRule:
-    """Entries that vanish modulo the first prime yet are as short as their ring allows.
+# LLL-short elements of degree four in the kernel of the first embedding of
+# each size: the first rows of sympy's LLL-reduced kernel bases.
+DEGREE_FOUR_ZERO = {
+    _DIGIT_LIMIT: scalar_parse("-125+126i+(-55-3i)*s2"),
+    _PRIME_LIMIT: scalar_parse("-132811+859460i+(-672763+338385i)*s2"),
+}
 
-    Each matrix here has a nonzero minor that vanishes mod the first prime.
-    The stop rule needs modulus^2 > P^d with d the degree of the entries'
-    field; a rule that undercounts d, or P, stops after the first prime with
-    too small a rank.
+
+RINGS = ["Z", "Z[i]", "Z[sqrt2]", "Z[sqrt-2]"]
+
+
+class TestDegreeRule:
+    """Entries that vanish modulo the plan's first primes yet are as short as their ring allows.
+
+    Each matrix here has a nonzero minor that vanishes modulo the plan's
+    first prime (one digit), or modulo its first two (that one and the first
+    81-bit prime).  The stop rule needs modulus^2 > P^d with d the degree of
+    the entries' field; a rule that undercounts d, or P, stops after those
+    primes with too small a rank.
     """
 
     def test_short_kernel_element_of_degree_four(self):
-        # LLL-short in the kernel of the first prime's embedding (the first
-        # row of sympy's LLL-reduced kernel basis): e has 22 bits, so P = e^2
-        # and e^8 (173 bits) > p^2 (162 bits) needs a second prime, where the
-        # d = 2 rule (or B in place of B^2, e^4 of 87 bits) stops after one.
-        x = scalar_parse("-132811+859460i+(-672763+338385i)*s2")
-        a, b, c, d, _ = x.coords
-        assert residue(x) == 0
-        assert (abs(a) + abs(b) + 2 * (abs(c) + abs(d))).bit_length() == 22
+        # e has 9 bits, so P = e^2 and e^8 (69 bits) > p^2 (60 bits) needs a
+        # second prime, where the d = 2 rule (or B in place of B^2, e^4 of 35
+        # bits) stops after one.
+        self.degree_four(DEGREE_FOUR_ZERO[_DIGIT_LIMIT], 1)
+
+    def test_short_kernel_element_of_degree_four_times_the_first_prime(self):
+        # The 81-bit kernel element times the one-digit prime, so that both
+        # of the plan's first primes see 0: e has 52 bits, and e^8 (413 bits)
+        # > (p1 * p2)^2 (222 bits) needs a third prime, where the d = 2 rule
+        # (e^4, 207 bits) stops after two.
+        self.degree_four(DEGREE_FOUR_ZERO[_PRIME_LIMIT] * PLAN_START[0], 2)
+
+    @staticmethod
+    def degree_four(x: Scalar, first: int) -> None:
+        e = coord_bound(x.coords[:4])
+        assert all(residue(x, field) == 0 for field in PLAN_FIELDS[:first])
+        assert e ** 8 > math.prod(PLAN_START[:first]) ** 2 > e ** 4
         assert exact_rank([[x]]) == RankResult(1, (0,))
         assert cut_ranks(PureState(1, {1: x}), [IDENTITY]) == [RankResult(1, (1,))]
 
-    @pytest.mark.parametrize("ring", ["Z", "Z[i]", "Z[sqrt2]", "Z[sqrt-2]"])
-    def test_entry_in_each_subring(self, ring):
-        x = first_prime_zero(ring)
-        assert x and residue(x) == 0
-        assert max(abs(v) for v in x.coords).bit_length() <= (81 if ring == "Z" else 41)
+    @staticmethod
+    def subring_entry(ring: str, first: int) -> None:
+        x = plan_zero(ring, first)
+        assert x and all(residue(x, field) == 0 for field in PLAN_FIELDS[:first])
+        bits = math.prod(PLAN_START[:first]).bit_length()
+        assert max(abs(v) for v in x.coords).bit_length() <= (bits if ring == "Z" else (bits + 1) // 2)
         assert exact_rank([[x]]) == RankResult(1, (0,))
         assert exact_rank([[x, ZERO], [ZERO, Scalar(1)]]) == RankResult(2, (0, 1))
         assert cut_ranks(PureState(1, {0: x}), [IDENTITY]) == [RankResult(1, (0,))]
 
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_entry_in_each_subring(self, ring):
+        self.subring_entry(ring, 1)
+
+    @pytest.mark.parametrize("ring", RINGS)
+    def test_entry_in_each_subring_zero_modulo_the_first_two_primes(self, ring):
+        self.subring_entry(ring, 2)
+
     def test_degree_reads_every_entry(self):
-        x = first_prime_zero("Z[i]")
+        x = plan_zero("Z[i]", 1)
         assert exact_rank([[ZERO], [x]]) == RankResult(1, (0,))
         assert exact_rank(scalar_grid([[1, 0], [0, x]])) == RankResult(2, (0, 1))
         assert cut_ranks(PureState(2, {0: 1, 3: x}), [IDENTITY]) == [RankResult(2, (0, 1))]
 
     def test_square_sums_follow_the_cut(self):
         # Amplitudes 0..3 fill one row of the identity cut but the 2 x 2 block
-        # [[s, 1], [c, s]] of the cut 1:3, whose determinant s^2 - c is p1.
-        # Summed along the identity cut's rows and columns, the e^2 sums bound
-        # that block's minors by about 2*p1, and the rule would stop after one prime.
-        p = _field(0)[0]
+        # [[s, 1], [c, s]] of the cut 1:3, whose determinant s^2 - c is the
+        # plan's first prime p1.  Summed along the identity cut's rows and
+        # columns, the e^2 sums bound that block's minors by about 2*p1, and
+        # the rule would stop after one prime.
+        p = PLAN_START[0]
         s = math.isqrt(p) + 1
         c = s * s - p
         state = PureState(4, {0: s, 1: 1, 2: c, 3: s})
@@ -605,20 +684,34 @@ def block_width(matrix) -> int:
     return sum(map(any, zip(*getattr(matrix, "entries", matrix))))
 
 
+def plan(bigs: int, top_up: bool) -> list[int]:
+    """The moduli of the plan: the first one-digit prime, ``bigs`` 81-bit primes, then one more one-digit prime or none."""
+    return [_field(0, _DIGIT_LIMIT)[0]] + [_field(k)[0] for k in range(bigs)] + [_field(1, _DIGIT_LIMIT)[0]] * top_up
+
+
+def sizes(moduli: list[int]) -> dict[str, int]:
+    """The number of ``moduli`` of each size."""
+    return dict(Counter("one-digit" if m < _DIGIT_LIMIT else "81-bit" for m in moduli))
+
+
 class TestPrimeGroups:
-    """Every prime is eliminated on its own, in order, by the one kernel, whatever the block's width.
+    """Every prime is eliminated on its own, in the plan's order, by the one kernel, whatever the block's width.
 
     So the rank, the pivots and the primes spent are those of one prime at a
-    time, on blocks of one column as on blocks of hundreds.
+    time, on blocks of one column as on blocks of hundreds.  Without a prime
+    that shows too low a rank, the plan is the first one-digit prime, then
+    81-bit primes, and last one more one-digit prime when it closes the stop
+    rule where an 81-bit one would be needed.
     """
 
     @staticmethod
     def one_prime_at_a_time(matrix) -> RankResult:
-        """``exact_rank(matrix)``, checked to eliminate primes 0, 1, 2, ... once each."""
+        """``exact_rank(matrix)``, checked to eliminate the plan's primes once each, in order."""
         with pytest.MonkeyPatch.context() as patch:
             calls = record_eliminations(patch)
             result = exact_rank(matrix)
-        assert calls == [_field(k)[0] for k in range(len(calls))]
+        top_up = len(calls) > 1 and calls[-1] < _DIGIT_LIMIT
+        assert calls == plan(len(calls) - 1 - top_up, top_up)
         return result
 
     @settings(max_examples=10, deadline=None)
@@ -668,11 +761,12 @@ class TestPrimeGroups:
             assert self.one_prime_at_a_time(matrix) == reference_rank(matrix)
 
     @staticmethod
-    def dense_dicke_eliminations(monkeypatch, n: int, ell: int) -> int:
-        """Eliminations in the signature of |l, n> under one invertible operator on every qubit.
+    def dense_dicke_eliminations(monkeypatch, n: int, ell: int, cut_plan: list[int]) -> dict[int, int]:
+        """Eliminations by modulus size in the signature of |l, n> under one invertible operator on every qubit.
 
         The operator keeps the state symmetric, so each n/2 | n/2 cut keeps
-        rank min(l, n - l, n/2) + 1, which is below the cut's width.
+        rank min(l, n - l, n/2) + 1, which is below the cut's width.  Every
+        cut must take the moduli ``cut_plan``.
         """
         op = LocalOperator([[scalar_parse("1+i"), 2], [1, scalar_parse("-1+2i")]])
         state = apply_local(dicke_state(n, ell), [op] * n)
@@ -680,30 +774,36 @@ class TestPrimeGroups:
         calls = record_eliminations(monkeypatch)
         ranks = rank_signature(state, enumerate_sigmas(n)).ranks
         assert len(ranks) == math.comb(n, n // 2) // 2 and set(ranks) == {min(ell, n - ell, n // 2) + 1}
-        return len(calls)
+        assert calls == cut_plan * len(ranks)
+        return sizes(calls)
 
     def test_dense_eight_qubit_dicke_signature(self, monkeypatch):
-        # Every rank-deficient cut closes on one 81-bit prime (on two 62-bit ones).
-        assert self.dense_dicke_eliminations(monkeypatch, 8, 2) == 35
+        # Every rank-deficient cut closes on the one-digit prime and one
+        # 81-bit prime (on one 81-bit prime alone before the plan, and on two
+        # 62-bit ones before that).
+        assert self.dense_dicke_eliminations(monkeypatch, 8, 2, plan(1, False)) == {"one-digit": 35, "81-bit": 35}
 
     def test_dense_ten_qubit_dicke_signature(self, monkeypatch):
-        # Two 81-bit primes per cut (three 62-bit ones).
-        assert self.dense_dicke_eliminations(monkeypatch, 10, 3) == 252
+        # The one-digit prime, one 81-bit prime and a one-digit top-up per
+        # cut (two 81-bit primes before the plan, three 62-bit ones before that).
+        assert self.dense_dicke_eliminations(monkeypatch, 10, 3, plan(1, True)) == {"one-digit": 252, "81-bit": 126}
 
     @staticmethod
-    def rank_three_eliminations(monkeypatch, state: PureState) -> int:
-        """Eliminations in the signature of a dense, non-symmetric 8-qubit state of rank 3 on every cut."""
+    def rank_three_eliminations(monkeypatch, state: PureState) -> dict[int, int]:
+        """Eliminations by modulus size in the signature of a dense, non-symmetric 8-qubit state of rank 3 on every cut."""
         assert len(state.amps) == 256
         calls = record_eliminations(monkeypatch)
         assert rank_signature(state, enumerate_sigmas(8)).ranks == (3,) * 35
-        return len(calls)
+        assert calls == plan(1, False) * 35
+        return sizes(calls)
 
     def test_dense_eight_qubit_dicke_signature_one_operator_per_qubit(self, monkeypatch):
         # [[1+i, q], [1, -1+2i]] on qubit q: the state is no longer symmetric,
-        # and each cut closes on two 81-bit primes, so a stop rule that spends
+        # and each cut closes on the one-digit prime and one 81-bit prime
+        # (on two 81-bit primes before the plan), so a stop rule that spends
         # one prime more, or stops one early, on any cut fails.
         ops = [LocalOperator([[scalar_parse("1+i"), q], [1, scalar_parse("-1+2i")]]) for q in range(1, 9)]
-        assert self.rank_three_eliminations(monkeypatch, apply_local(dicke_state(8, 2), ops)) == 70
+        assert self.rank_three_eliminations(monkeypatch, apply_local(dicke_state(8, 2), ops)) == {"one-digit": 35, "81-bit": 35}
 
     def test_dense_eight_qubit_sum_of_three_products_signature(self, monkeypatch):
         # Term t is the product over qubits q of (1, g_tq), g_tq a nonzero Gaussian integer.
@@ -711,7 +811,7 @@ class TestPrimeGroups:
         terms = [[random_gauss_int(rng, 3, nonzero=True) for _ in range(8)] for _ in range(3)]
         state = PureState(8, {x: sum(math.prod(g for q, g in enumerate(term) if x >> 7 - q & 1) for term in terms)
                               for x in range(256)})
-        assert self.rank_three_eliminations(monkeypatch, state) == 70
+        assert self.rank_three_eliminations(monkeypatch, state) == {"one-digit": 35, "81-bit": 35}
 
 
 def list_pivots(rows: list[list[int]], m: int) -> list[int]:
@@ -737,13 +837,14 @@ def pack(rows: list[list[int]], m: int) -> list[int]:
     return [int.from_bytes(b"".join(x.to_bytes(width, "little") for x in row), "little") for row in rows]
 
 
-# Besides the field's first prime (81 bits), two small primes and a 62-bit
-# one, 2^62 - 87: each lane width follows L = m.bit_length().
-LANE_MODULI = [17, 97, (1 << 62) - 87, _field(0)[0]]
+# Besides the plan's first primes of each size (30 and 81 bits), two small
+# primes and a 62-bit one, 2^62 - 87: each lane width follows L = m.bit_length().
+LANE_MODULI = [17, 97, _field(0, _DIGIT_LIMIT)[0], (1 << 62) - 87, _field(0)[0]]
 # Composite moduli, each with the factor its non-unit lead holds: products of
-# the first two primes = 1 (mod 8) below 2^62 and below 2^81.
+# the first two primes = 1 (mod 8) below 2^30, 2^62 and 2^81.
 COMPOSITES = {
     15: 3,
+    _field(0, _DIGIT_LIMIT)[0] * _field(1, _DIGIT_LIMIT)[0]: _field(0, _DIGIT_LIMIT)[0],
     ((1 << 62) - 87) * ((1 << 62) - 143): (1 << 62) - 87,
     _field(0)[0] * _field(1)[0]: _field(0)[0],
 }
@@ -835,6 +936,9 @@ class TestLanes:
         if m == _field(0)[0] and count in (16, 31):
             # 16 lanes of 81-bit residues fill 22 bytes exactly; at 31, e steps to 6.
             assert (width, 8 * width - (2 * size + 2 * e + 4)) == {16: (22, 0), 31: (23, 6)}[count]
+        if m == _field(0, _DIGIT_LIMIT)[0] and count in (16, 31):
+            # 16 lanes of one-digit residues take 10 bytes, 6 bits spare; at 31, e steps to 6.
+            assert (width, 8 * width - (2 * size + 2 * e + 4)) == {16: (10, 6), 31: (10, 4)}[count]
         lane = [(ones >> 8 * width * j) % (1 << 8 * width) for j in range(count)]
         assert lane == [1] * count and ones >> 8 * width * count == 0
         assert tmask == ones * ((1 << size + e + 2) - 1)
@@ -884,16 +988,26 @@ class TestGridEntries:
 
 class TestPrimeFields:
     def test_fields_hold_i_and_sqrt2(self):
+        # The first primes of each size, with none = 1 (mod 8) skipped between them or above them.
         sympy = pytest.importorskip("sympy")
-        primes = []
-        for k in range(24):
-            p, i_p, s_p = _field(k)
-            assert p % 8 == 1 and p < 2**81
-            assert (i_p * i_p + 1) % p == 0
-            assert (s_p * s_p - 2) % p == 0
-            assert sympy.isprime(p)
-            primes.append(p)
-        assert primes == sorted(set(primes), reverse=True)
+        for limit, count in ((_DIGIT_LIMIT, 8), (_PRIME_LIMIT, 24)):
+            primes = []
+            for k in range(count):
+                p, i_p, s_p = _field(k, limit)
+                assert p % 8 == 1 and p < limit
+                assert (i_p * i_p + 1) % p == 0
+                assert (s_p * s_p - 2) % p == 0
+                assert sympy.isprime(p)
+                primes.append(p)
+            assert primes == sorted(set(primes), reverse=True)
+            assert primes == [q for q in sympy.primerange(primes[-1], limit) if q % 8 == 1][::-1]
+
+    def test_first_one_digit_prime_is_one_digit(self):
+        p = _field(0, _DIGIT_LIMIT)[0]
+        assert _DIGIT_LIMIT == 1 << sys.int_info.bits_per_digit
+        assert p.bit_length() == sys.int_info.bits_per_digit
+        if sys.int_info.bits_per_digit == 30:
+            assert p == (1 << 30) - 135
 
     def test_miller_rabin_matches_sieve(self):
         limit = 10**6
@@ -916,24 +1030,27 @@ class TestPrimeFields:
         assert _is_prime((1 << 81) - 63) and _field(0)[0] == (1 << 81) - 63
 
     def test_concurrent_first_use_adds_each_prime_once(self, monkeypatch):
-        monkeypatch.setattr(rank_module, "_fields", [])
+        # Six threads ask for prime 30 of each size, the one-digit list first.
+        monkeypatch.setattr(rank_module, "_fields", {_DIGIT_LIMIT: [], _PRIME_LIMIT: []})
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            workers = [threading.Thread(target=_field, args=(30,)) for _ in range(6)]
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join(timeout=60)
-            assert not any(worker.is_alive() for worker in workers)
+            for limit in (_DIGIT_LIMIT, _PRIME_LIMIT):
+                workers = [threading.Thread(target=_field, args=(30, limit)) for _ in range(6)]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=60)
+                assert not any(worker.is_alive() for worker in workers)
+                assert [len(fields) for fields in rank_module._fields.values()] == [31, 31 if limit == _PRIME_LIMIT else 0]
         finally:
             sys.setswitchinterval(previous)
-        primes = [p for p, _, _ in rank_module._fields]
-        assert len(primes) == 31
-        assert primes == sorted(set(primes), reverse=True)
+        for limit, fields in rank_module._fields.items():
+            primes = [p for p, _, _ in fields]
+            assert primes == sorted(set(primes), reverse=True) and primes[0] < limit
 
     def test_import_searches_no_primes(self):
-        code = "import sys, sloccrank.rank as r; sys.exit(len(r._fields))"
+        code = "import sys, sloccrank.rank as r; sys.exit(len(r._fields) != 2 or sum(map(len, r._fields.values())))"
         env = {**os.environ, "PYTHONPATH": SRC}
         assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 

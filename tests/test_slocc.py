@@ -10,6 +10,7 @@ from unittest.mock import ANY
 import pytest
 
 import sloccrank.classify
+import sloccrank.rank
 import sloccrank.slocc
 from sloccrank.coeffmatrix import CoeffMatrix, QubitPermutation, coefficient_matrix, enumerate_sigmas
 from sloccrank.rank import ShapeError, exact_det, exact_rank
@@ -315,6 +316,14 @@ class TestPlanes:
         self.check(state, [op, op])
         assert dict(apply_local(state, [op, op]).amps) == {k: Scalar(9 * amplitude) for k in range(4)}
 
+    @pytest.mark.parametrize("wide", [0, 3])
+    def test_the_widest_amplitude_sets_the_lane_width(self, wide):
+        # One amplitude of 41 bits among ones: lanes as wide as any other
+        # amplitude's mu, or as the first one's, cannot hold it.
+        state = PureState(2, {k: 1 << 40 if k == wide else 1 for k in range(4)})
+        op = LocalOperator(((1, 2), (2, 1)))
+        self.check(state, [op, op])
+
 
 def test_no_scalar_arithmetic_in_the_transforms(monkeypatch):
     rng = random.Random(67)
@@ -439,6 +448,14 @@ def count_calls(monkeypatch, name):
     return calls
 
 
+def count_bareiss(monkeypatch):
+    """The list that gains one item per Bareiss elimination (``sloccrank.rank._bareiss``) from now on."""
+    runs = []
+    real = sloccrank.rank._bareiss
+    monkeypatch.setattr(sloccrank.rank, "_bareiss", lambda matrix: runs.append(1) or real(matrix))
+    return runs
+
+
 class TestKeptResults:
     """A state keeps its last ``apply_local`` image and the determinant of its identity cut."""
 
@@ -488,14 +505,29 @@ class TestKeptResults:
 
     def test_det_relation_takes_the_base_determinant_once(self, monkeypatch):
         state = full_support_state(random.Random(83), 6)
-        assert exact_det(coefficient_matrix(state))  # the law is not only 0 = 0
-        dets = count_calls(monkeypatch, "exact_det")
+        assert exact_det(coefficient_matrix(PureState(6, state.amps)))  # the law is not only 0 = 0
+        assert state._det is None
+        runs = count_bareiss(monkeypatch)
         assert verify_det_relation(state, random_invertible_ops(6, 1))
-        assert len(dets) == 2  # the base and the image
+        assert len(runs) == 2  # the base and the image
         assert verify_det_relation(state, random_invertible_ops(6, 2))
-        assert len(dets) == 3  # the new image only
+        assert len(runs) == 3  # the new image only
         assert verify_det_relation(state, random_invertible_ops(6, 2))
-        assert len(dets) == 3  # the kept image kept its determinant
+        assert len(runs) == 3  # the kept image kept its determinant
+        assert exact_det(coefficient_matrix(state)) == state._det and len(runs) == 3
+
+    def test_identity_cut_determinant_is_kept_on_the_state(self, monkeypatch):
+        state = full_support_state(random.Random(89), 4)
+        runs = count_bareiss(monkeypatch)
+        det = exact_det(coefficient_matrix(state))
+        assert det and state._det is det
+        assert exact_det(coefficient_matrix(state)) is det and len(runs) == 1
+        # Swapping qubits 1 and 2 swaps rows 1 and 2: the same rows, not the identity cut.
+        assert exact_det(coefficient_matrix(state, QubitPermutation([(1, 2)]))) == -det
+        cut = coefficient_matrix(state, QubitPermutation([(1, 3)]))
+        assert exact_det(cut) == exact_det([list(row) for row in cut.entries])
+        assert len(runs) == 4 and state._det is det
+        assert exact_det([list(row) for row in coefficient_matrix(state).entries]) == det and len(runs) == 5
 
 
 class TestVerifyTrials:
