@@ -13,10 +13,13 @@ which is at the same time the printed label, the membership test and the
 draw.  Regions are verified by sampling: boundary constraints such as
 a = -b are imposed by construction on exact rationals, generic constraints
 draw random nonzero rationals, and a separate pool of unconstrained draws
-must land in exactly one listed cell and show its signature.  The draws
-come from small finite sets, so within one ``classify_table`` call a point
-drawn again reuses its group's signature for it instead of being built and
-ranked again; sample counts and hits still count every draw.
+must land in exactly one listed cell and show its signature.  Every draw's
+denominator divides 6, so a point (x, y) is held as the ints (6x, 6y); each
+region's test is homogeneous, so it reads the same on either, and a point
+becomes ``Fraction`` parameters only to build a state or print a witness.
+The draws come from small finite sets, so within one ``classify_table`` call
+a point drawn again reuses its group's signature for it instead of being
+built and ranked again; sample counts and hits still count every draw.
 """
 
 from __future__ import annotations
@@ -104,20 +107,22 @@ def dicke_rank_scan(n: int) -> list[DickeScanRow]:
 
 # --- table reproduction ----------------------------------------------------
 
-_Point = tuple[Fraction, Fraction]
+# A point (x, y), held as the ints (6x, 6y).
+_Point = tuple[int, int]
 
 
-def _nonzero(rng: random.Random) -> Fraction:
+def _nonzero(rng: random.Random) -> int:
+    """6 times a random nonzero k/d with |k| <= 3 and 1 <= d <= 3."""
     while True:
-        value = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        if value:
-            return value
+        k, d = rng.randint(-3, 3), rng.randint(1, 3)
+        if k:
+            return 6 * k // d
 
 
 def _one_zero(rng: random.Random) -> _Point:
     zero_first = rng.random() < 0.5
     value = _nonzero(rng)
-    return (Fraction(0), value) if zero_first else (value, Fraction(0))
+    return (0, value) if zero_first else (value, 0)
 
 
 def _equal_up_to_sign(rng: random.Random) -> _Point:
@@ -134,14 +139,16 @@ def _distinct_nonzero(rng: random.Random, forbid_sign: bool = False) -> _Point:
 
 
 # Each region of the (x, y) parameter plane: its membership test and a draw
-# of an exact rational point inside it (None for a region listed as empty).
-# A group's cell label is the key with x, y replaced by its parameter symbols.
-_REGIONS: dict[str, tuple[Callable[[Fraction, Fraction], bool],
+# of a point inside it (None for a region listed as empty).  Points are held
+# as (6x, 6y), so every test must be homogeneous: true at (x, y) exactly when
+# true at (kx, ky) for k != 0.  A group's cell label is the key with x, y
+# replaced by its parameter symbols.
+_REGIONS: dict[str, tuple[Callable[[int, int], bool],
                           Callable[[random.Random], _Point] | None]] = {
     "∅": (lambda x, y: False, None),
-    "x=y=0": (lambda x, y: x == 0 and y == 0, lambda rng: (Fraction(0), Fraction(0))),
-    "x=0 & y≠0": (lambda x, y: x == 0 and y != 0, lambda rng: (Fraction(0), _nonzero(rng))),
-    "x≠0 & y=0": (lambda x, y: x != 0 and y == 0, lambda rng: (_nonzero(rng), Fraction(0))),
+    "x=y=0": (lambda x, y: x == 0 and y == 0, lambda rng: (0, 0)),
+    "x=0 & y≠0": (lambda x, y: x == 0 and y != 0, lambda rng: (0, _nonzero(rng))),
+    "x≠0 & y=0": (lambda x, y: x != 0 and y == 0, lambda rng: (_nonzero(rng), 0)),
     "xy=0 & x≠y": (lambda x, y: x * y == 0 and x != y, _one_zero),
     "x=y≠0": (lambda x, y: x == y != 0, lambda rng: (_nonzero(rng),) * 2),
     "x=±y & x≠0": (lambda x, y: x != 0 and (x == y or x == -y), _equal_up_to_sign),
@@ -237,8 +244,12 @@ class TableReport(namedtuple("TableReport", ["table", "cells", "unconstrained_hi
         return payload
 
 
+def _params(names: tuple[str, str], point: _Point) -> dict[str, Fraction]:
+    return {name: Fraction(value, 6) for name, value in zip(names, point)}
+
+
 def _params_repr(names: tuple[str, str], point: _Point) -> dict:
-    return {name: str(value) for name, value in sorted(zip(names, point))}
+    return {name: str(value) for name, value in sorted(_params(names, point).items())}
 
 
 def _hit_key(family: str | None, ranks: tuple[int, ...]) -> str:
@@ -274,7 +285,7 @@ def classify_table(table: str, samples_per_cell: int, seed: int) -> TableReport:
         ranks = known[group].get(point)
         if ranks is None:
             _, names, build, _ = groups[group]
-            ranks = known[group][point] = rank_signature(build(dict(zip(names, point))), sigmas).ranks
+            ranks = known[group][point] = rank_signature(build(_params(names, point)), sigmas).ranks
         return ranks
 
     for group, (family, names, _, cells) in enumerate(groups):
@@ -292,15 +303,15 @@ def classify_table(table: str, samples_per_cell: int, seed: int) -> TableReport:
             cell_reports.append(CellReport(_label(region, names), signature, samples,
                                            witness is None, family=family, witness=witness))
 
-    hits: dict[str, int] = {}
+    hits: Counter[tuple[str | None, tuple[int, ...]]] = Counter()
     failures: list[dict] = []
     draws = samples_per_cell * 10
     for group, (family, names, _, cells) in enumerate(groups):
         for _ in range(draws):
-            point = tuple(Fraction(rng.randint(-2, 2), rng.choice((1, 2))) for _ in names)
+            # 6 times k/d for k in -2..2 and d in {1, 2}, numerator drawn first
+            point = tuple(6 * rng.randint(-2, 2) // rng.choice((1, 2)) for _ in names)
             ranks = ranks_at(group, point)
-            key = _hit_key(family, ranks)
-            hits[key] = hits.get(key, 0) + 1
+            hits[family, ranks] += 1
             matches = [(region, signature) for region, signature in cells
                        if _REGIONS[region][0](*point)]
             if len(matches) != 1 or ranks != matches[0][1]:
@@ -314,14 +325,14 @@ def classify_table(table: str, samples_per_cell: int, seed: int) -> TableReport:
                 )
 
     for position, report in enumerate(cell_reports):
-        key = _hit_key(report.family, report.signature)
-        if report.samples == 0 and key in hits:
+        count = hits[report.family, report.signature]
+        if report.samples == 0 and count:
             cell_reports[position] = report._replace(
-                passed=False, witness={"unconstrained_hits": hits[key]})
+                passed=False, witness={"unconstrained_hits": count})
 
     return TableReport(
         table=table,
         cells=cell_reports,
-        unconstrained_hits={key: hits[key] for key in sorted(hits)},
+        unconstrained_hits=dict(sorted((_hit_key(*key), count) for key, count in hits.items())),
         unconstrained_failures=failures,
     )

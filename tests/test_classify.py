@@ -206,8 +206,39 @@ def _groups():
             yield f"{table}/{family or names[0]}", [region for region, _ in cells]
 
 
+# The values an unconstrained draw takes (k/d, |k| <= 2, d <= 2) and those a
+# cell draw takes besides 0 (k/d, 1 <= |k| <= 3, d <= 3).
+UNCONSTRAINED_VALUES = sorted({Fraction(k, d) for k in range(-2, 3) for d in (1, 2)})
+CELL_VALUES = sorted({Fraction(k, d) for k in (-3, -2, -1, 1, 2, 3) for d in (1, 2, 3)})
+
+
 class TestRegions:
     """Within each group, the listed regions partition the parameter plane."""
+
+    @pytest.mark.parametrize("region", sorted(_REGIONS))
+    @pytest.mark.parametrize("values", [UNCONSTRAINED_VALUES, [Fraction(0), *CELL_VALUES]],
+                             ids=["unconstrained", "cell"])
+    def test_membership_is_homogeneous(self, region, values):
+        # classify_table holds a point (x, y) as the ints (6x, 6y), so each
+        # test must read the same on any multiple of the point
+        inside = _REGIONS[region][0]
+        for x in values:
+            for y in values:
+                expected = inside(x, y)
+                assert inside(int(6 * x), int(6 * y)) == expected, (region, x, y)
+                for k in (2, 3, 6):
+                    assert inside(k * x, k * y) == expected, (region, x, y, k)
+
+    @pytest.mark.parametrize("region", sorted(_REGIONS))
+    def test_draws_are_ints_over_6(self, region):
+        draw = _REGIONS[region][1]
+        if draw is None:
+            return
+        rng = random.Random(region)
+        for _ in range(200):
+            point = draw(rng)
+            assert len(point) == 2 and all(type(v) is int for v in point), (region, point)
+            assert {Fraction(v, 6) for v in point} <= {Fraction(0), *CELL_VALUES}, (region, point)
 
     @pytest.mark.parametrize("group, regions", list(_groups()))
     def test_each_draw_lies_in_its_own_region_only(self, group, regions):
@@ -223,9 +254,8 @@ class TestRegions:
 
     @pytest.mark.parametrize("group, regions", list(_groups()))
     def test_unconstrained_grid_matches_exactly_one_nonempty_cell(self, group, regions):
-        grid = sorted({Fraction(k, d) for k in range(-2, 3) for d in (1, 2)})
-        for x in grid:
-            for y in grid:
+        for x in UNCONSTRAINED_VALUES:
+            for y in UNCONSTRAINED_VALUES:
                 inside = [region for region in regions if _REGIONS[region][0](x, y)]
                 assert len(inside) == 1, (x, y, inside)
                 assert _REGIONS[inside[0]][1] is not None, (x, y, inside)
@@ -327,12 +357,12 @@ class TestRepeatedPoints:
         assert _state_key(family_state("L_abc2", a=0, b=0, c=0)) in ranked_states
 
 
-def _tables_digest() -> str:
-    """sha256 of every table's JSON report for samples {1, 5} and seeds 0-9."""
+def _tables_digest(samples_per_cell: tuple[int, ...] = (1, 5)) -> str:
+    """sha256 of every table's JSON report for the given samples and seeds 0-9."""
     lines = [
         json.dumps(classify_table(table, samples, seed).to_json_dict())
         for table in ("chterental", "lamata", "verstraete")
-        for samples in (1, 5)
+        for samples in samples_per_cell
         for seed in range(10)
     ]
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
@@ -347,6 +377,10 @@ class TestPinnedReports:
 
     def test_passing_reports(self):
         assert _tables_digest() == "09fb231f9f52dbeaefefde8dd5f2724b77e743847053dc50508ff55a4dafbff4"
+
+    def test_passing_reports_at_eight_samples(self):
+        # the sample count of a table-sweep benchmark item
+        assert _tables_digest((8,)) == "9bb8f6d0fa4e1ffcfb0f85ac3268e2d32a04f2c7c5e7f0539ccc773ef68bedb3"
 
     def test_failing_reports(self, monkeypatch):
         # one less in the first rank fails every cell (witness), every
