@@ -122,10 +122,10 @@ by den^n at the end; the determinant of a state's identity cut is kept on
 the state.  Each step divides its new entries by the previous step's
 pivot q.  The division is exact: by Sylvester's identity every
 entry after step k is a (k+1) x (k+1) minor of the scaled matrix, so it
-lies in Z[i, sqrt2].  It is done on ints, with no inverse: the product c
-of q's other conjugates (under i -> -i, sqrt2 -> -sqrt2, or both) makes
-N = q * c an int, +-(the constant term of q's minimal polynomial), and
-x / q = (x * c) / N, each coordinate of x * c divided exactly by N.
+lies in Z[i, sqrt2].  It is done on ints, with no inverse:
+``scalar._other_conjugates``, which ``Scalar.inverse`` also reads, gives
+c, the product of q's other conjugates, and the positive int N = q * c,
+and x / q = (x * c) / N, each coordinate of x * c divided exactly by N.
 
 Every function here takes a ``CoeffMatrix`` or a grid of ints, Fractions
 or scalars.  A grid entry of any other type is a ``TypeError``, and a grid
@@ -145,7 +145,7 @@ from collections.abc import Iterable, Sequence
 from operator import itemgetter
 
 from .coeffmatrix import CoeffMatrix, block_slots
-from .scalar import ONE, ZERO, Scalar, _make, as_scalar, coord_bound, mix, scaled_coords
+from .scalar import ONE, ZERO, Scalar, _make, _other_conjugates, as_scalar, coord_bound, mix, scaled_coords
 from .states import PureState
 
 # typing.TYPE_CHECKING without importing typing; type checkers take the name as true.
@@ -460,31 +460,6 @@ def exact_rank(matrix) -> RankResult:
 
 _ZERO4 = (0, 0, 0, 0)
 _ONE4 = (1, 0, 0, 0)
-
-
-def _other_conjugates(x: tuple[int, int, int, int]) -> tuple[tuple[int, int, int, int], int]:
-    """``(c, N)``: c the product of x's distinct conjugates other than x, N = x*c; both negated if N < 0.
-
-    The conjugates of x = (a, b, c, d) are x, (a, -b, c, -d), (a, b, -c, -d)
-    and (a, -b, -c, d).  A rational x has no other one, one in Q(i),
-    Q(sqrt2) or Q(i*sqrt2) has one, and any other x has three.  N is then
-    +-(the constant term of the minimal polynomial of x): an int, nonzero
-    when x is.
-    """
-    a, b, c, d = x
-    if not (c or d):
-        conj = (a, -b, 0, 0) if b else _ONE4
-    elif not (b or d):
-        conj = (a, 0, -c, 0)
-    elif not (b or c):
-        conj = (a, 0, 0, -d)
-    else:
-        conj = mix((a, -b, c, -d), mix((a, b, -c, -d), (a, -b, -c, d), _ZERO4, _ZERO4), _ZERO4, _ZERO4)
-    norm = mix(x, conj, _ZERO4, _ZERO4)[0]
-    if norm < 0:
-        a, b, c, d = conj
-        return (-a, -b, -c, -d), -norm
-    return conj, norm
 
 
 def exact_det(matrix) -> Scalar:

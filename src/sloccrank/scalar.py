@@ -169,25 +169,16 @@ class Scalar:
         return result
 
     def inverse(self) -> Scalar:
-        """Exact reciprocal: ``den * (x - y*s2) * conj(N) / |N|^2``.
+        """Exact reciprocal: ``den * c / N``, where ``(c, N) = _other_conjugates(x)``.
 
-        Here the value is ``(x + y*s2) / den`` with x, y in Z[i], and
-        N = x^2 - 2*y^2 is nonzero for a nonzero value, since sqrt(2) is
-        not in Q(i).
+        The value is ``x / den`` with x in Z[i, sqrt2], and x * c = N is a
+        positive int when x is not 0.
         """
-        a, b, c, d, den = self.coords
-        nr = a * a - b * b - 2 * (c * c - d * d)
-        ni = 2 * (a * b - 2 * c * d)
-        norm = nr * nr + ni * ni
+        den = self.coords[4]
+        (a, b, c, d), norm = _other_conjugates(self.coords[:4])
         if not norm:
             raise ZeroDivisionError("inverse of zero scalar")
-        return _make(
-            den * (a * nr + b * ni),
-            den * (b * nr - a * ni),
-            -den * (c * nr + d * ni),
-            -den * (d * nr - c * ni),
-            norm,
-        )
+        return _make(den * a, den * b, den * c, den * d, norm)
 
     def __complex__(self) -> complex:
         a, b, c, d, den = self.coords
@@ -258,6 +249,32 @@ def mix(u, x, v, y) -> tuple[int, int, int, int]:
         a * g - b * h + c * e - d * f + a2 * g2 - b2 * h2 + c2 * e2 - d2 * f2,
         a * h + b * g + c * f + d * e + a2 * h2 + b2 * g2 + c2 * f2 + d2 * e2,
     )
+
+
+def _other_conjugates(x: tuple[int, int, int, int]) -> tuple[tuple[int, int, int, int], int]:
+    """``(c, N)``: c the product of x's distinct conjugates other than x, N = x*c; both negated if N < 0.
+
+    The conjugates of x = (a, b, c, d) are x, (a, -b, c, -d), (a, b, -c, -d)
+    and (a, -b, -c, d).  A rational x has no other one, and N = a.  One in
+    Q(i), Q(sqrt2) or Q(i*sqrt2) has one, and N = a^2 + b^2, a^2 - 2c^2 or
+    a^2 + 2d^2.  Any other x = X + Y*sqrt2, X and Y in Z[i], has three:
+    c = (X - Y*sqrt2) * conj(N') with N' = X^2 - 2Y^2, and N = |N'|^2.  N is
+    then +-(the constant term of the minimal polynomial of x): an int,
+    nonzero when x is, since sqrt2 is not in Q(i).
+    """
+    a, b, c, d = x
+    if not (c or d):
+        if b:
+            return (a, -b, 0, 0), a * a + b * b
+        return ((-1, 0, 0, 0), -a) if a < 0 else ((1, 0, 0, 0), a)
+    if not (b or d):
+        norm = a * a - 2 * c * c
+        return ((-a, 0, c, 0), -norm) if norm < 0 else ((a, 0, -c, 0), norm)
+    if not (b or c):
+        return (a, 0, 0, -d), a * a + 2 * d * d
+    nr = a * a - b * b - 2 * (c * c - d * d)
+    ni = 2 * (a * b - 2 * c * d)
+    return (a * nr + b * ni, b * nr - a * ni, -(c * nr + d * ni), c * ni - d * nr), nr * nr + ni * ni
 
 
 def _coerce(value):

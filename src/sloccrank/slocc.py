@@ -236,8 +236,9 @@ def apply_local(state: PureState, ops) -> PureState:
     for position, op in enumerate(ops):
         if not isinstance(op, LocalOperator):
             raise TypeError(f"operator {position}: expected a LocalOperator, got {type(op).__name__}")
-    if state._image is not None and state._image[0] == ops:
-        return state._image[1]
+    kept = state._image  # read once: another thread may replace the pair meanwhile
+    if kept is not None and kept[0] == ops:
+        return kept[1]
     amps = _transform(state, [(1 << (state.n - q), op) for q, op in enumerate(ops, 1)], state.amps)
     image = PureState(state.n, amps, allow_zero=True)
     state._image = ops, image

@@ -111,6 +111,7 @@ def basis_state(n: int, index: int) -> PureState:
 
 def ghz_state(n: int) -> PureState:
     """|0...0> + |1...1> on n >= 2 qubits."""
+    check_qubits(n)
     if n < 2:
         raise ValueError("GHZ states need at least 2 qubits")
     return PureState(n, {0: 1, (1 << n) - 1: 1})

@@ -398,6 +398,9 @@ class TestErrorPaths:
     @pytest.mark.parametrize("argv", [
         ["gen", "--family", "dicke", "--n", "40", "--ell", "1", "-o", "unused.json"],
         ["gen", "--family", "ladder", "--n", "40", "--r", "1000000", "-o", "unused.json"],
+        ["gen", "--family", "ghz", "--n", "100000000000000", "-o", "unused.json"],
+        ["gen", "--family", "w", "--n", "100000000000000", "-o", "unused.json"],
+        ["gen", "--family", "basis", "--n", "100000000000000", "-o", "unused.json"],
         ["dicke-scan", "--n", "30"],
         ["permutations", "--n", "26"],
     ])
@@ -408,6 +411,7 @@ class TestErrorPaths:
         assert done.returncode == 2
         assert done.stdout == ""
         assert "qubit count" in done.stderr
+        assert "Traceback" not in done.stderr
         assert not (tmp_path / "unused.json").exists()
 
     @pytest.mark.parametrize("argv", [

@@ -19,6 +19,7 @@ from sloccrank.scalar import (
     SQRT2,
     Scalar,
     ZERO,
+    _other_conjugates,
     as_scalar,
     coord_bound,
     mix,
@@ -306,6 +307,43 @@ def test_coord_bound_bounds_coordinates_and_conjugates_and_is_submultiplicative(
             assert abs(complex(from_coords((a, si * b, ss * c, si * ss * d)))) <= coord_bound(x) + 1e-9
         assert coord_bound(mix(u, x, (0, 0, 0, 0), (0, 0, 0, 0))) <= coord_bound(u) * coord_bound(x)
     assert coord_bound((3, -4, 5, -6)) == 29
+
+
+_Z4 = (0, 0, 0, 0)
+
+
+def _four_conjugates_product(x):
+    a, b, c, d = x
+    return mix(mix(x, (a, -b, c, -d), _Z4, _Z4), mix((a, b, -c, -d), (a, -b, -c, d), _Z4, _Z4), _Z4, _Z4)[0]
+
+
+# Per shape: the coordinates that may be nonzero, the norm over its smallest field, and
+# fixed elements, 1 + sqrt2 among them, whose a^2 - 2c^2 = -1 needs the sign rule.
+_SHAPES = {
+    "rational": ((0,), lambda a, b, c, d: abs(a), [(1, 0, 0, 0), (-5, 0, 0, 0), (7, 0, 0, 0)]),
+    "Q(i)": ((0, 1), lambda a, b, c, d: a * a + b * b, [(0, 1, 0, 0), (1, 1, 0, 0), (-2, 3, 0, 0)]),
+    "Q(sqrt2)": ((0, 2), lambda a, b, c, d: abs(a * a - 2 * c * c),
+                 [(1, 0, 1, 0), (0, 0, -1, 0), (3, 0, 1, 0), (-3, 0, 2, 0)]),
+    "Q(i*sqrt2)": ((0, 3), lambda a, b, c, d: a * a + 2 * d * d, [(0, 0, 0, 1), (1, 0, 0, -1), (-4, 0, 0, 3)]),
+    "general": ((0, 1, 2, 3), lambda *x: _four_conjugates_product(x),
+                [(0, 0, 1, 1), (0, 1, 1, 0), (1, 1, 1, 1), (2, -1, 0, 3), (5, 0, -2, 1)]),
+    "zero": ((), lambda *x: 0, [(0, 0, 0, 0)]),
+}
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_other_conjugates_give_the_norm_in_the_smallest_field(shape):
+    free, norm_of, elements = _SHAPES[shape]
+    rng = random.Random(shape)
+    draws = [tuple(rng.choice((-1, 1)) * rng.randint(1, 10**12) if k in free else 0 for k in range(4))
+             for _ in range(100 if free else 0)]
+    for x in elements + draws:
+        conj, norm = _other_conjugates(x)
+        assert mix(x, conj, _Z4, _Z4) == (norm, 0, 0, 0)
+        assert norm > 0 if any(x) else norm == 0
+        assert norm == norm_of(*x)
+        if shape != "zero":
+            assert all(conj[k] == 0 for k in range(4) if k not in free)
 
 
 def test_float_embedding_is_multiplicative():

@@ -503,6 +503,25 @@ class TestKeptResults:
         # one image, then one right side per swap set
         assert len(transforms) == 1 + len(sigmas)
 
+    def test_the_kept_pair_is_read_once(self):
+        # The comparison replaces the kept pair, as another thread could meanwhile:
+        # the image returned must still be the one kept with the operators compared.
+        state = full_support_state(random.Random(97), 4)
+        ops_b = random_invertible_ops(4, 13)
+        image_b = apply_local(state, ops_b)
+        ops_a = random_invertible_ops(4, 14)
+        image_a = apply_local(state, ops_a)
+        assert image_a != image_b
+
+        class Replacing(LocalOperator):
+            __hash__ = LocalOperator.__hash__
+
+            def __eq__(self, other):
+                state._image = tuple(ops_b), image_b
+                return super().__eq__(other)
+
+        assert apply_local(state, [Replacing(ops_a[0].entries), *ops_a[1:]]) is image_a
+
     def test_det_relation_takes_the_base_determinant_once(self, monkeypatch):
         state = full_support_state(random.Random(83), 6)
         assert exact_det(coefficient_matrix(PureState(6, state.amps)))  # the law is not only 0 = 0
