@@ -267,9 +267,10 @@ def classify_table(table: str, samples_per_cell: int, seed: int) -> TableReport:
     signature, so no draw can ever land in a region listed as empty.
 
     A point drawn again in the same group reuses the signature of its first
-    draw instead of building and ranking the state again.  Every draw is
-    still taken from the RNG in order and counted, in samples, hits and
-    failures alike.
+    draw instead of building and ranking the state again, and an
+    unconstrained point drawn again reuses the cells its first draw was
+    routed to.  Every draw is still taken from the RNG in order and counted,
+    in samples, hits and failures alike.
     """
     if table not in _TABLES:
         raise ValueError(f"unknown table {table!r}; expected one of {list(TABLE_IDS)}")
@@ -280,6 +281,7 @@ def classify_table(table: str, samples_per_cell: int, seed: int) -> TableReport:
     cell_reports: list[CellReport] = []
     # One memo per group: two groups may draw the same point but build different states.
     known: list[dict[_Point, tuple[int, ...]]] = [{} for _ in groups]
+    routed: list[dict[_Point, list]] = [{} for _ in groups]  # the (region, signature) cells a point satisfies
 
     def ranks_at(group: int, point: _Point) -> tuple[int, ...]:
         ranks = known[group].get(point)
@@ -312,8 +314,10 @@ def classify_table(table: str, samples_per_cell: int, seed: int) -> TableReport:
             point = tuple(6 * rng.randint(-2, 2) // rng.choice((1, 2)) for _ in names)
             ranks = ranks_at(group, point)
             hits[family, ranks] += 1
-            matches = [(region, signature) for region, signature in cells
-                       if _REGIONS[region][0](*point)]
+            matches = routed[group].get(point)
+            if matches is None:
+                matches = routed[group][point] = [(region, signature) for region, signature in cells
+                                                  if _REGIONS[region][0](*point)]
             if len(matches) != 1 or ranks != matches[0][1]:
                 failures.append(
                     {

@@ -19,7 +19,8 @@ ring of integers of Q(zeta_8): it has index 2 in Z[zeta_8], since zeta_8 =
 (1+i)*sqrt2/2 has half-integer coordinates.)  The values are reduced once
 per prime, on first use, to one byte string per value: its residue as one
 lane of the packed rows below.  A state keeps its scaling (``_scaling``),
-so its cuts share one such set per prime and lane width.  Per prime, one
+so its cuts share one such set per prime and lane width, and one set per
+coordinate and lane width for the span check below.  Per prime, one
 gather through the slot list (``operator.itemgetter``) reads the block's
 lane bytes as one flat tuple, which is joined and cut into rows; the
 squares behind the stop rule's row and column sums are gathered the same
@@ -48,8 +49,10 @@ one-digit prime.  It finds the rank, and it alone closes a block whose
 rank needs no bound (full column rank, or full row rank with no column
 skipped).  While the stop rule below is not met, each further prime is
 the next 81-bit one, unless one more one-digit prime would close it; then
-it is the next one-digit prime.  The two lists share no prime, so M below
-is a product of distinct primes = 1 (mod 8), whichever sizes it took.
+it is the next one-digit prime.  Before the first 81-bit prime, the span
+certificate below may close the block instead.  The two lists share no
+prime, so M below is a product of distinct primes = 1 (mod 8), whichever
+sizes it took.
 
 Stop rule.  Let d in {1, 2, 4} be the degree of the smallest of Q, Q(i),
 Q(sqrt2), Q(i*sqrt2) holding every entry.  Columns 0..c hold rank at most
@@ -71,6 +74,49 @@ The rule holds on the block as it does on the whole matrix: a zero row or
 column would enter the bound with the factor 1, and the cap min(c+1, rows)
 on the rank of columns 0..c only tightens when the rows counted are the
 nonzero ones.
+
+Span certificate.  When neither the first prime nor a one-digit top-up
+closes the stop rule, and the route rule below favors it, one exact check
+runs (``_span_certifies``).  Let r be the rank that prime showed, J its
+leads and I the rows that joined its basis, in lead order.  Fraction-free
+Gauss-Jordan elimination of the rows I, step t pivoting at J_t, gives G =
+det * RREF(A[I, :]) with det = det A[I, J]: each step divides exactly by
+the previous pivot, through ``scalar._other_conjugates`` as ``exact_det``
+does, and no pivot is 0, as the leading minors of A[I, J] in lead order
+are nonzero mod p (the basis rows, sorted by lead, are triangular on J).
+The block is accepted if det != 0, each G_t is 0 left of J_t, and det *
+A[k, :] = sum_t A[k, J_t] * G_t for every row k not in I.  Proof: det != 0
+gives rank >= r.  The rows of G lie in the span of the rows I, and every
+other row lies in the span of G by the equation, so rank <= r.  G is then
+an echelon basis of the row space with leads J, so the pivots are J.  If
+the check fails, the prime loop goes on unchanged.  The entries lie in
+Z[theta], theta one of i, sqrt2 and i*sqrt2 (or in Z), so a row is packed
+as its two coordinate planes (the second is 0 for Q), in signed lanes of
+W bits: the bit length of (r+1) * r! * E^(r+1), E the state's largest
+``coord_bound``, plus a sign bit, in whole bytes.  Every r-minor, hence
+every entry of G, has coordinates below r! * E^r, and every difference
+checked below (r+1) * r! * E^(r+1), so a packed int is 0 only if every
+lane is; products and exact divisions act on a packed int lane by lane,
+whatever its lanes hold in between.  Entries that need all of Q(i, sqrt2)
+keep the prime route: their products take 16 multiplications, not 4.
+
+Route rule.  ``_span_pays`` predicts both costs from the block's m rows
+and n columns, r, the lane width w = W/8 bytes and d, the planes packed
+(1 or 2): it takes the span check when 7 * d * S < 8 * k * m * (r+2) *
+(22n + 400).  S = (m-r)(r+1)(nw + 400) + 2mnw + 0.4 r(r-1)(n w^2 + 400)
+counts the check's row products, the packing, and the Gauss-Jordan steps,
+whose multipliers grow with w.  k is the number of primes the plan still
+takes to close the stop rule, an 81-bit prime counting 1 and a one-digit
+top-up 1/2, and the product after it is what an 81-bit elimination of m
+rows against up to r+1 basis rows of 22-byte lanes costs.  The constants are fitted to timings of
+``_span_certifies`` and of one 81-bit elimination on sums of r products
+of Gaussian integers (Python 3.11, a 2-core Xeon).  There, the span check
+took this share of the primes it replaced: at 16 x 16, 0.84 at r = 3 with
+3-bit entries and 0.51 with 12-bit ones, 0.73 to 0.95 at r = 6, 0.98 to
+1.2 at r = 9, 1.6 to 2.0 at r = 12 and 2.0 to 3.2 at r = 15; at 32 x 32,
+0.76 at r = 6 and 5.3 at r = 31; at 128 x 128, 0.40 at r = 3 and 0.47 at
+r = 6.  The rule keeps the primes from r = 9 of 16 with 12-bit entries and
+r = 12 of 16 with 3-bit ones.
 
 Elimination.  Each row in turn is reduced against the basis rows, in the
 order they were found: it loses f times basis row b, f being its entry at
@@ -251,15 +297,15 @@ def _field(k: int, limit: int = _PRIME_LIMIT) -> tuple[int, int, int]:
 
 # --- exact rank --------------------------------------------------------------
 
-def _degree(entries) -> int:
-    """[K : Q] for the smallest of Q, Q(i), Q(sqrt2), Q(i*sqrt2) holding every entry.
+def _planes(entries) -> tuple[int, ...]:
+    """The coordinates spanning the smallest of Q, Q(i), Q(sqrt2), Q(i*sqrt2) holding every entry.
 
-    An entry (a, b, c, d) is a + b*i + (c + d*i)*sqrt2: the field is Q when
-    every b, c and d is zero, and has degree 2 when only one of b, c, d is
-    ever nonzero.
+    An entry (a, b, c, d) is a + b*i + (c + d*i)*sqrt2: the field is Q, (0,),
+    when every b, c and d is zero, and (0, k) when only coordinate k of b, c,
+    d is ever nonzero; otherwise all four.  Its degree [K : Q] is their number.
     """
-    parts = sum(map(any, list(zip(*entries))[1:]))
-    return 1 << min(parts, 2)
+    used = [k for k, plane in enumerate(zip(*entries)) if k and any(plane)]
+    return (0, *used) if len(used) < 2 else (0, 1, 2, 3)
 
 
 @functools.lru_cache(maxsize=256)
@@ -294,13 +340,19 @@ def _reduce_lanes(x: int, m: int, lanes) -> int:
     return x - (x + add >> g & ones) * m
 
 
-def _pivots_lanes(rows: list[int], m: int, count: int) -> list[int]:
-    """Pivot columns of rows packed as ``count`` lanes of residues mod m: the module docstring's elimination."""
+def _pivots_lanes(rows: list[int], m: int, count: int) -> tuple[list[int], list[int]]:
+    """(leads, joined) of rows packed as ``count`` lanes of residues mod m, by the module docstring's elimination.
+
+    ``joined`` holds the indices of the rows that joined the basis, in the
+    order they joined, and ``leads`` their leads: sorted, these are the
+    pivot columns.
+    """
     lanes = _lanes(m, count)
     bits = 8 * lanes[0]
     negate = lanes[-1] * m
     basis: list[tuple[int, int, int, int]] = []  # (lead's shift, below, lead's inverse mod m, negated row)
     leads = []
+    joined = []
     last = len(rows) - 1
     for r, x in enumerate(rows):
         for shift, below, inv, neg in basis:
@@ -309,11 +361,12 @@ def _pivots_lanes(rows: list[int], m: int, count: int) -> list[int]:
         if x:
             shift = ((x & -x).bit_length() - 1) // bits * bits
             leads.append(shift // bits)
+            joined.append(r)
             if len(leads) == count or r == last:  # no later row is reduced against this one
                 break
             below = (1 << shift + bits) - 1
             basis.append((shift, below, pow((x & below) >> shift, -1, m), negate - x))
-    return sorted(leads)
+    return leads, joined
 
 
 def _gather(slots: list[int]):
@@ -346,6 +399,9 @@ def _certified_rank(scaled: _Scaled, slots: list[int], ncols: int) -> RankResult
     the rank of columns 0..c.  The e^2 sums are sorted once per block, and
     each check multiplies only the ``missing`` largest.  The primes follow
     the module docstring's plan: ``taken[limit]`` counts those of each size.
+    After the first prime, its leads and the rows that joined its basis go
+    to the span check when the route rule takes it, and a check that holds
+    closes the block.
     """
     gather = _gather(slots)
     size = len(slots)
@@ -360,7 +416,9 @@ def _certified_rank(scaled: _Scaled, slots: list[int], ncols: int) -> RankResult
         taken[limit] += 1
         p = field[0]
         width = _lanes(p, ncols)[0]
-        leads = _pivots_lanes(_packed(gather(scaled.lane_bytes(field, width)), ncols * width), p, ncols)
+        order, joined = _pivots_lanes(_packed(gather(scaled.lane_bytes(field, width)), ncols * width), p, ncols)
+        leads = sorted(order)
+        first = modulus == 1
         modulus *= p
         if len(leads) > len(best):
             best, leads = leads, best
@@ -376,31 +434,118 @@ def _certified_rank(scaled: _Scaled, slots: list[int], ncols: int) -> RankResult
             # A row or column of a nonzero minor has a sum of at least 1.
             row_sums = sorted([sum(squares[i:i + ncols]) or 1 for i in range(0, size, ncols)], reverse=True)
             col_sums = sorted([sum(squares[c::ncols]) or 1 for c in range(ncols)], reverse=True)
-        bound = min(math.prod(row_sums[:missing]), math.prod(col_sums[:missing])) ** scaled.degree
+        bound = min(math.prod(row_sums[:missing]), math.prod(col_sums[:missing])) ** len(scaled.planes)
         if modulus * modulus > bound:
             break
         top_up = modulus * _field(taken[_DIGIT_LIMIT], _DIGIT_LIMIT)[0]
-        limit = _DIGIT_LIMIT if top_up * top_up > bound else _PRIME_LIMIT
+        if top_up * top_up > bound:
+            limit = _DIGIT_LIMIT
+            continue
+        if first and _span_pays(scaled, nrows, ncols, rank, modulus, bound):
+            if _span_certifies(scaled, slots, ncols, best, [r for _, r in sorted(zip(order, joined))]):
+                break
+        limit = _PRIME_LIMIT
     return RankResult(rank, tuple(best))
+
+
+def _span_pays(scaled: _Scaled, nrows: int, ncols: int, rank: int, modulus: int, bound: int) -> bool:
+    """Whether the span check is predicted to cost less than the primes the plan still needs.
+
+    The module docstring's "Route rule" states the two costs and where they cross.
+    """
+    if len(scaled.planes) == 4:
+        return False
+    width = _span_width(rank, scaled.largest())
+    bits, primes = modulus.bit_length() - 1, 0.0  # log2 of M, and the primes the plan still takes
+    while 2 * bits < bound.bit_length():
+        if 2 * (bits + 29) >= bound.bit_length():  # a one-digit top-up closes the rule
+            primes += 0.5
+            break
+        bits, primes = bits + 80, primes + 1
+    span = ((nrows - rank) * (rank + 1) * (ncols * width + 400) + 2 * nrows * ncols * width
+            + 0.4 * rank * (rank - 1) * (ncols * width * width + 400))
+    return 7 * len(scaled.planes) * span < 8 * primes * nrows * (rank + 2) * (22 * ncols + 400)
+
+
+def _span_certifies(scaled: _Scaled, slots: list[int], ncols: int, leads: list[int], joined: list[int]) -> bool:
+    """Whether the block's rows ``joined``, in lead order, span every row with echelon leads ``leads``: the span check.
+
+    The entries lie in Z[theta], theta^2 = s, one of Q, Q(i), Q(sqrt2),
+    Q(i*sqrt2): a scalar is a pair (a, b), a + b*theta, and a row the pair
+    of its planes, coordinate 0 and coordinate q of theta (for Q, q = 1,
+    whose plane is 0).  Each plane is packed as lanes of ``_span_width``
+    bytes holding v + 2^(W-1) (``coord_bytes``), and ``bias`` taken off.
+    Fraction-free Gauss-Jordan elimination of the rows ``joined`` turns
+    them into g_t = det * (row t of their reduced echelon form), and the
+    check is the module docstring's span certificate.
+    """
+    q = scaled.planes[-1] or 1
+    s = (0, -1, 2, -2)[q]  # the square of i, sqrt2 or i*sqrt2
+    width = _span_width(len(leads), scaled.largest())
+    bits, mask, half = 8 * width, (1 << 8 * width) - 1, 1 << 8 * width - 1
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * ncols, "little")
+    gather = _gather(slots)
+    rows = [(x - bias, y - bias) for x, y in zip(*(_packed(gather(scaled.coord_bytes(p, width)), ncols * width)
+                                                     for p in (0, q)))]
+    g = [rows[i] for i in joined]
+    c0, c1, norm, d0, d1 = 1, 0, 1, 1, 0  # the previous pivot's other conjugate and norm; the pivot
+    for t, j in enumerate(leads):
+        shift = bits * j  # lane j of a row: ((row + bias) >> shift & mask) - half
+        x, y = g[t]
+        d0, d1 = ((x + bias) >> shift & mask) - half, ((y + bias) >> shift & mask) - half
+        if not (d0 or d1):
+            return False
+        x, y = c0 * x + s * c1 * y, c0 * y + c1 * x
+        e0, e1 = c0 * d0 + s * c1 * d1, c0 * d1 + c1 * d0
+        for u, (e, f) in enumerate(g):
+            if u != t:
+                a0, a1 = ((e + bias) >> shift & mask) - half, ((f + bias) >> shift & mask) - half
+                e, f = e0 * e + s * e1 * f - a0 * x - s * a1 * y, e0 * f + e1 * e - a0 * y - a1 * x
+                g[u] = e // norm, f // norm
+        conj, norm = _other_conjugates((d0, d1 * (q == 1), d1 * (q == 2), d1 * (q == 3)))
+        c0, c1 = conj[0], conj[q]
+    if any((x | y) & (1 << bits * j) - 1 for (x, y), j in zip(g, leads)):
+        return False
+    columns = [_gather(slots[j::ncols])(scaled.coords) for j in leads]
+    g = [(x, s * y, y) for x, y in g]
+    sd1 = s * d1
+    for k, (x, y) in enumerate(rows):
+        if k not in joined:
+            re, im = d0 * x + sd1 * y, d0 * y + d1 * x
+            for (g0, sg1, g1), column in zip(g, columns):
+                cell = column[k]
+                a, b = cell[0], cell[q]
+                re -= a * g0 + b * sg1
+                im -= a * g1 + b * g0
+            if re or im:
+                return False
+    return True
+
+
+def _span_width(rank: int, e: int) -> int:
+    """Bytes per lane of the span check: every lane, signed, holds (rank+1) * rank! * e^(rank+1)."""
+    return ((rank + 1) * math.factorial(rank) * e ** (rank + 1)).bit_length() // 8 + 1
 
 
 class _Scaled:
     """Values times ``den``, the lcm of their denominators, as ``coords`` in Z[i, sqrt2], plus one zero slot.
 
     Slot k holds ``values[k]`` and slot ``len(values)`` holds 0, the entry a
-    block takes where the matrix has no value.  ``degree`` is the degree of
-    the smallest field holding them all; ``lane_bytes(field, width)`` and
-    ``squares()`` are made on first use and kept.
+    block takes where the matrix has no value.  ``planes`` are the
+    coordinates of the smallest field holding them all (``_planes``), and
+    ``lane_bytes``, ``coord_bytes``, ``squares()`` and ``largest()`` are
+    made on first use and kept.
     """
 
-    __slots__ = ("den", "coords", "degree", "_squares", "_bytes")
+    __slots__ = ("den", "coords", "planes", "_squares", "_largest", "_bytes")
 
     def __init__(self, values: Iterable[Scalar]) -> None:
         self.den, coords = scaled_coords(values)
         coords.append((0, 0, 0, 0))
         self.coords = coords
-        self.degree = _degree(coords)
+        self.planes = _planes(coords)
         self._squares: list[int] | None = None
+        self._largest: int | None = None
         self._bytes: dict[tuple[int, int], list[bytes]] = {}
 
     def lane_bytes(self, field: tuple[int, int, int], width: int) -> list[bytes]:
@@ -412,11 +557,25 @@ class _Scaled:
                                 for a, b, c, d in self.coords]
         return self._bytes[key]
 
+    def coord_bytes(self, q: int, width: int) -> list[bytes]:
+        """The values' coordinate q plus 2^(8*width-1), as ``width``-byte little-endian lanes, kept per (q, width)."""
+        key = (q, width)
+        if key not in self._bytes:
+            half = 1 << 8 * width - 1
+            self._bytes[key] = [(x[q] + half).to_bytes(width, "little") for x in self.coords]
+        return self._bytes[key]
+
     def squares(self) -> list[int]:
         """e^2 per value, where e = ``coord_bound`` of the value bounds the modulus of every conjugate."""
         if self._squares is None:
             self._squares = [coord_bound(x) ** 2 for x in self.coords]
         return self._squares
+
+    def largest(self) -> int:
+        """The largest e = ``coord_bound`` of any value."""
+        if self._largest is None:
+            self._largest = math.isqrt(max(self.squares()))
+        return self._largest
 
 
 def _scaling(state: PureState) -> _Scaled:

@@ -65,7 +65,7 @@ from __future__ import annotations
 
 import json
 import random
-from math import isqrt, prod
+from math import prod
 
 from .classify import rank_signature
 from .coeffmatrix import IDENTITY, QubitPermutation, coefficient_matrix, enumerate_sigmas
@@ -188,7 +188,7 @@ def _transform(state: PureState, passes, positions) -> dict[int, Scalar]:
     scaled = _scaling(state)
     den, coords = scaled.den, scaled.coords  # coords ends with the zero slot, which no position reads
     passes = [(block, _operator(op)) for block, op in passes]
-    bits = isqrt(max(scaled.squares())).bit_length() + 1  # the largest mu, with the sign bit
+    bits = scaled.largest().bit_length() + 1  # the largest mu, with the sign bit
     width = -(-(bits + sum(growth.bit_length() for _, (_, _, growth) in passes)) // 8)
     count = 1 << state.n
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")

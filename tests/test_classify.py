@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -348,6 +349,21 @@ class TestRepeatedPoints:
             hits = sum(count for key, count in report.unconstrained_hits.items() if key.startswith(prefix))
             assert hits == 10 * samples
         assert {cell.samples for cell in report.cells} <= {0, samples}
+
+    @pytest.mark.parametrize("table, seed", [("verstraete", 0), ("lamata", 1), ("chterental", 2)])
+    def test_each_unconstrained_point_routed_once_per_group(self, monkeypatch, table, seed):
+        # Each region's predicate sees a point once per group that lists the
+        # region, however often the point is drawn; the report is unchanged.
+        expected = classify_table(table, 100, seed)
+        routed = []
+        for region, (holds, draw) in list(_REGIONS.items()):
+            monkeypatch.setitem(_REGIONS, region, (lambda *point, region=region, holds=holds:
+                                                   routed.append((region, point)) or holds(*point), draw))
+        assert classify_table(table, 100, seed) == expected
+        groups = _TABLES[table][1]
+        listed = Counter(region for _, _, _, cells in groups for region, _ in cells)
+        assert routed and all(count <= listed[region] for (region, _), count in Counter(routed).items())
+        assert len(routed) < sum(len(cells) for _, _, _, cells in groups) * 1000
 
     def test_groups_drawing_the_same_point_rank_their_own_states(self, ranked_states):
         # both chterental groups draw (a, b) = (0, 0) for their x=y=0 cells

@@ -237,7 +237,11 @@ class TestModularEngine:
     @pytest.mark.parametrize("size", [4, 16])
     def test_a_prime_showing_a_lower_rank_lowers_nothing(self, monkeypatch, size):
         # Rank size - 1 from entries of about 100 bits, so the stop rule needs
-        # several primes; the last one is made to lose its highest lead.
+        # several primes; the last one is made to lose its highest lead.  The
+        # route rule is held to the primes, which this test is about; the
+        # span check's fallback after a first prime that loses its highest
+        # lead is the next test.
+        monkeypatch.setattr(rank_module, "_span_pays", lambda *args: False)
         rng = random.Random(size)
         us = [[rng.getrandbits(50) for _ in range(size)] for _ in range(size - 1)]
         vs = [[rng.getrandbits(50) for _ in range(size)] for _ in range(size - 1)]
@@ -247,8 +251,11 @@ class TestModularEngine:
 
         def kernel(*args):
             calls.append(1)
-            leads = real(*args)
-            return leads[:-1] if len(calls) == drop_at[0] else leads
+            leads, joined = real(*args)
+            if len(calls) == drop_at[0]:
+                top = leads.index(max(leads))
+                del leads[top], joined[top]
+            return leads, joined
 
         monkeypatch.setattr(rank_module, "_pivots_lanes", kernel)
         expected = exact_rank(grid)
@@ -256,6 +263,26 @@ class TestModularEngine:
         drop_at[0], calls[:] = len(calls), []
         assert exact_rank(grid) == expected
         assert len(calls) == drop_at[0]
+
+    @pytest.mark.parametrize("size", [4, 16])
+    def test_a_first_prime_showing_a_lower_rank_fails_the_span_check(self, size):
+        # The first prime is made to lose the last row that joined its basis,
+        # with that row's lead: the span check then finds the row outside the
+        # span of the others, and the primes restore the rank.
+        grid = subfield_sum(random.Random(size), I, size, size, 3)
+        result, calls = steps(grid)
+        assert result == reference_rank(grid) and calls == plan(0, False, SPAN)
+        with pytest.MonkeyPatch.context() as patch:
+            calls = record_eliminations(patch)
+            logged = rank_module._pivots_lanes
+
+            def kernel(rows, m, count):
+                leads, joined = logged(rows, m, count)
+                return (leads[:-1], joined[:-1]) if len(calls) == 1 else (leads, joined)
+
+            patch.setattr(rank_module, "_pivots_lanes", kernel)
+            assert exact_rank(grid) == result
+        assert calls[:2] == plan(0, False, REJECTED) and len(calls) > 2
 
     def test_wide_high_rank_matches_reference(self):
         rng = random.Random(41)
@@ -350,21 +377,27 @@ class TestDegreeRule:
 
     @staticmethod
     def degree_four(x: Scalar, first: int) -> None:
+        # Degree four keeps the prime route: no span check runs.
         e = coord_bound(x.coords[:4])
         assert all(residue(x, field) == 0 for field in PLAN_FIELDS[:first])
         assert e ** 8 > math.prod(PLAN_START[:first]) ** 2 > e ** 4
-        assert exact_rank([[x]]) == RankResult(1, (0,))
-        assert cut_ranks(PureState(1, {1: x}), [IDENTITY]) == [RankResult(1, (1,))]
+        expected = plan(0, True) if first == 1 else plan(2, False)
+        assert steps([[x]]) == (RankResult(1, (0,)), expected)
+        assert steps(coefficient_matrix(PureState(1, {1: x}), IDENTITY)) == (RankResult(1, (1,)), expected)
 
     @staticmethod
     def subring_entry(ring: str, first: int) -> None:
+        # Zero modulo the first prime alone, a one-digit top-up closes the
+        # rule; modulo the first two, the span check runs after the first,
+        # fails on the row it shows as zero, and the primes go on.
         x = plan_zero(ring, first)
         assert x and all(residue(x, field) == 0 for field in PLAN_FIELDS[:first])
         bits = math.prod(PLAN_START[:first]).bit_length()
         assert max(abs(v) for v in x.coords).bit_length() <= (bits if ring == "Z" else (bits + 1) // 2)
-        assert exact_rank([[x]]) == RankResult(1, (0,))
-        assert exact_rank([[x, ZERO], [ZERO, Scalar(1)]]) == RankResult(2, (0, 1))
-        assert cut_ranks(PureState(1, {0: x}), [IDENTITY]) == [RankResult(1, (0,))]
+        expected = plan(0, True) if first == 1 else plan(1, True, REJECTED)
+        assert steps([[x]]) == (RankResult(1, (0,)), expected)
+        assert steps([[x, ZERO], [ZERO, Scalar(1)]]) == (RankResult(2, (0, 1)), expected)
+        assert steps(coefficient_matrix(PureState(1, {0: x}), IDENTITY)) == (RankResult(1, (0,)), expected)
 
     @pytest.mark.parametrize("ring", RINGS)
     def test_entry_in_each_subring(self, ring):
@@ -666,16 +699,26 @@ def sum_of_products(rng: random.Random, size: int, terms: int) -> list[list[Scal
     return [[sum((u[i] * v[j] for u, v in zip(us, vs)), ZERO) for j in range(size)] for i in range(size)]
 
 
-def record_eliminations(monkeypatch: pytest.MonkeyPatch) -> list[int]:
-    """Patch the kernel to log the modulus of each elimination it runs."""
-    calls: list[int] = []
-    real = rank_module._pivots_lanes
+# What the span check logs in place of a modulus: the cut closed on it, or it failed and the primes went on.
+SPAN, REJECTED = "span", "span rejected"
+
+
+def record_eliminations(monkeypatch: pytest.MonkeyPatch) -> list:
+    """Patch the kernel to log the modulus of each elimination it runs, and the span check to log its verdict."""
+    calls: list = []
+    real, real_span = rank_module._pivots_lanes, rank_module._span_certifies
 
     def logged(rows, m, count):
         calls.append(m)
         return real(rows, m, count)
 
+    def span(*args):
+        held = real_span(*args)
+        calls.append(SPAN if held else REJECTED)
+        return held
+
     monkeypatch.setattr(rank_module, "_pivots_lanes", logged)
+    monkeypatch.setattr(rank_module, "_span_certifies", span)
     return calls
 
 
@@ -684,14 +727,16 @@ def block_width(matrix) -> int:
     return sum(map(any, zip(*getattr(matrix, "entries", matrix))))
 
 
-def plan(bigs: int, top_up: bool) -> list[int]:
-    """The moduli of the plan: the first one-digit prime, ``bigs`` 81-bit primes, then one more one-digit prime or none."""
-    return [_field(0, _DIGIT_LIMIT)[0]] + [_field(k)[0] for k in range(bigs)] + [_field(1, _DIGIT_LIMIT)[0]] * top_up
+def plan(bigs: int, top_up: bool, span: str | None = None) -> list:
+    """The plan's steps: the first one-digit prime, the span check's verdict if it ran,
+    ``bigs`` 81-bit primes, then one more one-digit prime or none."""
+    first = [_field(0, _DIGIT_LIMIT)[0]] + [span] * (span is not None)
+    return first + [_field(k)[0] for k in range(bigs)] + [_field(1, _DIGIT_LIMIT)[0]] * top_up
 
 
-def sizes(moduli: list[int]) -> dict[str, int]:
-    """The number of ``moduli`` of each size."""
-    return dict(Counter("one-digit" if m < _DIGIT_LIMIT else "81-bit" for m in moduli))
+def sizes(calls: list) -> dict[str, int]:
+    """The number of steps of each kind: eliminations by modulus size, and span checks by verdict."""
+    return dict(Counter(c if isinstance(c, str) else "one-digit" if c < _DIGIT_LIMIT else "81-bit" for c in calls))
 
 
 class TestPrimeGroups:
@@ -700,8 +745,10 @@ class TestPrimeGroups:
     So the rank, the pivots and the primes spent are those of one prime at a
     time, on blocks of one column as on blocks of hundreds.  Without a prime
     that shows too low a rank, the plan is the first one-digit prime, then
-    81-bit primes, and last one more one-digit prime when it closes the stop
-    rule where an 81-bit one would be needed.
+    at most one span check where the route rule takes it, then 81-bit
+    primes, and last one more one-digit prime when it closes the stop rule
+    where an 81-bit one would be needed.  A span check that holds closes
+    the cut.
     """
 
     @staticmethod
@@ -710,8 +757,10 @@ class TestPrimeGroups:
         with pytest.MonkeyPatch.context() as patch:
             calls = record_eliminations(patch)
             result = exact_rank(matrix)
-        top_up = len(calls) > 1 and calls[-1] < _DIGIT_LIMIT
-        assert calls == plan(len(calls) - 1 - top_up, top_up)
+        moduli = [c for c in calls if not isinstance(c, str)]
+        span = calls[1] if len(calls) > 1 and isinstance(calls[1], str) else None
+        top_up = len(moduli) > 1 and moduli[-1] < _DIGIT_LIMIT
+        assert calls == plan(len(moduli) - 1 - top_up, top_up, span)
         return result
 
     @settings(max_examples=10, deadline=None)
@@ -778,15 +827,17 @@ class TestPrimeGroups:
         return sizes(calls)
 
     def test_dense_eight_qubit_dicke_signature(self, monkeypatch):
-        # Every rank-deficient cut closes on the one-digit prime and one
-        # 81-bit prime (on one 81-bit prime alone before the plan, and on two
-        # 62-bit ones before that).
-        assert self.dense_dicke_eliminations(monkeypatch, 8, 2, plan(1, False)) == {"one-digit": 35, "81-bit": 35}
+        # Every rank-deficient cut closes on the one-digit prime and the span
+        # check (on the one-digit prime and one 81-bit prime before the span
+        # route, on one 81-bit prime alone before the plan, and on two 62-bit
+        # ones before that).
+        assert self.dense_dicke_eliminations(monkeypatch, 8, 2, plan(0, False, SPAN)) == {"one-digit": 35, "span": 35}
 
     def test_dense_ten_qubit_dicke_signature(self, monkeypatch):
-        # The one-digit prime, one 81-bit prime and a one-digit top-up per
-        # cut (two 81-bit primes before the plan, three 62-bit ones before that).
-        assert self.dense_dicke_eliminations(monkeypatch, 10, 3, plan(1, True)) == {"one-digit": 252, "81-bit": 126}
+        # The one-digit prime and the span check per cut (the one-digit
+        # prime, one 81-bit prime and a one-digit top-up before the span
+        # route, two 81-bit primes before the plan, three 62-bit ones before that).
+        assert self.dense_dicke_eliminations(monkeypatch, 10, 3, plan(0, False, SPAN)) == {"one-digit": 126, "span": 126}
 
     @staticmethod
     def rank_three_eliminations(monkeypatch, state: PureState) -> dict[int, int]:
@@ -794,16 +845,17 @@ class TestPrimeGroups:
         assert len(state.amps) == 256
         calls = record_eliminations(monkeypatch)
         assert rank_signature(state, enumerate_sigmas(8)).ranks == (3,) * 35
-        assert calls == plan(1, False) * 35
+        assert calls == plan(0, False, SPAN) * 35
         return sizes(calls)
 
     def test_dense_eight_qubit_dicke_signature_one_operator_per_qubit(self, monkeypatch):
         # [[1+i, q], [1, -1+2i]] on qubit q: the state is no longer symmetric,
-        # and each cut closes on the one-digit prime and one 81-bit prime
-        # (on two 81-bit primes before the plan), so a stop rule that spends
-        # one prime more, or stops one early, on any cut fails.
+        # and each cut closes on the one-digit prime and the span check (on
+        # the one-digit prime and one 81-bit prime before the span route, on
+        # two 81-bit primes before the plan), so a rule that spends one step
+        # more, or a span check that fails, on any cut fails.
         ops = [LocalOperator([[scalar_parse("1+i"), q], [1, scalar_parse("-1+2i")]]) for q in range(1, 9)]
-        assert self.rank_three_eliminations(monkeypatch, apply_local(dicke_state(8, 2), ops)) == {"one-digit": 35, "81-bit": 35}
+        assert self.rank_three_eliminations(monkeypatch, apply_local(dicke_state(8, 2), ops)) == {"one-digit": 35, "span": 35}
 
     def test_dense_eight_qubit_sum_of_three_products_signature(self, monkeypatch):
         # Term t is the product over qubits q of (1, g_tq), g_tq a nonzero Gaussian integer.
@@ -811,24 +863,143 @@ class TestPrimeGroups:
         terms = [[random_gauss_int(rng, 3, nonzero=True) for _ in range(8)] for _ in range(3)]
         state = PureState(8, {x: sum(math.prod(g for q, g in enumerate(term) if x >> 7 - q & 1) for term in terms)
                               for x in range(256)})
-        assert self.rank_three_eliminations(monkeypatch, state) == {"one-digit": 35, "81-bit": 35}
+        assert self.rank_three_eliminations(monkeypatch, state) == {"one-digit": 35, "span": 35}
 
 
-def list_pivots(rows: list[list[int]], m: int) -> list[int]:
-    """Pivot columns of residue rows mod m: the module docstring's elimination, on lists."""
-    basis: list[tuple[int, int, list[int]]] = []  # (lead column, lead's inverse mod m, row)
-    for row in rows:
-        for lead, inv, b in basis:
+SUBFIELD_UNITS = {"Q": ZERO, "Q(i)": I, "Q(sqrt2)": SQRT2, "Q(i*sqrt2)": I * SQRT2}
+
+
+def subfield_sum(rng: random.Random, unit: Scalar, nrows: int, ncols: int, terms: int) -> list[list[Scalar]]:
+    """An nrows x ncols grid summing ``terms`` outer products of vectors a + b*unit, a and b of 16 bits."""
+    def vector(size: int) -> list[Scalar]:
+        return [Scalar(rng.randint(-65536, 65536)) + rng.randint(-65536, 65536) * unit for _ in range(size)]
+
+    us, vs = [vector(nrows) for _ in range(terms)], [vector(ncols) for _ in range(terms)]
+    return [[sum((u[i] * v[j] for u, v in zip(us, vs)), ZERO) for j in range(ncols)] for i in range(nrows)]
+
+
+def steps(matrix) -> tuple[RankResult, list]:
+    """``exact_rank(matrix)`` and the steps it took, as ``record_eliminations`` logs them."""
+    with pytest.MonkeyPatch.context() as patch:
+        calls = record_eliminations(patch)
+        result = exact_rank(matrix)
+    return result, calls
+
+
+class TestSpanCertificate:
+    """The span check after the first prime: it closes a deficient cut with one exact check, or the primes go on."""
+
+    @pytest.mark.parametrize("field", SUBFIELD_UNITS)
+    @pytest.mark.parametrize("terms", [1, 2, 3, 5])
+    def test_low_rank_sums_in_each_subfield_close_on_the_span_check(self, field, terms):
+        rng = random.Random(terms)
+        for nrows, ncols in ((12, 12), (7, 12), (12, 7)):
+            grid = subfield_sum(rng, SUBFIELD_UNITS[field], nrows, ncols, terms)
+            grid = [[x / 3 for x in row] for row in grid] if terms == 2 else grid  # a common denominator
+            result, calls = steps(grid)
+            assert result == reference_rank(grid) and result.rank == terms
+            assert calls == plan(0, False, SPAN)
+
+    def test_degree_four_keeps_the_prime_route(self):
+        rng = random.Random(4)
+        grid = subfield_sum(rng, I + SQRT2, 12, 12, 3)
+        result, calls = steps(grid)
+        assert result == reference_rank(grid) and result.rank == 3
+        assert SPAN not in calls and REJECTED not in calls and len(calls) >= 3
+
+    @pytest.mark.parametrize("n, kind", [(9, "gauss"), (10, "rational"), (10, "gauss"), (10, "sqrt2"), (10, "i*sqrt2")])
+    def test_every_cut_up_to_ten_qubits(self, n, kind):
+        state = dense_state_of_kind(7 * n, n, kind)
+        spans = 0
+        for sigma in enumerate_sigmas(n):
+            cut = coefficient_matrix(state, sigma)
+            result, calls = steps(cut)
+            assert result == reference_rank(cut)
+            spans += calls.count(SPAN)
+        # The rational state has rank 1 on every cut, which the top-up closes.
+        assert spans == (0 if kind == "rational" else 83 if n == 9 else 126)
+
+    @pytest.mark.parametrize("outside", range(9))
+    def test_a_row_outside_the_span_mod_the_first_prime_is_found(self, outside):
+        # Rank 2 but for one row, whose extra part p1 * e vanishes modulo the
+        # first prime: that prime shows rank 2, the span check must find the
+        # row wherever it is, and the primes then show rank 3.
+        rng = random.Random(outside)
+        grid = subfield_sum(rng, I, 9, 9, 2)
+        grid[outside] = [x + PLAN_START[0] * rng.randint(1, 9) for x in grid[outside]]
+        result, calls = steps(grid)
+        assert result == reference_rank(grid) and result.rank == 3
+        assert calls[:2] == plan(0, False, REJECTED)
+
+    @pytest.mark.parametrize("ring", RINGS)
+    @pytest.mark.parametrize("ncols", [2, 3])
+    def test_a_lead_left_of_the_first_primes_leads_is_found(self, ring, ncols):
+        # Column 0 vanishes modulo the first prime but not exactly: that prime
+        # puts the lead in column 1, with rank 1 as the matrix has.  The span
+        # equation holds, so only the zeros left of the lead show the pivot.
+        x = plan_zero(ring, 1) * (1 << 40)
+        row = [x, Scalar(1), Scalar(5)][:ncols]
+        grid = [row, [2 * v for v in row], [-3 * v for v in row]]
+        result, calls = steps(grid)
+        assert result == reference_rank(grid) == RankResult(1, (0,))
+        assert calls[:2] == plan(0, False, REJECTED)
+
+    def test_lanes_hold_every_difference(self):
+        # Claimed rank 1 on rows 0 and [2^20, 0, 1]: row 1 minus 2^20 times
+        # row 0 is [0, -2^40, 1], which a packed int of 40-bit lanes reads as
+        # 0.  The bound (r+1) * r! * e^(r+1) = 2^41 takes 6-byte lanes.
+        e = 1 << 20
+        scaled, slots, cols, _, _ = rank_module._block([[1, e, 0], [e, 0, 1]])
+        assert rank_module._span_width(1, scaled.largest()) == 6
+        assert not rank_module._span_certifies(scaled, slots, len(cols), [0], [0])
+        scaled, slots, cols, _, _ = rank_module._block([[1, e, 0], [e, e * e, 0]])
+        assert rank_module._span_certifies(scaled, slots, len(cols), [0], [0])
+
+    @pytest.mark.parametrize("rank, e", [(0, 1), (1, 3), (2, 1 << 20), (3, 12345), (6, 1 << 34), (12, 99)])
+    def test_lane_width_is_the_bound_in_whole_bytes(self, rank, e):
+        width = rank_module._span_width(rank, e)
+        bits = ((rank + 1) * math.factorial(rank) * e ** (rank + 1)).bit_length()
+        assert 8 * (width - 1) <= bits < 8 * width  # the bound and a sign bit, in as few bytes as hold them
+
+    @pytest.mark.parametrize("terms", range(1, 7))
+    def test_fraction_free_steps_divide_by_the_previous_pivot(self, terms):
+        # Every step after the first divides by the previous pivot; any other
+        # divisor leaves rows that are not det * (reduced echelon row), and
+        # the check then fails on a rank it should prove.
+        for field in ("Q(i)", "Q(sqrt2)"):
+            grid = subfield_sum(random.Random(10 + terms), SUBFIELD_UNITS[field], 14, 16, terms)
+            result, calls = steps(grid)
+            assert result == reference_rank(grid) and calls == plan(0, False, SPAN)
+
+    @pytest.mark.parametrize("size, terms", [(16, 12), (16, 14), (32, 31)])
+    def test_high_rank_keeps_the_prime_route(self, size, terms):
+        # The span check's Gauss-Jordan steps grow as r^2 and its lanes with r,
+        # so at high rank the route rule keeps the primes.
+        grid = sum_of_products(random.Random(terms), size, terms)
+        result, calls = steps(grid)
+        assert result == reference_rank(grid) and result.rank == terms
+        bigs = sizes(calls).get("81-bit", 0)
+        assert bigs >= 2 and calls == plan(bigs, len(calls) > bigs + 1)
+
+
+def list_pivots(rows: list[list[int]], m: int) -> tuple[list[int], list[int]]:
+    """(leads, joined) of residue rows mod m: the module docstring's elimination, on lists.
+
+    The indices of the rows that joined the basis, in the order they joined, and their leads.
+    """
+    basis: list[tuple[int, int, list[int], int]] = []  # (lead column, lead's inverse mod m, row, its index)
+    for i, row in enumerate(rows):
+        for lead, inv, b, _ in basis:
             f = row[lead] * inv % m
             if f:
                 row = [(x - f * y) % m for x, y in zip(row, b)]
         for lead, x in enumerate(row):
             if x:
-                basis.append((lead, pow(x, -1, m), row))
+                basis.append((lead, pow(x, -1, m), row, i))
                 break
         if len(basis) == len(row):
             break
-    return sorted(lead for lead, _, _ in basis)
+    return [lead for lead, _, _, _ in basis], [i for _, _, _, i in basis]
 
 
 def pack(rows: list[list[int]], m: int) -> list[int]:
@@ -881,7 +1052,7 @@ class TestLanes:
         rows[-1] = [(a + 2 * b) % m for a, b in zip(rows[0], rows[1])]
         expected = list_pivots(rows, m)
         assert rank_module._pivots_lanes(pack(rows, m), m, ncols) == expected
-        assert len(expected) < nrows
+        assert len(expected[0]) < nrows
 
     @pytest.mark.parametrize("ncols", [16, 40])
     @pytest.mark.parametrize("m", LANE_MODULI)
@@ -898,8 +1069,10 @@ class TestLanes:
                 rows.append([sum(c * row[j] for c, row in zip(coefs, echelon)) % m for j in range(ncols)])
             echelon.append([0] * lead + [rng.randrange(1, m) for _ in range(ncols - lead)])
             rows.append(echelon[-1])
-        assert list_pivots(rows, m) == list(range(ncols))
-        assert rank_module._pivots_lanes(pack(rows, m), m, ncols) == list(range(ncols))
+        # Row 2i is echelon row i, with its lead in lane ncols-1-i; the rows between depend on those before.
+        expected = (list(range(ncols - 1, -1, -1)), list(range(0, 2 * ncols, 2)))
+        assert list_pivots(rows, m) == expected
+        assert rank_module._pivots_lanes(pack(rows, m), m, ncols) == expected
 
     @pytest.mark.parametrize("m", list(COMPOSITES))
     def test_composite_modulus_with_a_non_unit_lead_raises(self, m):
