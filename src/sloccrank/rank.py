@@ -20,7 +20,7 @@ ring of integers of Q(zeta_8): it has index 2 in Z[zeta_8], since zeta_8 =
 per prime, on first use, to one byte string per value: its residue as one
 lane of the packed rows below.  A state keeps its scaling (``_scaling``),
 so its cuts share one such set per prime and lane width, and one set per
-coordinate and lane width for the span check below.  Per prime, one
+coordinate and lane width for the exact pass below.  Per prime, one
 gather through the slot list (``operator.itemgetter``) reads the block's
 lane bytes as one flat tuple, which is joined and cut into rows; the
 squares behind the stop rule's row and column sums are gathered the same
@@ -44,15 +44,15 @@ a block's rows adds about 11 us per prime at either size, so an 81-bit
 prime certifies bits a little more cheaply, while a one-digit prime finds
 a rank at a third of the cost.
 
-Prime plan.  The first elimination of every block is modulo the largest
-one-digit prime.  It finds the rank, and it alone closes a block whose
-rank needs no bound (full column rank, or full row rank with no column
-skipped).  While the stop rule below is not met, each further prime is
-the next 81-bit one, unless one more one-digit prime would close it; then
-it is the next one-digit prime.  Before the first 81-bit prime, the span
-certificate below may close the block instead.  The two lists share no
-prime, so M below is a product of distinct primes = 1 (mod 8), whichever
-sizes it took.
+Prime plan.  Unless the exact pass at the state's start (below) closes
+it, the first elimination of every block is modulo the largest one-digit
+prime.  It finds the rank, and it alone closes a block whose rank needs
+no bound (full column rank, or full row rank with no column skipped).
+While the stop rule below is not met, each further prime is the next
+81-bit one, unless one more one-digit prime would close it; then it is
+the next one-digit prime.  Before the first 81-bit prime, the exact pass
+below may close the block instead.  The two lists share no prime, so M
+below is a product of distinct primes = 1 (mod 8), whichever sizes it took.
 
 Stop rule.  Let d in {1, 2, 4} be the degree of the smallest of Q, Q(i),
 Q(sqrt2), Q(i*sqrt2) holding every entry.  Columns 0..c hold rank at most
@@ -75,48 +75,56 @@ column would enter the bound with the factor 1, and the cap min(c+1, rows)
 on the rank of columns 0..c only tightens when the rows counted are the
 nonzero ones.
 
-Span certificate.  When neither the first prime nor a one-digit top-up
-closes the stop rule, and the route rule below favors it, one exact check
-runs (``_span_certifies``).  Let r be the rank that prime showed, J its
-leads and I the rows that joined its basis, in lead order.  Fraction-free
-Gauss-Jordan elimination of the rows I, step t pivoting at J_t, gives G =
-det * RREF(A[I, :]) with det = det A[I, J]: each step divides exactly by
-the previous pivot, through ``scalar._other_conjugates`` as ``exact_det``
-does, and no pivot is 0, as the leading minors of A[I, J] in lead order
-are nonzero mod p (the basis rows, sorted by lead, are triangular on J).
-The block is accepted if det != 0, each G_t is 0 left of J_t, and det *
-A[k, :] = sum_t A[k, J_t] * G_t for every row k not in I.  Proof: det != 0
-gives rank >= r.  The rows of G lie in the span of the rows I, and every
-other row lies in the span of G by the equation, so rank <= r.  G is then
-an echelon basis of the row space with leads J, so the pivots are J.  If
-the check fails, the prime loop goes on unchanged.  The entries lie in
-Z[theta], theta one of i, sqrt2 and i*sqrt2 (or in Z), so a row is packed
-as its two coordinate planes (the second is 0 for Q), in signed lanes of
-W bits: the bit length of (r+1) * r! * E^(r+1), E the state's largest
-``coord_bound``, plus a sign bit, in whole bytes.  Every r-minor, hence
-every entry of G, has coordinates below r! * E^r, and every difference
-checked below (r+1) * r! * E^(r+1), so a packed int is 0 only if every
-lane is; products and exact divisions act on a packed int lane by lane,
-whatever its lanes hold in between.  Entries that need all of Q(i, sqrt2)
-keep the prime route: their products take 16 multiplications, not 4.
+Exact pass.  One fraction-free Gauss-Jordan elimination in row order
+(``_exact_pass``) finds the rank and pivots with no prime, or gives up as
+soon as a (cap+1)-th row would join.  It keeps det, the last pivot (1 at
+first), and a row G_t per row that joined, with lead J_t.  Row k gives v =
+det * A[k, :] - sum_t A[k, J_t] * G_t: a zero v is dropped, and a nonzero
+one joins with its lowest nonzero column j as its lead; each G_t becomes
+(v_j * G_t - G_t[j] * v) / det, v joins G, and det becomes v_j.  Proof:
+with I the rows that joined and M = A[I, J], G = adj(M) * A[I, :] is
+det(M) at (t, J_t) and 0 at the other leads, so v is 0 at every lead, and
+its entry at column c is the minor of A on rows I + {k} and columns J +
+{c} (Schur complement).  So v is 0 exactly when row k lies in the span of
+the rows I, v_j is the next det, and the update is the next adj * A[I, :],
+an exact division by Sylvester's identity (Bareiss, Math. Comp. 22, 1968),
+done through ``scalar._other_conjugates`` as ``exact_det`` does.  Each G_t
+and v is 0 left of its lead, so G sorted by lead is an echelon basis of
+the row space: the leads are the pivots of first-nonzero elimination,
+worked out exactly.  The entries lie in Z[theta], theta one of i, sqrt2
+and i*sqrt2 (or in Z): a row is packed as two coordinate planes (the
+second is 0 for Q) in signed lanes of W bits, the bit length of (r+1) *
+r! * E^(r+1), r the cap and E the state's largest ``coord_bound``, plus a
+sign bit, in whole bytes.  Every G_t and v read is an s-minor, s <= r+1,
+with coordinates below s! * E^s, so a packed int is 0 only if every lane
+is, and its lowest set bit lies in its lowest nonzero lane; products and
+exact divisions act on a packed int lane by lane, whatever its lanes hold
+in between.  Degree-4 entries keep the primes: their products take 16
+multiplications, not 4.
+
+Start rule.  A state's scaling keeps ``start``, the rank its last cut
+closed at on the pass, or None when that cut closed on primes; a grid is
+scaled anew on every call, so it has none.  A cut with a start runs the
+pass at cap = start before any prime: a cut of lower rank closes there,
+at wider lanes, and one of higher rank gives up and takes the prime plan.
+The pass closes only on the exact rank and pivots, so the order of a
+state's cuts changes their steps and cost, never a rank or a pivot.  Cuts
+often share one rank (Dicke |l,n> has min(l, n-l, k, n-k) + 1 on every
+cut k | n-k), and those after the first then take no prime.
 
 Route rule.  ``_span_pays`` predicts both costs from the block's m rows
-and n columns, r, the lane width w = W/8 bytes and d, the planes packed
-(1 or 2): it takes the span check when 7 * d * S < 8 * k * m * (r+2) *
-(22n + 400).  S = (m-r)(r+1)(nw + 400) + 2mnw + 0.4 r(r-1)(n w^2 + 400)
-counts the check's row products, the packing, and the Gauss-Jordan steps,
-whose multipliers grow with w.  k is the number of primes the plan still
-takes to close the stop rule, an 81-bit prime counting 1 and a one-digit
-top-up 1/2, and the product after it is what an 81-bit elimination of m
-rows against up to r+1 basis rows of 22-byte lanes costs.  The constants are fitted to timings of
-``_span_certifies`` and of one 81-bit elimination on sums of r products
-of Gaussian integers (Python 3.11, a 2-core Xeon).  There, the span check
-took this share of the primes it replaced: at 16 x 16, 0.84 at r = 3 with
-3-bit entries and 0.51 with 12-bit ones, 0.73 to 0.95 at r = 6, 0.98 to
-1.2 at r = 9, 1.6 to 2.0 at r = 12 and 2.0 to 3.2 at r = 15; at 32 x 32,
-0.76 at r = 6 and 5.3 at r = 31; at 128 x 128, 0.40 at r = 3 and 0.47 at
-r = 6.  The rule keeps the primes from r = 9 of 16 with 12-bit entries and
-r = 12 of 16 with 3-bit ones.
+and n columns, r the first prime's rank, the lane width w = W/8 bytes and
+d, the planes packed (1 or 2): it takes the pass at cap r when 7 * d * S
+< 8 * k * m * (r+2) * (22n + 400).  S = (m-r)(r+1)(nw + 400) + 2mnw +
+0.4 r(r-1)(n w^2 + 400) counts the row products, the packing, and the
+Gauss-Jordan steps, whose multipliers grow with w.  k counts the primes
+the plan still takes, an 81-bit prime as 1 and a one-digit top-up as 1/2,
+and the product after it is an 81-bit elimination's cost.  On sums of r
+products of Gaussian integers (Python 3.11, a 2-core Xeon), the pass took
+0.5 to 0.9 of the primes' time up to r = 9 of 16 and at r <= 6 of 32 and
+128, but 1.25 at r = 3 of 16 with 5-bit entries (one top-up left), 1.1
+to 2.3 from r = 12 of 16 and 5.3 at r = 31 of 32; the rule picks the
+cheaper route in each case.
 
 Elimination.  Each row in turn is reduced against the basis rows, in the
 order they were found: it loses f times basis row b, f being its entry at
@@ -130,22 +138,20 @@ basis is an echelon basis of the row space; its rows with lead at most c
 stay independent on columns 0..c, and the others vanish there.  So the rank
 of columns 0..c is the number of leads up to c, and the leads are the
 columns that raise the rank of the columns before them: the pivots of
-Gaussian elimination with first-nonzero pivoting.  The rows that joined are
-those independent of the rows before them, and their minor on the leads is
-nonzero mod p.  ``_pivots_lanes`` runs this on every block, one column
-wide or more, its rows packed as below.
+Gaussian elimination with first-nonzero pivoting.  ``_pivots_lanes`` runs
+this on every block, one column wide or more, its rows packed as below.
 
 Lanes.  ``_pivots_lanes`` packs each row into one int: column j's residue
 mod p in lane j, the ``width`` bytes from bit 8*width*j, column 0 lowest.
 A basis row is kept as its lead's shift, the mask ``below`` of the bits up
 to its lead lane's top, the inverse of its lead mod p and its negation
-(p - b in each lane).  The row that fills the basis and the
-block's last row are read by no later row, so they keep only their lead
-and take no inverse.  Reducing a row against a basis row is one lane
-read, one multiply by that inverse mod p, and one multiply-add of the
-factor times the negation, with no reduction in between.  The lane is read
-from the row's low end, (x & below) >> shift (no lane is ever negative),
-so a lead in lane j costs O(j) digits, not a shift of the whole row.  A lane x then
+(p - b in each lane).  The row that fills the basis and the block's last
+row are read by no later row, so they keep only their lead and take no
+inverse.  Reducing a row against a basis row is one lane read, one
+multiply by that inverse mod p, and one multiply-add of the factor times
+the negation, with no reduction in between.  The lane is read from the
+row's low end, (x & below) >> shift (no lane is ever negative), so a lead
+in lane j costs O(j) digits, not a shift of the whole row.  A lane x then
 holds less than (count+1)*p^2 < 2^(2L+e), where count is the number of
 lanes (a bound on the basis size), L = p.bit_length() and e =
 (count+1).bit_length().  All lanes are then reduced at once, by a Barrett
@@ -165,10 +171,9 @@ of x + 2^(L+1) - p, leaves every lane in [0, p).
 has determinant 0, and otherwise it is the whole matrix, whose scaled
 values fraction-free (Bareiss) elimination runs on; the result is divided
 by den^n at the end; the determinant of a state's identity cut is kept on
-the state.  Each step divides its new entries by the previous step's
-pivot q.  The division is exact: by Sylvester's identity every
-entry after step k is a (k+1) x (k+1) minor of the scaled matrix, so it
-lies in Z[i, sqrt2].  It is done on ints, with no inverse:
+the state.  Each step divides its new entries by the previous step's pivot
+q, exactly: by Sylvester's identity every entry after step k is a (k+1) x
+(k+1) minor of the scaled matrix, in Z[i, sqrt2].  It is done on ints:
 ``scalar._other_conjugates``, which ``Scalar.inverse`` also reads, gives
 c, the product of q's other conjugates, and the positive int N = q * c,
 and x / q = (x * c) / N, each coordinate of x * c divided exactly by N.
@@ -340,19 +345,13 @@ def _reduce_lanes(x: int, m: int, lanes) -> int:
     return x - (x + add >> g & ones) * m
 
 
-def _pivots_lanes(rows: list[int], m: int, count: int) -> tuple[list[int], list[int]]:
-    """(leads, joined) of rows packed as ``count`` lanes of residues mod m, by the module docstring's elimination.
-
-    ``joined`` holds the indices of the rows that joined the basis, in the
-    order they joined, and ``leads`` their leads: sorted, these are the
-    pivot columns.
-    """
+def _pivots_lanes(rows: list[int], m: int, count: int) -> list[int]:
+    """The leads, in joining order, of rows packed as ``count`` lanes of residues mod m: the module docstring's elimination."""
     lanes = _lanes(m, count)
     bits = 8 * lanes[0]
     negate = lanes[-1] * m
     basis: list[tuple[int, int, int, int]] = []  # (lead's shift, below, lead's inverse mod m, negated row)
     leads = []
-    joined = []
     last = len(rows) - 1
     for r, x in enumerate(rows):
         for shift, below, inv, neg in basis:
@@ -361,12 +360,11 @@ def _pivots_lanes(rows: list[int], m: int, count: int) -> tuple[list[int], list[
         if x:
             shift = ((x & -x).bit_length() - 1) // bits * bits
             leads.append(shift // bits)
-            joined.append(r)
             if len(leads) == count or r == last:  # no later row is reduced against this one
                 break
             below = (1 << shift + bits) - 1
             basis.append((shift, below, pow((x & below) >> shift, -1, m), negate - x))
-    return leads, joined
+    return leads
 
 
 def _gather(slots: list[int]):
@@ -388,21 +386,21 @@ def _packed(cells: tuple[bytes, ...], step: int) -> list[int]:
 
 
 def _certified_rank(scaled: _Scaled, slots: list[int], ncols: int) -> RankResult:
-    """Rank and pivots of the matrix, ``ncols`` wide, that ``scaled`` holds at ``slots``, by the degree-aware stop rule.
+    """Rank and pivots of the matrix, ``ncols`` wide, that ``scaled`` holds at ``slots``, by the module docstring's plan.
 
     Entry (i, j) is value ``slots[i * ncols + j]`` of ``scaled``.  Each
-    prime's lane bytes, as a flat tuple, are gathered through the slots in
-    one call and joined into packed rows, and eliminated by
-    ``_pivots_lanes``, whatever the block's width.  ``best[k]``, the
-    smallest (k+1)-th lead any prime has shown, is lowered in place by each
-    prime's sorted leads; it holds the pivots, and its entries up to c count
-    the rank of columns 0..c.  The e^2 sums are sorted once per block, and
-    each check multiplies only the ``missing`` largest.  The primes follow
-    the module docstring's plan: ``taken[limit]`` counts those of each size.
-    After the first prime, its leads and the rows that joined its basis go
-    to the span check when the route rule takes it, and a check that holds
-    closes the block.
+    prime's lane bytes, gathered through the slots in one call, are joined
+    into packed rows for ``_pivots_lanes``.  ``best[k]``, the smallest
+    (k+1)-th lead any prime has shown, holds the pivots, and its entries up
+    to c count the rank of columns 0..c.  The e^2 sums are sorted once, and
+    each check multiplies only the ``missing`` largest.  ``taken[limit]``
+    counts the primes of each size.  A pass that closes sets ``scaled.start``.
     """
+    start, scaled.start = scaled.start, None
+    # Only a pass closes with a start, and no pass runs on degree-4 entries.
+    leads = None if start is None else _exact_pass(scaled, slots, ncols, start)
+    if leads is not None:
+        return RankResult(len(leads), tuple(leads))
     gather = _gather(slots)
     size = len(slots)
     nrows = size // ncols
@@ -416,8 +414,7 @@ def _certified_rank(scaled: _Scaled, slots: list[int], ncols: int) -> RankResult
         taken[limit] += 1
         p = field[0]
         width = _lanes(p, ncols)[0]
-        order, joined = _pivots_lanes(_packed(gather(scaled.lane_bytes(field, width)), ncols * width), p, ncols)
-        leads = sorted(order)
+        leads = sorted(_pivots_lanes(_packed(gather(scaled.lane_bytes(field, width)), ncols * width), p, ncols))
         first = modulus == 1
         modulus *= p
         if len(leads) > len(best):
@@ -442,14 +439,15 @@ def _certified_rank(scaled: _Scaled, slots: list[int], ncols: int) -> RankResult
             limit = _DIGIT_LIMIT
             continue
         if first and _span_pays(scaled, nrows, ncols, rank, modulus, bound):
-            if _span_certifies(scaled, slots, ncols, best, [r for _, r in sorted(zip(order, joined))]):
-                break
+            leads = _exact_pass(scaled, slots, ncols, rank)
+            if leads is not None:
+                return RankResult(len(leads), tuple(leads))
         limit = _PRIME_LIMIT
     return RankResult(rank, tuple(best))
 
 
 def _span_pays(scaled: _Scaled, nrows: int, ncols: int, rank: int, modulus: int, bound: int) -> bool:
-    """Whether the span check is predicted to cost less than the primes the plan still needs.
+    """Whether the exact pass is predicted to cost less than the primes the plan still needs.
 
     The module docstring's "Route rule" states the two costs and where they cross.
     """
@@ -467,63 +465,62 @@ def _span_pays(scaled: _Scaled, nrows: int, ncols: int, rank: int, modulus: int,
     return 7 * len(scaled.planes) * span < 8 * primes * nrows * (rank + 2) * (22 * ncols + 400)
 
 
-def _span_certifies(scaled: _Scaled, slots: list[int], ncols: int, leads: list[int], joined: list[int]) -> bool:
-    """Whether the block's rows ``joined``, in lead order, span every row with echelon leads ``leads``: the span check.
+def _exact_pass(scaled: _Scaled, slots: list[int], ncols: int, cap: int) -> list[int] | None:
+    """The block's sorted pivots by the module docstring's exact pass, or None once a (cap+1)-th row would join.
 
-    The entries lie in Z[theta], theta^2 = s, one of Q, Q(i), Q(sqrt2),
-    Q(i*sqrt2): a scalar is a pair (a, b), a + b*theta, and a row the pair
-    of its planes, coordinate 0 and coordinate q of theta (for Q, q = 1,
-    whose plane is 0).  Each plane is packed as lanes of ``_span_width``
-    bytes holding v + 2^(W-1) (``coord_bytes``), and ``bias`` taken off.
-    Fraction-free Gauss-Jordan elimination of the rows ``joined`` turns
-    them into g_t = det * (row t of their reduced echelon form), and the
-    check is the module docstring's span certificate.
+    A scalar is a + b*theta, theta^2 = s, and a row the pair of its planes,
+    coordinates 0 and q (for Q, q = 1, whose plane is 0), read from lanes
+    holding v + 2^(W-1) (``coord_bytes``), ``bias`` taken off.  ``basis``
+    holds each G_t as (x, s*y, y, J_t); (d0, d1) is det, (c0, c1) its other conjugate.
     """
     q = scaled.planes[-1] or 1
     s = (0, -1, 2, -2)[q]  # the square of i, sqrt2 or i*sqrt2
-    width = _span_width(len(leads), scaled.largest())
+    width = _span_width(cap, scaled.largest())
     bits, mask, half = 8 * width, (1 << 8 * width) - 1, 1 << 8 * width - 1
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * ncols, "little")
-    gather = _gather(slots)
-    rows = [(x - bias, y - bias) for x, y in zip(*(_packed(gather(scaled.coord_bytes(p, width)), ncols * width)
-                                                     for p in (0, q)))]
-    g = [rows[i] for i in joined]
-    c0, c1, norm, d0, d1 = 1, 0, 1, 1, 0  # the previous pivot's other conjugate and norm; the pivot
-    for t, j in enumerate(leads):
-        shift = bits * j  # lane j of a row: ((row + bias) >> shift & mask) - half
-        x, y = g[t]
-        d0, d1 = ((x + bias) >> shift & mask) - half, ((y + bias) >> shift & mask) - half
-        if not (d0 or d1):
-            return False
-        x, y = c0 * x + s * c1 * y, c0 * y + c1 * x
-        e0, e1 = c0 * d0 + s * c1 * d1, c0 * d1 + c1 * d0
-        for u, (e, f) in enumerate(g):
-            if u != t:
-                a0, a1 = ((e + bias) >> shift & mask) - half, ((f + bias) >> shift & mask) - half
-                e, f = e0 * e + s * e1 * f - a0 * x - s * a1 * y, e0 * f + e1 * e - a0 * y - a1 * x
-                g[u] = e // norm, f // norm
-        conj, norm = _other_conjugates((d0, d1 * (q == 1), d1 * (q == 2), d1 * (q == 3)))
-        c0, c1 = conj[0], conj[q]
-    if any((x | y) & (1 << bits * j) - 1 for (x, y), j in zip(g, leads)):
-        return False
-    columns = [_gather(slots[j::ncols])(scaled.coords) for j in leads]
-    g = [(x, s * y, y) for x, y in g]
-    sd1 = s * d1
+    gather, coords = _gather(slots), scaled.coords
+    rows = zip(*(_packed(gather(scaled.coord_bytes(p, width)), ncols * width) for p in (0, q)))
+    basis, leads = [], []
+    d0, d1, c0, c1, norm = 1, 0, 1, 0, 1
+    last = len(slots) // ncols - 1
     for k, (x, y) in enumerate(rows):
-        if k not in joined:
-            re, im = d0 * x + sd1 * y, d0 * y + d1 * x
-            for (g0, sg1, g1), column in zip(g, columns):
-                cell = column[k]
+        x, y = x - bias, y - bias
+        if basis:  # v = det * A[k, :] - sum_t A[k, J_t] * G_t
+            x, y = d0 * x + s * d1 * y, d0 * y + d1 * x
+            row = k * ncols
+            for g0, sg1, g1, j in basis:
+                cell = coords[slots[row + j]]
                 a, b = cell[0], cell[q]
-                re -= a * g0 + b * sg1
-                im -= a * g1 + b * g0
-            if re or im:
-                return False
-    return True
+                x -= a * g0 + b * sg1
+                y -= a * g1 + b * g0
+        if not (x or y):
+            continue
+        if len(leads) == cap:
+            return None
+        low = x | y
+        j = ((low & -low).bit_length() - 1) // bits
+        leads.append(j)
+        if len(leads) == ncols or k == last:  # no later row reads G
+            break
+        shift = bits * j  # lane j of a row: ((row + bias) >> shift & mask) - half
+        e0, e1 = ((x + bias) >> shift & mask) - half, ((y + bias) >> shift & mask) - half
+        f0, f1 = e0 * c0 + s * e1 * c1, e0 * c1 + e1 * c0  # v_j times det's other conjugate
+        for t, (g0, _, g1, lead) in enumerate(basis):
+            # G_t becomes (v_j * G_t - G_t[j] * v) / det, each coordinate of the product by c divided by norm.
+            a0, a1 = ((g0 + bias) >> shift & mask) - half, ((g1 + bias) >> shift & mask) - half
+            a0, a1 = a0 * c0 + s * a1 * c1, a0 * c1 + a1 * c0
+            g0, g1 = ((f0 * g0 + s * f1 * g1 - a0 * x - s * a1 * y) // norm,
+                      (f0 * g1 + f1 * g0 - a0 * y - a1 * x) // norm)
+            basis[t] = g0, s * g1, g1, lead
+        basis.append((x, s * y, y, j))
+        conj, norm = _other_conjugates((e0, e1 * (q == 1), e1 * (q == 2), e1 * (q == 3)))
+        d0, d1, c0, c1 = e0, e1, conj[0], conj[q]
+    scaled.start = len(leads)
+    return sorted(leads)
 
 
 def _span_width(rank: int, e: int) -> int:
-    """Bytes per lane of the span check: every lane, signed, holds (rank+1) * rank! * e^(rank+1)."""
+    """Bytes per lane of the exact pass at cap ``rank``: every lane, signed, holds (rank+1) * rank! * e^(rank+1)."""
     return ((rank + 1) * math.factorial(rank) * e ** (rank + 1)).bit_length() // 8 + 1
 
 
@@ -534,16 +531,17 @@ class _Scaled:
     block takes where the matrix has no value.  ``planes`` are the
     coordinates of the smallest field holding them all (``_planes``), and
     ``lane_bytes``, ``coord_bytes``, ``squares()`` and ``largest()`` are
-    made on first use and kept.
+    made on first use and kept; ``start`` is the start rule's rank.
     """
 
-    __slots__ = ("den", "coords", "planes", "_squares", "_largest", "_bytes")
+    __slots__ = ("den", "coords", "planes", "start", "_squares", "_largest", "_bytes")
 
     def __init__(self, values: Iterable[Scalar]) -> None:
         self.den, coords = scaled_coords(values)
         coords.append((0, 0, 0, 0))
         self.coords = coords
         self.planes = _planes(coords)
+        self.start: int | None = None
         self._squares: list[int] | None = None
         self._largest: int | None = None
         self._bytes: dict[tuple[int, int], list[bytes]] = {}

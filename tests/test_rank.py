@@ -239,8 +239,7 @@ class TestModularEngine:
         # Rank size - 1 from entries of about 100 bits, so the stop rule needs
         # several primes; the last one is made to lose its highest lead.  The
         # route rule is held to the primes, which this test is about; the
-        # span check's fallback after a first prime that loses its highest
-        # lead is the next test.
+        # exact pass after a first prime that loses a lead is the next test.
         monkeypatch.setattr(rank_module, "_span_pays", lambda *args: False)
         rng = random.Random(size)
         us = [[rng.getrandbits(50) for _ in range(size)] for _ in range(size - 1)]
@@ -251,11 +250,10 @@ class TestModularEngine:
 
         def kernel(*args):
             calls.append(1)
-            leads, joined = real(*args)
+            leads = real(*args)
             if len(calls) == drop_at[0]:
-                top = leads.index(max(leads))
-                del leads[top], joined[top]
-            return leads, joined
+                leads.remove(max(leads))
+            return leads
 
         monkeypatch.setattr(rank_module, "_pivots_lanes", kernel)
         expected = exact_rank(grid)
@@ -266,23 +264,23 @@ class TestModularEngine:
 
     @pytest.mark.parametrize("size", [4, 16])
     def test_a_first_prime_showing_a_lower_rank_fails_the_span_check(self, size):
-        # The first prime is made to lose the last row that joined its basis,
-        # with that row's lead: the span check then finds the row outside the
-        # span of the others, and the primes restore the rank.
+        # The first prime is made to lose the lead of the last row that joined
+        # its basis: the exact pass at its rank 2 then meets a third row that
+        # joins, exceeds its cap, and the primes restore the rank.
         grid = subfield_sum(random.Random(size), I, size, size, 3)
         result, calls = steps(grid)
-        assert result == reference_rank(grid) and calls == plan(0, False, SPAN)
+        assert result == reference_rank(grid) and calls == plan(0, False, exact_pass(3))
         with pytest.MonkeyPatch.context() as patch:
             calls = record_eliminations(patch)
             logged = rank_module._pivots_lanes
 
             def kernel(rows, m, count):
-                leads, joined = logged(rows, m, count)
-                return (leads[:-1], joined[:-1]) if len(calls) == 1 else (leads, joined)
+                leads = logged(rows, m, count)
+                return leads[:-1] if len(calls) == 1 else leads
 
             patch.setattr(rank_module, "_pivots_lanes", kernel)
             assert exact_rank(grid) == result
-        assert calls[:2] == plan(0, False, REJECTED) and len(calls) > 2
+        assert calls[:2] == plan(0, False, exact_pass(2, EXCEEDED)) and len(calls) > 2
 
     def test_wide_high_rank_matches_reference(self):
         rng = random.Random(41)
@@ -377,7 +375,7 @@ class TestDegreeRule:
 
     @staticmethod
     def degree_four(x: Scalar, first: int) -> None:
-        # Degree four keeps the prime route: no span check runs.
+        # Degree four keeps the prime route: no exact pass runs.
         e = coord_bound(x.coords[:4])
         assert all(residue(x, field) == 0 for field in PLAN_FIELDS[:first])
         assert e ** 8 > math.prod(PLAN_START[:first]) ** 2 > e ** 4
@@ -388,16 +386,20 @@ class TestDegreeRule:
     @staticmethod
     def subring_entry(ring: str, first: int) -> None:
         # Zero modulo the first prime alone, a one-digit top-up closes the
-        # rule; modulo the first two, the span check runs after the first,
-        # fails on the row it shows as zero, and the primes go on.
+        # rule; modulo the first two, the exact pass runs after the first at
+        # the rank it showed, the row it showed as zero joins past that cap,
+        # and the primes go on.
         x = plan_zero(ring, first)
         assert x and all(residue(x, field) == 0 for field in PLAN_FIELDS[:first])
         bits = math.prod(PLAN_START[:first]).bit_length()
         assert max(abs(v) for v in x.coords).bit_length() <= (bits if ring == "Z" else (bits + 1) // 2)
-        expected = plan(0, True) if first == 1 else plan(1, True, REJECTED)
-        assert steps([[x]]) == (RankResult(1, (0,)), expected)
-        assert steps([[x, ZERO], [ZERO, Scalar(1)]]) == (RankResult(2, (0, 1)), expected)
-        assert steps(coefficient_matrix(PureState(1, {0: x}), IDENTITY)) == (RankResult(1, (0,)), expected)
+
+        def expected(cap: int) -> list:
+            return plan(0, True) if first == 1 else plan(1, True, exact_pass(cap, EXCEEDED))
+
+        assert steps([[x]]) == (RankResult(1, (0,)), expected(0))
+        assert steps([[x, ZERO], [ZERO, Scalar(1)]]) == (RankResult(2, (0, 1)), expected(1))
+        assert steps(coefficient_matrix(PureState(1, {0: x}), IDENTITY)) == (RankResult(1, (0,)), expected(0))
 
     @pytest.mark.parametrize("ring", RINGS)
     def test_entry_in_each_subring(self, ring):
@@ -699,26 +701,31 @@ def sum_of_products(rng: random.Random, size: int, terms: int) -> list[list[Scal
     return [[sum((u[i] * v[j] for u, v in zip(us, vs)), ZERO) for j in range(size)] for i in range(size)]
 
 
-# What the span check logs in place of a modulus: the cut closed on it, or it failed and the primes went on.
-SPAN, REJECTED = "span", "span rejected"
+# The exact pass's verdicts: the cut closed on it, or a row past its cap joined and the primes went on.
+CLOSED, EXCEEDED = "closed", "exceeded its cap"
+
+
+def exact_pass(cap: int, verdict: str = CLOSED) -> str:
+    """What an exact pass at ``cap`` logs in place of a modulus."""
+    return f"pass at {cap}: {verdict}"
 
 
 def record_eliminations(monkeypatch: pytest.MonkeyPatch) -> list:
-    """Patch the kernel to log the modulus of each elimination it runs, and the span check to log its verdict."""
+    """Patch the kernel to log the modulus of each elimination it runs, and the exact pass to log its cap and verdict."""
     calls: list = []
-    real, real_span = rank_module._pivots_lanes, rank_module._span_certifies
+    real, real_pass = rank_module._pivots_lanes, rank_module._exact_pass
 
     def logged(rows, m, count):
         calls.append(m)
         return real(rows, m, count)
 
-    def span(*args):
-        held = real_span(*args)
-        calls.append(SPAN if held else REJECTED)
-        return held
+    def exact(scaled, slots, ncols, cap):
+        leads = real_pass(scaled, slots, ncols, cap)
+        calls.append(exact_pass(cap, EXCEEDED if leads is None else CLOSED))
+        return leads
 
     monkeypatch.setattr(rank_module, "_pivots_lanes", logged)
-    monkeypatch.setattr(rank_module, "_span_certifies", span)
+    monkeypatch.setattr(rank_module, "_exact_pass", exact)
     return calls
 
 
@@ -727,15 +734,15 @@ def block_width(matrix) -> int:
     return sum(map(any, zip(*getattr(matrix, "entries", matrix))))
 
 
-def plan(bigs: int, top_up: bool, span: str | None = None) -> list:
-    """The plan's steps: the first one-digit prime, the span check's verdict if it ran,
+def plan(bigs: int, top_up: bool, checked: str | None = None) -> list:
+    """The prime plan's steps: the first one-digit prime, the exact pass after it if it ran (``checked``),
     ``bigs`` 81-bit primes, then one more one-digit prime or none."""
-    first = [_field(0, _DIGIT_LIMIT)[0]] + [span] * (span is not None)
+    first = [_field(0, _DIGIT_LIMIT)[0]] + [checked] * (checked is not None)
     return first + [_field(k)[0] for k in range(bigs)] + [_field(1, _DIGIT_LIMIT)[0]] * top_up
 
 
 def sizes(calls: list) -> dict[str, int]:
-    """The number of steps of each kind: eliminations by modulus size, and span checks by verdict."""
+    """The number of steps of each kind: eliminations by modulus size, and exact passes by cap and verdict."""
     return dict(Counter(c if isinstance(c, str) else "one-digit" if c < _DIGIT_LIMIT else "81-bit" for c in calls))
 
 
@@ -744,23 +751,40 @@ class TestPrimeGroups:
 
     So the rank, the pivots and the primes spent are those of one prime at a
     time, on blocks of one column as on blocks of hundreds.  Without a prime
-    that shows too low a rank, the plan is the first one-digit prime, then
-    at most one span check where the route rule takes it, then 81-bit
-    primes, and last one more one-digit prime when it closes the stop rule
-    where an 81-bit one would be needed.  A span check that holds closes
-    the cut.
+    that shows too low a rank, the plan is the exact pass at the state's
+    start, when its last cut closed on a pass; then, if that pass exceeded
+    its cap or did not run, the first one-digit prime, at most one exact
+    pass at that prime's rank where the route rule takes it, 81-bit primes,
+    and last one more one-digit prime when it closes the stop rule where an
+    81-bit one would be needed.  A pass that closes ends the cut.
     """
 
     @staticmethod
     def one_prime_at_a_time(matrix) -> RankResult:
-        """``exact_rank(matrix)``, checked to eliminate the plan's primes once each, in order."""
+        """``exact_rank(matrix)``, checked to eliminate the plan's primes once each, in order.
+
+        A state cut's plan starts with a pass at the rank its state's last
+        cut closed at on a pass, and none when that cut closed on primes;
+        this cut leaves its own rank as the start only if a pass closed it.
+        """
+        state = matrix.state if isinstance(matrix, CoeffMatrix) else None
+        start = None if state is None or state._scaled is None else state._scaled.start
         with pytest.MonkeyPatch.context() as patch:
             calls = record_eliminations(patch)
             result = exact_rank(matrix)
-        moduli = [c for c in calls if not isinstance(c, str)]
-        span = calls[1] if len(calls) > 1 and isinstance(calls[1], str) else None
-        top_up = len(moduli) > 1 and moduli[-1] < _DIGIT_LIMIT
-        assert calls == plan(len(moduli) - 1 - top_up, top_up, span)
+        opening = [] if start is None else calls[:1]  # the pass at the start
+        assert opening in ([], [exact_pass(start)], [exact_pass(start, EXCEEDED)])
+        if opening == [exact_pass(start)]:
+            assert calls == opening and result.rank <= start
+        else:
+            moduli = [c for c in calls if not isinstance(c, str)]
+            rest = calls[len(opening):]
+            checked = rest[1] if len(rest) > 1 and isinstance(rest[1], str) else None
+            top_up = len(moduli) > 1 and moduli[-1] < _DIGIT_LIMIT
+            assert calls == opening + plan(len(moduli) - 1 - top_up, top_up, checked)
+        closed = isinstance(calls[-1], str) and calls[-1].endswith(CLOSED)
+        if state is not None:
+            assert state._scaled.start == (result.rank if closed else None)
         return result
 
     @settings(max_examples=10, deadline=None)
@@ -810,60 +834,61 @@ class TestPrimeGroups:
             assert self.one_prime_at_a_time(matrix) == reference_rank(matrix)
 
     @staticmethod
-    def dense_dicke_eliminations(monkeypatch, n: int, ell: int, cut_plan: list[int]) -> dict[int, int]:
-        """Eliminations by modulus size in the signature of |l, n> under one invertible operator on every qubit.
+    def dense_dicke_eliminations(monkeypatch, n: int, ell: int) -> dict[int, int]:
+        """Steps by kind in the signature of |l, n> under one invertible operator on every qubit.
 
         The operator keeps the state symmetric, so each n/2 | n/2 cut keeps
-        rank min(l, n - l, n/2) + 1, which is below the cut's width.  Every
-        cut must take the moduli ``cut_plan``.
+        rank r = min(l, n - l, n/2) + 1, which is below the cut's width.  The
+        first cut must take the one-digit prime and the exact pass at r, and
+        every later cut the pass at its state's start r alone.
         """
         op = LocalOperator([[scalar_parse("1+i"), 2], [1, scalar_parse("-1+2i")]])
         state = apply_local(dicke_state(n, ell), [op] * n)
         assert len(state.amps) == 1 << n
         calls = record_eliminations(monkeypatch)
         ranks = rank_signature(state, enumerate_sigmas(n)).ranks
-        assert len(ranks) == math.comb(n, n // 2) // 2 and set(ranks) == {min(ell, n - ell, n // 2) + 1}
-        assert calls == cut_plan * len(ranks)
+        r = min(ell, n - ell, n // 2) + 1
+        assert len(ranks) == math.comb(n, n // 2) // 2 and set(ranks) == {r}
+        assert calls == plan(0, False, exact_pass(r)) + [exact_pass(r)] * (len(ranks) - 1)
         return sizes(calls)
 
     def test_dense_eight_qubit_dicke_signature(self, monkeypatch):
-        # Every rank-deficient cut closes on the one-digit prime and the span
-        # check (on the one-digit prime and one 81-bit prime before the span
-        # route, on one 81-bit prime alone before the plan, and on two 62-bit
-        # ones before that).
-        assert self.dense_dicke_eliminations(monkeypatch, 8, 2, plan(0, False, SPAN)) == {"one-digit": 35, "span": 35}
+        # One one-digit prime, then the exact pass on every cut (the prime and
+        # a span check on every cut before the start rule, the one-digit
+        # prime and one 81-bit prime before the span route, one 81-bit prime
+        # alone before the plan, and two 62-bit ones before that).
+        assert self.dense_dicke_eliminations(monkeypatch, 8, 2) == {"one-digit": 1, exact_pass(3): 35}
 
     def test_dense_ten_qubit_dicke_signature(self, monkeypatch):
-        # The one-digit prime and the span check per cut (the one-digit
+        # One one-digit prime, then the exact pass on every cut (the prime and
+        # a span check on every cut before the start rule, the one-digit
         # prime, one 81-bit prime and a one-digit top-up before the span
         # route, two 81-bit primes before the plan, three 62-bit ones before that).
-        assert self.dense_dicke_eliminations(monkeypatch, 10, 3, plan(0, False, SPAN)) == {"one-digit": 126, "span": 126}
+        assert self.dense_dicke_eliminations(monkeypatch, 10, 3) == {"one-digit": 1, exact_pass(4): 126}
 
     @staticmethod
     def rank_three_eliminations(monkeypatch, state: PureState) -> dict[int, int]:
-        """Eliminations by modulus size in the signature of a dense, non-symmetric 8-qubit state of rank 3 on every cut."""
+        """Steps by kind in the signature of a dense, non-symmetric 8-qubit state of rank 3 on every cut."""
         assert len(state.amps) == 256
         calls = record_eliminations(monkeypatch)
         assert rank_signature(state, enumerate_sigmas(8)).ranks == (3,) * 35
-        assert calls == plan(0, False, SPAN) * 35
+        assert calls == plan(0, False, exact_pass(3)) + [exact_pass(3)] * 34
         return sizes(calls)
 
     def test_dense_eight_qubit_dicke_signature_one_operator_per_qubit(self, monkeypatch):
         # [[1+i, q], [1, -1+2i]] on qubit q: the state is no longer symmetric,
-        # and each cut closes on the one-digit prime and the span check (on
-        # the one-digit prime and one 81-bit prime before the span route, on
-        # two 81-bit primes before the plan), so a rule that spends one step
-        # more, or a span check that fails, on any cut fails.
-        ops = [LocalOperator([[scalar_parse("1+i"), q], [1, scalar_parse("-1+2i")]]) for q in range(1, 9)]
-        assert self.rank_three_eliminations(monkeypatch, apply_local(dicke_state(8, 2), ops)) == {"one-digit": 35, "span": 35}
+        # and its first cut closes on the one-digit prime and the exact pass,
+        # each later one on the pass at its state's start (before the start
+        # rule, each on the prime and a span check; before the span route, on
+        # the one-digit prime and one 81-bit prime; before the plan, on two
+        # 81-bit primes), so a rule that spends one step more, or a pass that
+        # exceeds its cap, on any cut fails.
+        state = start_rule_state("dense dicke")
+        assert self.rank_three_eliminations(monkeypatch, state) == {"one-digit": 1, exact_pass(3): 35}
 
     def test_dense_eight_qubit_sum_of_three_products_signature(self, monkeypatch):
-        # Term t is the product over qubits q of (1, g_tq), g_tq a nonzero Gaussian integer.
-        rng = random.Random(0)
-        terms = [[random_gauss_int(rng, 3, nonzero=True) for _ in range(8)] for _ in range(3)]
-        state = PureState(8, {x: sum(math.prod(g for q, g in enumerate(term) if x >> 7 - q & 1) for term in terms)
-                              for x in range(256)})
-        assert self.rank_three_eliminations(monkeypatch, state) == {"one-digit": 35, "span": 35}
+        state = start_rule_state("product sum")
+        assert self.rank_three_eliminations(monkeypatch, state) == {"one-digit": 1, exact_pass(3): 35}
 
 
 SUBFIELD_UNITS = {"Q": ZERO, "Q(i)": I, "Q(sqrt2)": SQRT2, "Q(i*sqrt2)": I * SQRT2}
@@ -886,8 +911,26 @@ def steps(matrix) -> tuple[RankResult, list]:
     return result, calls
 
 
+# Steps other than eliminations on every cut of the dense states of ``test_every_cut_up_to_ten_qubits``,
+# cut after cut in enumerated order, so later cuts start at the rank their state's last pass closed at.
+PASSES_UP_TO_TEN_QUBITS = {
+    (9, "gauss"): {exact_pass(5): 20, exact_pass(5, EXCEEDED): 21, exact_pass(6): 63, exact_pass(6, EXCEEDED): 21},
+    (10, "rational"): {},
+    (10, "gauss"): {exact_pass(2): 126},
+    (10, "sqrt2"): {exact_pass(2): 126},
+    (10, "i*sqrt2"): {exact_pass(2): 126},
+}
+
+
 class TestSpanCertificate:
-    """The span check after the first prime: it closes a deficient cut with one exact check, or the primes go on."""
+    """The exact pass: one fraction-free elimination in row order that finds the rank and pivots or exceeds its cap.
+
+    A pass that closes is a span certificate it finds for itself: the rows
+    that joined have a nonzero minor on their leads, and every other row
+    lies in their span.  On a grid, or a state's first cut, it runs after
+    the first prime at that prime's rank; a pass that exceeds its cap
+    leaves the primes to go on.
+    """
 
     @pytest.mark.parametrize("field", SUBFIELD_UNITS)
     @pytest.mark.parametrize("terms", [1, 2, 3, 5])
@@ -898,62 +941,66 @@ class TestSpanCertificate:
             grid = [[x / 3 for x in row] for row in grid] if terms == 2 else grid  # a common denominator
             result, calls = steps(grid)
             assert result == reference_rank(grid) and result.rank == terms
-            assert calls == plan(0, False, SPAN)
+            assert calls == plan(0, False, exact_pass(terms))
 
     def test_degree_four_keeps_the_prime_route(self):
         rng = random.Random(4)
         grid = subfield_sum(rng, I + SQRT2, 12, 12, 3)
         result, calls = steps(grid)
         assert result == reference_rank(grid) and result.rank == 3
-        assert SPAN not in calls and REJECTED not in calls and len(calls) >= 3
+        assert not any(isinstance(c, str) for c in calls) and len(calls) >= 3
 
     @pytest.mark.parametrize("n, kind", [(9, "gauss"), (10, "rational"), (10, "gauss"), (10, "sqrt2"), (10, "i*sqrt2")])
     def test_every_cut_up_to_ten_qubits(self, n, kind):
         state = dense_state_of_kind(7 * n, n, kind)
-        spans = 0
+        steps_taken: Counter = Counter()
         for sigma in enumerate_sigmas(n):
             cut = coefficient_matrix(state, sigma)
             result, calls = steps(cut)
             assert result == reference_rank(cut)
-            spans += calls.count(SPAN)
+            steps_taken.update(c for c in calls if isinstance(c, str))
         # The rational state has rank 1 on every cut, which the top-up closes.
-        assert spans == (0 if kind == "rational" else 83 if n == 9 else 126)
+        assert dict(steps_taken) == PASSES_UP_TO_TEN_QUBITS[n, kind]
 
     @pytest.mark.parametrize("outside", range(9))
     def test_a_row_outside_the_span_mod_the_first_prime_is_found(self, outside):
         # Rank 2 but for one row, whose extra part p1 * e vanishes modulo the
-        # first prime: that prime shows rank 2, the span check must find the
-        # row wherever it is, and the primes then show rank 3.
+        # first prime: that prime shows rank 2, the pass at cap 2 must find
+        # the row wherever it is, and the primes then show rank 3.
         rng = random.Random(outside)
         grid = subfield_sum(rng, I, 9, 9, 2)
         grid[outside] = [x + PLAN_START[0] * rng.randint(1, 9) for x in grid[outside]]
         result, calls = steps(grid)
         assert result == reference_rank(grid) and result.rank == 3
-        assert calls[:2] == plan(0, False, REJECTED)
+        assert calls[:2] == plan(0, False, exact_pass(2, EXCEEDED))
 
     @pytest.mark.parametrize("ring", RINGS)
     @pytest.mark.parametrize("ncols", [2, 3])
     def test_a_lead_left_of_the_first_primes_leads_is_found(self, ring, ncols):
         # Column 0 vanishes modulo the first prime but not exactly: that prime
-        # puts the lead in column 1, with rank 1 as the matrix has.  The span
-        # equation holds, so only the zeros left of the lead show the pivot.
+        # puts the lead in column 1, with rank 1 as the matrix has.  The pass
+        # at cap 1 takes the lowest nonzero column of the exact row as its
+        # lead, so it finds the true pivot and closes the cut.
         x = plan_zero(ring, 1) * (1 << 40)
         row = [x, Scalar(1), Scalar(5)][:ncols]
         grid = [row, [2 * v for v in row], [-3 * v for v in row]]
         result, calls = steps(grid)
         assert result == reference_rank(grid) == RankResult(1, (0,))
-        assert calls[:2] == plan(0, False, REJECTED)
+        assert calls == plan(0, False, exact_pass(1))
 
     def test_lanes_hold_every_difference(self):
-        # Claimed rank 1 on rows 0 and [2^20, 0, 1]: row 1 minus 2^20 times
-        # row 0 is [0, -2^40, 1], which a packed int of 40-bit lanes reads as
-        # 0.  The bound (r+1) * r! * e^(r+1) = 2^41 takes 6-byte lanes.
-        e = 1 << 20
-        scaled, slots, cols, _, _ = rank_module._block([[1, e, 0], [e, 0, 1]])
-        assert rank_module._span_width(1, scaled.largest()) == 6
-        assert not rank_module._span_certifies(scaled, slots, len(cols), [0], [0])
-        scaled, slots, cols, _, _ = rank_module._block([[1, e, 0], [e, e * e, 0]])
-        assert rank_module._span_certifies(scaled, slots, len(cols), [0], [0])
+        # At cap 1 on rows [1, e, 0] and [e, 0, 1], the second row's v is row
+        # 1 minus e times row 0, [0, -e^2, 1], which a packed int reads as 0
+        # in lanes of 2 log2(e) bits: 40 bits, a byte short of the bound
+        # (r+1) * r! * e^(r+1) = 2^41 at e = 2^20, and 8 bits, the bound at
+        # cap 0, at e = 16.  Then the pass would close at rank 1.
+        for e, width in ((1 << 20, 6), (16, 2)):
+            scaled, slots, cols, _, _ = rank_module._block([[1, e, 0], [e, 0, 1]])
+            assert rank_module._span_width(1, scaled.largest()) == width
+            assert rank_module._exact_pass(scaled, slots, len(cols), 1) is None
+            assert rank_module._exact_pass(scaled, slots, len(cols), 2) == [0, 1]
+            scaled, slots, cols, _, _ = rank_module._block([[1, e, 0], [e, e * e, 0]])
+            assert rank_module._exact_pass(scaled, slots, len(cols), 1) == [0]
 
     @pytest.mark.parametrize("rank, e", [(0, 1), (1, 3), (2, 1 << 20), (3, 12345), (6, 1 << 34), (12, 99)])
     def test_lane_width_is_the_bound_in_whole_bytes(self, rank, e):
@@ -965,16 +1012,16 @@ class TestSpanCertificate:
     def test_fraction_free_steps_divide_by_the_previous_pivot(self, terms):
         # Every step after the first divides by the previous pivot; any other
         # divisor leaves rows that are not det * (reduced echelon row), and
-        # the check then fails on a rank it should prove.
+        # the pass then meets rows it takes as outside the span.
         for field in ("Q(i)", "Q(sqrt2)"):
             grid = subfield_sum(random.Random(10 + terms), SUBFIELD_UNITS[field], 14, 16, terms)
             result, calls = steps(grid)
-            assert result == reference_rank(grid) and calls == plan(0, False, SPAN)
+            assert result == reference_rank(grid) and calls == plan(0, False, exact_pass(terms))
 
     @pytest.mark.parametrize("size, terms", [(16, 12), (16, 14), (32, 31)])
     def test_high_rank_keeps_the_prime_route(self, size, terms):
-        # The span check's Gauss-Jordan steps grow as r^2 and its lanes with r,
-        # so at high rank the route rule keeps the primes.
+        # The pass's Gauss-Jordan steps grow as r^2 and its lanes with r, so
+        # at high rank the route rule keeps the primes.
         grid = sum_of_products(random.Random(terms), size, terms)
         result, calls = steps(grid)
         assert result == reference_rank(grid) and result.rank == terms
@@ -982,24 +1029,148 @@ class TestSpanCertificate:
         assert bigs >= 2 and calls == plan(bigs, len(calls) > bigs + 1)
 
 
-def list_pivots(rows: list[list[int]], m: int) -> tuple[list[int], list[int]]:
-    """(leads, joined) of residue rows mod m: the module docstring's elimination, on lists.
+def per_qubit_ops(n: int) -> list[LocalOperator]:
+    """[[1+i, q], [1, -1+2i]] on qubit q, of determinant -3 - q + i: a different invertible operator on each qubit."""
+    return [LocalOperator([[scalar_parse("1+i"), q], [1, scalar_parse("-1+2i")]]) for q in range(1, n + 1)]
 
-    The indices of the rows that joined the basis, in the order they joined, and their leads.
+
+def bell_pairs(n: int, pairing: list[tuple[int, int]]) -> PureState:
+    """|00> + |11> on each pair of qubits, under ``per_qubit_ops``: a cut has rank 2^(pairs it cuts)."""
+    amps = {sum(1 << n - q | 1 << n - t for k, (q, t) in enumerate(pairing) if bits >> k & 1): 1
+            for bits in range(1 << len(pairing))}
+    return apply_local(PureState(n, amps), per_qubit_ops(n))
+
+
+def start_rule_state(family: str) -> PureState:
+    """A state of ``family`` for the start rule's tests, with n <= 10."""
+    if family == "ghz":
+        return ghz_state(10)
+    if family == "w":
+        return dicke_state(10, 1)
+    if family == "dicke":
+        return dicke_state(10, 3)
+    if family == "dense dicke":
+        return apply_local(dicke_state(8, 2), per_qubit_ops(8))
+    if family == "graph":
+        rng = random.Random(9)
+        edges = {(a, b) for a in range(1, 10) for b in range(a + 1, 10) if rng.random() < 0.5}
+        return PureState(9, {x: (-1) ** sum(x >> 9 - a & x >> 9 - b & 1 for a, b in edges) for x in range(1 << 9)})
+    if family == "bell pairs":
+        return bell_pairs(8, [(1, 2), (3, 7), (4, 5), (6, 8)])
+    # Term t is the product over qubits q of (1, g_tq), g_tq a nonzero Gaussian integer.
+    rng = random.Random(0)
+    terms = [[random_gauss_int(rng, 3, nonzero=True) for _ in range(8)] for _ in range(3)]
+    return PureState(8, {x: sum(math.prod(g for q, g in enumerate(term) if x >> 7 - q & 1) for term in terms)
+                         for x in range(256)})
+
+
+# The cuts, over the three orders, that start with a pass.  The sparse states' and the
+# graph state's cuts close on primes alone, so none of theirs does; every cut of a dense
+# state of one deficient rank does but its first in each order; the Bell pairs' ranks 1, 4
+# and 16 interleave, and a full-rank cut clears the start.
+STARTS = {"ghz": 0, "w": 0, "dicke": 0, "dense dicke": 3 * 34, "graph": 0, "bell pairs": 79, "product sum": 3 * 34}
+
+
+def fresh(state: PureState) -> PureState:
+    """A copy of ``state`` that has no scaling yet, so its first cut has no start."""
+    return PureState(state.n, dict(state.amps))
+
+
+class TestStartRule:
+    """A state's cut starts with the exact pass at the rank its last cut closed at on a pass.
+
+    The pass is exact at any cap, so the start changes only which steps a
+    cut takes: a cut above the start falls back to the primes, a cut below
+    it closes at wider lanes, and a cut that closes on primes clears it.
     """
-    basis: list[tuple[int, int, list[int], int]] = []  # (lead column, lead's inverse mod m, row, its index)
-    for i, row in enumerate(rows):
-        for lead, inv, b, _ in basis:
+
+    @pytest.mark.parametrize("family", STARTS)
+    def test_every_cut_in_any_order(self, family):
+        state = start_rule_state(family)
+        sigmas = enumerate_sigmas(state.n)
+        expected = {sigma: reference_rank(coefficient_matrix(state, sigma)) for sigma in sigmas}
+        shuffled = list(sigmas)
+        random.Random(family).shuffle(shuffled)
+        starts = 0
+        for order in (sigmas, sigmas[::-1], shuffled):
+            copy = fresh(state)
+            for sigma in order:
+                result, calls = steps(coefficient_matrix(copy, sigma))
+                assert result == expected[sigma]
+                starts += isinstance(calls[0], str)
+        assert starts == STARTS[family]
+
+    @pytest.mark.parametrize("family", ["dense dicke", "bell pairs", "product sum"])
+    def test_a_cut_above_the_start_falls_back_to_the_primes(self, family):
+        state = start_rule_state(family)
+        for sigma in enumerate_sigmas(state.n):
+            result, calls = steps(coefficient_matrix(fresh(state), sigma))
+            for start in range(max(result.rank - 2, 0), result.rank):
+                copy = fresh(state)
+                rank_module._scaling(copy).start = start
+                assert steps(coefficient_matrix(copy, sigma)) == (result, [exact_pass(start, EXCEEDED)] + calls)
+
+    @pytest.mark.parametrize("family", ["dense dicke", "bell pairs", "product sum", "graph"])
+    def test_a_cut_below_the_start_closes_at_the_wider_lanes(self, family):
+        state = start_rule_state(family)
+        for sigma in enumerate_sigmas(state.n):
+            cut = coefficient_matrix(state, sigma)
+            expected = reference_rank(cut)
+            for start in {expected.rank + 1, expected.rank + 3, min(cut.rows, cut.cols)} - {expected.rank}:
+                copy = fresh(state)
+                scaled = rank_module._scaling(copy)
+                scaled.start = start
+                assert steps(coefficient_matrix(copy, sigma)) == (expected, [exact_pass(start)])
+                assert scaled.start == expected.rank
+                assert (0, rank_module._span_width(start, scaled.largest())) in scaled._bytes
+
+    def test_a_cut_closed_on_primes_clears_the_start(self):
+        # A rank-4 cut closes on the pass after the first prime, a full-rank
+        # cut then exceeds that start and closes on the first prime, and the
+        # next rank-4 cut starts from the first prime again.
+        state = fresh(start_rule_state("bell pairs"))
+        sigmas = enumerate_sigmas(8)
+        ranks = [reference_rank(coefficient_matrix(state, sigma)).rank for sigma in sigmas]
+        four, full = [sigmas[k] for k, r in enumerate(ranks) if r == 4][:2], sigmas[ranks.index(16)]
+        scaled = rank_module._scaling(state)
+        assert steps(coefficient_matrix(state, four[0]))[1] == plan(0, False, exact_pass(4)) and scaled.start == 4
+        assert steps(coefficient_matrix(state, full))[1] == [exact_pass(4, EXCEEDED)] + plan(0, False)
+        assert scaled.start is None
+        assert steps(coefficient_matrix(state, four[1]))[1] == plan(0, False, exact_pass(4)) and scaled.start == 4
+
+    def test_a_grid_never_reads_a_start(self):
+        state = fresh(start_rule_state("dense dicke"))
+        cuts = [coefficient_matrix(state, sigma) for sigma in enumerate_sigmas(8)[:2]]
+        assert [steps(cut)[1] for cut in cuts] == [plan(0, False, exact_pass(3)), [exact_pass(3)]]
+        grid = [list(row) for row in cuts[1].entries]
+        # The grid's entries are the cut's, yet it is scaled on its own, with no start, on every call.
+        assert steps(grid) == steps(grid) == (exact_rank(cuts[1]), plan(0, False, exact_pass(3)))
+
+    def test_degree_four_never_starts_a_pass(self):
+        ops = [LocalOperator([[I + SQRT2, q], [1, scalar_parse("-1+2i")]]) for q in range(1, 9)]
+        state = apply_local(dicke_state(8, 2), ops)
+        assert rank_module._scaling(state).planes == (0, 1, 2, 3)
+        for sigma in enumerate_sigmas(8):
+            result, calls = steps(coefficient_matrix(state, sigma))
+            assert result.rank == 3 and not any(isinstance(c, str) for c in calls)
+            assert state._scaled.start is None
+
+
+def list_pivots(rows: list[list[int]], m: int) -> list[int]:
+    """Leads of residue rows mod m, in the order they joined: the module docstring's elimination, on lists."""
+    basis: list[tuple[int, int, list[int]]] = []  # (lead column, lead's inverse mod m, row)
+    for row in rows:
+        for lead, inv, b in basis:
             f = row[lead] * inv % m
             if f:
                 row = [(x - f * y) % m for x, y in zip(row, b)]
         for lead, x in enumerate(row):
             if x:
-                basis.append((lead, pow(x, -1, m), row, i))
+                basis.append((lead, pow(x, -1, m), row))
                 break
         if len(basis) == len(row):
             break
-    return [lead for lead, _, _, _ in basis], [i for _, _, _, i in basis]
+    return [lead for lead, _, _ in basis]
 
 
 def pack(rows: list[list[int]], m: int) -> list[int]:
@@ -1052,7 +1223,7 @@ class TestLanes:
         rows[-1] = [(a + 2 * b) % m for a, b in zip(rows[0], rows[1])]
         expected = list_pivots(rows, m)
         assert rank_module._pivots_lanes(pack(rows, m), m, ncols) == expected
-        assert len(expected[0]) < nrows
+        assert len(expected) < nrows
 
     @pytest.mark.parametrize("ncols", [16, 40])
     @pytest.mark.parametrize("m", LANE_MODULI)
@@ -1070,7 +1241,7 @@ class TestLanes:
             echelon.append([0] * lead + [rng.randrange(1, m) for _ in range(ncols - lead)])
             rows.append(echelon[-1])
         # Row 2i is echelon row i, with its lead in lane ncols-1-i; the rows between depend on those before.
-        expected = (list(range(ncols - 1, -1, -1)), list(range(0, 2 * ncols, 2)))
+        expected = list(range(ncols - 1, -1, -1))
         assert list_pivots(rows, m) == expected
         assert rank_module._pivots_lanes(pack(rows, m), m, ncols) == expected
 
