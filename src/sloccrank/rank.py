@@ -167,16 +167,40 @@ L+e+1 for q, so no lane spills into the next and the subtraction of q*p
 borrows across none.  One packed conditional subtraction, testing bit L+1
 of x + 2^(L+1) - p, leaves every lane in [0, p).
 
-``exact_det`` reads the same block: with fewer than n rows or columns it
-has determinant 0, and otherwise it is the whole matrix, whose scaled
-values fraction-free (Bareiss) elimination runs on; the result is divided
-by den^n at the end; the determinant of a state's identity cut is kept on
-the state.  Each step divides its new entries by the previous step's pivot
-q, exactly: by Sylvester's identity every entry after step k is a (k+1) x
-(k+1) minor of the scaled matrix, in Z[i, sqrt2].  It is done on ints:
-``scalar._other_conjugates``, which ``Scalar.inverse`` also reads, gives
-c, the product of q's other conjugates, and the positive int N = q * c,
-and x / q = (x * c) / N, each coordinate of x * c divided exactly by N.
+Determinant.  ``exact_det`` reads the same block: with fewer than n rows
+or columns it has determinant 0, and otherwise it is the whole matrix,
+whose scaled values fraction-free (Bareiss) elimination runs on; the
+result is divided by den^n at the end; the determinant of a state's
+identity cut is kept on the state.  Each row is packed as one int per
+coordinate plane of ``_planes`` (one for Q, two for Q(i), Q(sqrt2) or
+Q(i*sqrt2), four otherwise), column j in lane j, in signed lanes of W
+bytes: a row is sum v_j * 2^(8Wj).  Step k takes the first row whose lane
+0 is nonzero as its pivot row (a swap flips the sign; with none, the
+determinant is 0), p its lane 0.  ``scalar._other_conjugates`` gives c,
+the product of the previous pivot q's other conjugates, and the positive
+int N = q * c (c = N = 1 at step 0).  Every other row, with lane 0 l,
+becomes (p*c * row - l * (c * pivot row)) / N, each product by
+``scalar._product_rule`` on the planes, a small int times a whole row.
+Why the division acts lane by lane: sums and products by ints act on a
+packed int as on a polynomial in 2^(8W), whatever carries pass between
+lanes in between, so the numerator is N * sum m_j * 2^(8Wj), where m_j =
+(p * v_j - l * u_j) * c / N, u the pivot row, is the entry after step k:
+by Sylvester's identity a (k+2) x (k+2) minor of the scaled matrix, in
+Z[i, sqrt2].  Its floor division by N is then exact and leaves m_j in
+lane j.  Lane 0 is p*l - l*p = 0, so the numerator is a multiple of
+2^(8W) and is shifted down one lane first, and the row loses the
+eliminated column.  Lane bound: mu (``coord_bound``) is submultiplicative,
+so an m-minor's coordinates are below m! * E^m, E the state's largest mu
+(``_Scaled.largest()``); a lane holds every m-minor when W is that bound's
+bit length plus a sign bit, in whole bytes (``_span_width(m-1, E)``), and
+then lane 0 reads back as ((x + 2^(8W-1)) mod 2^(8W)) - 2^(8W-1).  Lanes
+start at the width of a 4-minor, the exact pass's at cap 3, so a state
+whose cuts closed on that pass has its rows' bytes packed already.  Before
+a step whose minors would not fit, every lane is widened for m-minors, m
+= (k+2) + (k+2)//4 + 1 (n at most): each row plus 2^(8W-1) in every lane
+has its lane bytes padded, and the wider lanes' bias is taken off.  So a
+lane is never much more than a quarter wider than its step needs, where a
+fixed n-minor width would make every early step carry the last step's.
 
 Every function here takes a ``CoeffMatrix`` or a grid of ints, Fractions
 or scalars.  A grid entry of any other type is a ``TypeError``, and a grid
@@ -193,10 +217,10 @@ import sys
 import threading
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .coeffmatrix import CoeffMatrix, block_slots
-from .scalar import ONE, ZERO, Scalar, _make, _other_conjugates, as_scalar, coord_bound, mix, scaled_coords
+from .scalar import ONE, ZERO, Scalar, _make, _other_conjugates, _product_rule, as_scalar, coord_bound, scaled_coords
 from .states import PureState
 
 # typing.TYPE_CHECKING without importing typing; type checkers take the name as true.
@@ -520,7 +544,7 @@ def _exact_pass(scaled: _Scaled, slots: list[int], ncols: int, cap: int) -> list
 
 
 def _span_width(rank: int, e: int) -> int:
-    """Bytes per lane of the exact pass at cap ``rank``: every lane, signed, holds (rank+1) * rank! * e^(rank+1)."""
+    """Bytes per signed lane holding (rank+1) * rank! * e^(rank+1): the exact pass's at cap ``rank``, ``exact_det``'s for (rank+1)-minors."""
     return ((rank + 1) * math.factorial(rank) * e ** (rank + 1)).bit_length() // 8 + 1
 
 
@@ -615,17 +639,13 @@ def exact_rank(matrix) -> RankResult:
     return RankResult(result.rank, tuple(cols[c] for c in result.pivot_columns))
 
 
-_ZERO4 = (0, 0, 0, 0)
-_ONE4 = (1, 0, 0, 0)
-
-
 def exact_det(matrix) -> Scalar:
-    """Exact determinant by fraction-free (Bareiss) elimination on integer coordinates.
+    """Exact determinant by fraction-free (Bareiss) elimination on packed coordinate planes.
 
     The matrix is read through ``_block``, as ``exact_rank`` reads it, and
-    eliminated by ``_bareiss``.  The determinant of a state's identity cut
-    is kept on the state (``PureState._det``): taken on its first use and
-    read on every later one.
+    eliminated by ``_bareiss`` (the module docstring's "Determinant").  The
+    determinant of a state's identity cut is kept on the state
+    (``PureState._det``): taken on its first use and read on every later one.
     """
     if isinstance(matrix, CoeffMatrix) and matrix.sigma.is_identity:
         state = matrix.state
@@ -638,13 +658,14 @@ def exact_det(matrix) -> Scalar:
 def _bareiss(matrix) -> Scalar:
     """The determinant of ``matrix``, read through ``_block``, by the module docstring's Bareiss elimination.
 
-    Step k takes the first row with a nonzero entry in column k as its pivot
-    row (a swap flips the sign), and the determinant is 0 when there is none.
-    Each entry below it becomes (pivot * a_ij - a_ik * a_kj) / q, q the
-    previous step's pivot, divided exactly as the module docstring says:
-    the product by c, q's other conjugates, is taken once per step, on the
-    pivot row, so each entry costs one ``mix`` and, unless N = 1, four int
-    divisions.  The last entry, over den^n, is the determinant.
+    ``rows`` holds the rows not yet taken as pivots, each as one packed int
+    per plane of ``planes``, the eliminated columns shifted off, so lane 0
+    is column k at step k, in lanes of ``size`` bytes.  ``dots[j]`` is row j
+    of the rule of p*c followed by row j of that of -(c * pivot row), both
+    on the planes: new plane j of a row is its dot product with the row's
+    planes and then their lane 0.  The loop runs to the last step, whose
+    one row's lane 0, times the sign of the swaps and over den^n, is the
+    determinant.
     """
     scaling, slots, _, n, width = _block(matrix)
     if n != width:
@@ -653,36 +674,43 @@ def _bareiss(matrix) -> Scalar:
         return ONE
     if len(slots) < n * n:
         return ZERO
-    den, coords = scaling.den, scaling.coords
-    grid = [[coords[k] for k in slots[i:i + n]] for i in range(0, n * n, n)]
-    sign = 1
-    conj, norm = _ONE4, 1  # the previous pivot's other conjugates and its norm
-    for _ in range(n - 1):
-        # At step k, grid holds rows k..n-1 of the matrix, on columns k..n-1.
-        for i, row in enumerate(grid):
-            if row[0] != _ZERO4:
+    planes, e, gather = scaling.planes, scaling.largest(), _gather(slots)
+    pick = _gather(planes)
+    size = _span_width(min(n, 4) - 1, e)  # lanes for every 4-minor, widened as the minors grow
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")
+    rows = [[x - bias for x in row]
+            for row in zip(*(_packed(gather(scaling.coord_bytes(q, size)), n * size) for q in planes))]
+    sign, conj, norm = 1, (1, 0, 0, 0), 1  # the previous pivot's other conjugates and norm
+    half = 1 << 8 * size - 1
+    mask = 2 * half - 1
+    for k in range(n):
+        for i, row in enumerate(rows):
+            if any(x & mask for x in row):
                 break
         else:
             return ZERO
         if i:
-            grid[0], grid[i] = grid[i], grid[0]
+            rows[0], rows[i] = rows[i], rows[0]
             sign = -sign
-        pivot, *lead = grid[0]
-        scaled = pivot
-        if conj != _ONE4:
-            scaled = mix(pivot, conj, _ZERO4, _ZERO4)
-            lead = [mix(y, conj, _ZERO4, _ZERO4) for y in lead]
-        rows = []
-        for (a, b, c, d), *row in grid[1:]:
-            head = (-a, -b, -c, -d)
-            row = [mix(scaled, x, head, y) for x, y in zip(row, lead)]
-            if norm != 1:
-                row = [(a // norm, b // norm, c // norm, d // norm) for a, b, c, d in row]
-            rows.append(row)
-        grid = rows
+        if _span_width(min(k, n - 2) + 1, e) > size:  # re-lane (the last step reads lane 0 only): pad each biased lane
+            count, wider = n - k, _span_width(min(n - 1, k + 2 + (k + 2) // 4), e)
+            pad, lane = bytes(wider - size), bytes(size - 1) + b"\x80"
+            bias, wide = int.from_bytes(lane * count, "little"), int.from_bytes(pad.join([lane] * count), "little")
+            rows = [[int.from_bytes(pad.join(blob[j:j + size] for j in range(0, count * size, size)), "little") - wide
+                     for blob in [(x + bias).to_bytes(count * size, "little") for x in row]] for row in rows]
+            size = wider
+            half = 1 << 8 * size - 1
+            mask = 2 * half - 1
+        pivot, top = [0] * 4, [0] * 4
+        for q, x in zip(planes, rows[0]):
+            pivot[q], top[q] = (x + half & mask) - half, -x
+        if k == n - 1:
+            return _make(*[sign * x for x in pivot], scaling.den**n)
+        p, t = (_product_rule([sum(map(mul, r, x)) for r in _product_rule(conj)]) for x in (pivot, top))
+        dots = [pick(p[j]) + pick(t[j]) for j in planes]  # P[j] on the row's planes, then T[j] on its lane 0
+        rows = [[(sum(map(mul, dot, x)) >> 8 * size) // norm for dot in dots]
+                for x in [row + [(y + half & mask) - half for y in row] for row in rows[1:]]]
         conj, norm = _other_conjugates(pivot)
-    a, b, c, d = grid[0][0]
-    return _make(a, b, c, d, den**n) if sign == 1 else _make(-a, -b, -c, -d, den**n)
 
 
 def to_complex_array(matrix) -> np.ndarray:

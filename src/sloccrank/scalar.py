@@ -237,18 +237,13 @@ def coord_bound(x: tuple[int, int, int, int]) -> int:
     return abs(a) + abs(b) + 2 * (abs(c) + abs(d))
 
 
-def mix(u, x, v, y) -> tuple[int, int, int, int]:
-    """``u*x + v*y`` on ``(a, b, c, d)`` 4-tuples of Z[i, sqrt2], by the product of ``Scalar.__mul__``."""
+def _product_rule(u) -> tuple:
+    """T with (u*x)_j = sum_k T[j][k] * x_k for x = (a, b, c, d) in Z[i, sqrt2]: the product of ``Scalar.__mul__``.
+
+    Each x_k may be one int or a whole packed plane of them.
+    """
     a, b, c, d = u
-    e, f, g, h = x
-    a2, b2, c2, d2 = v
-    e2, f2, g2, h2 = y
-    return (
-        a * e - b * f + 2 * (c * g - d * h) + a2 * e2 - b2 * f2 + 2 * (c2 * g2 - d2 * h2),
-        a * f + b * e + 2 * (c * h + d * g) + a2 * f2 + b2 * e2 + 2 * (c2 * h2 + d2 * g2),
-        a * g - b * h + c * e - d * f + a2 * g2 - b2 * h2 + c2 * e2 - d2 * f2,
-        a * h + b * g + c * f + d * e + a2 * h2 + b2 * g2 + c2 * f2 + d2 * e2,
-    )
+    return (a, -b, 2 * c, -2 * d), (b, a, 2 * d, 2 * c), (c, -d, a, -b), (d, c, b, a)
 
 
 def _other_conjugates(x: tuple[int, int, int, int]) -> tuple[tuple[int, int, int, int], int]:

@@ -13,16 +13,19 @@ from row-major position to nonzero entry, since a transform drops zero lanes.
 
 Both sides are one transform, ``_transform``, on integer coordinates and
 whole vectors at a time.  The amplitudes and each operator are scaled to
-Z[i, sqrt2] once (``_scaling``, ``_operator``), and the amplitudes are packed
-into four planes, one Python int per coordinate of (1, i, sqrt2, i*sqrt2):
-lane k of a plane holds that coordinate of the k-th entry of the vector as
-a signed value of W bits, the plane being sum v_k * 2^(W*k).  One
-operator's pass over a bit of the lane index is a mode product: every
+Z[i, sqrt2] once (``_scaling``, ``_operator``), and a vector is held as four
+planes, one Python int per coordinate of (1, i, sqrt2, i*sqrt2): lane k of
+a plane holds that coordinate of the k-th entry of the vector as a signed
+value of W bits, the plane being sum v_k * 2^(W*k).  Only the planes of the
+state's field (``_Scaled.planes``) are packed; the others are the int 0.
+One operator's pass over a bit of the lane index is a mode product: every
 plane is split into LO, the lanes whose bit is 0, and HI, their partners,
 shifted down, and the new planes are a*LO + b*HI and (c*LO + d*HI) shifted
-up, each product taken coordinate by coordinate as ``Scalar.__mul__`` takes
-it, a small int times a whole plane.  To split, add BIAS, 2^(W-1) in every
-lane, so that every lane holds v_k + 2^(W-1) in [0, 2^W) and no borrow
+up, each product taken coordinate by coordinate by ``scalar._product_rule``,
+a small int times a whole plane.  A plane that is 0 gives sources that are
+0, and a pass skips them, so a Gaussian vector under Gaussian operators
+never does arithmetic on its sqrt2 planes.  To split, add BIAS, 2^(W-1) in
+every lane, so that every lane holds v_k + 2^(W-1) in [0, 2^W) and no borrow
 crosses a lane; mask the lanes (MASK) and take BIAS & MASK off again.  The
 scales are divided out only when the canonical scalars are made at the end.
 
@@ -76,6 +79,7 @@ from .scalar import (
     ParseError,
     Scalar,
     _make,
+    _product_rule,
     as_scalar,
     coord_bound,
     scalar_format,
@@ -143,17 +147,15 @@ def _operator(op: LocalOperator) -> tuple[int, list[list[tuple[int, int]]], int]
 
     The sources of a pass are LO's four planes and then HI's.  Row j lists
     the (coefficient, source) pairs summed into the low half of new plane j,
-    and row 4 + j those of its high half: the product of ``Scalar.__mul__``,
-    written as int coefficients on the sources, zeros dropped.  ``growth``
+    and row 4 + j those of its high half: row j of ``scalar._product_rule``
+    of each entry, int coefficients on the sources, zeros dropped.  ``growth``
     bounds the factor by which the pass multiplies the largest mu.  The
     operator keeps the triple, so each call after the first is a lookup.
     """
     if op._pass is None:
         e, entries = scaled_coords(op.entries[0] + op.entries[1])
-        # (u*x)_j = sum_i products[j][i] * x_i for u = (a, b, c, d).
-        products = [((a, -b, 2 * c, -2 * d), (b, a, 2 * d, 2 * c), (c, -d, a, -b), (d, c, b, a))
-                    for a, b, c, d in entries]
-        rows = [[(k, s) for s, k in enumerate(products[left][j] + products[left + 1][j]) if k]
+        rules = [_product_rule(u) for u in entries]
+        rows = [[(k, s) for s, k in enumerate(rules[left][j] + rules[left + 1][j]) if k]
                 for left in (0, 2) for j in range(4)]
         mu = [coord_bound(u) for u in entries]
         op._pass = e, rows, max(mu[0] + mu[1], mu[2] + mu[3])
@@ -161,14 +163,18 @@ def _operator(op: LocalOperator) -> tuple[int, list[list[tuple[int, int]]], int]
 
 
 def _mode_product(planes: list[int], rows, bias: int, count: int, width: int, block: int) -> list[int]:
-    """One pass of ``rows``: lanes k and k + block are mixed for every k with k & block == 0."""
+    """One pass of ``rows``: lanes k and k + block are mixed for every k with k & block == 0.
+
+    A plane that is 0 yields sources that are 0, and a source that is 0 is
+    skipped: the pass does no arithmetic on it.
+    """
     mask = int.from_bytes((b"\xff" * (width * block) + bytes(width * block)) * (count // (2 * block)), "little")
     low = bias & mask
     shift = 8 * width * block
-    biased = [plane + bias for plane in planes]
-    sources = [(x & mask) - low for x in biased] + [(x >> shift & mask) - low for x in biased]
+    biased = [plane and plane + bias for plane in planes]  # a zero plane stays 0, and so do its sources
+    sources = [x and (x & mask) - low for x in biased] + [x and (x >> shift & mask) - low for x in biased]
     del biased  # every plane is as wide as the vector: keep as few alive as the pass needs
-    new = [sum(k * sources[s] for k, s in row) for row in rows]
+    new = [sum(k * sources[s] for k, s in row if sources[s]) for row in rows]
     del sources
     return [new[j] + (new[4 + j] << shift) for j in range(4)]
 
@@ -177,9 +183,10 @@ def _transform(state: PureState, passes, positions) -> dict[int, Scalar]:
     """{lane: scalar}: ``state`` under ``passes``, its k-th amplitude placed in lane ``positions[k]``.
 
     The scaled amplitudes are packed into the planes of the module
-    docstring, 2^n lanes of W bits (``width`` bytes) each written as two's
-    complement, so that XOR with BIAS turns a lane into v + 2^(W-1) and
-    taking BIAS off leaves v.  Each ``(block, op)`` of ``passes``, in
+    docstring, those of the state's field only (the others are 0), 2^n
+    lanes of W bits (``width`` bytes) each written as two's complement, so
+    that XOR with BIAS turns a lane into v + 2^(W-1) and taking BIAS off
+    leaves v.  Each ``(block, op)`` of ``passes``, in
     order, then makes ``op``'s pass over the lane-index bit of value
     ``block``, and each operator's scale multiplies the common denominator
     ``den``.  Lane k holds its (a, b, c, d) over ``den``; zero lanes are
@@ -193,13 +200,13 @@ def _transform(state: PureState, passes, positions) -> dict[int, Scalar]:
     count = 1 << state.n
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
     zero = bytes(width)
-    planes = []
-    for j in range(4):
+    planes = [0] * 4  # a plane outside the state's field is 0 in every lane
+    for j in scaled.planes:
         cells = [zero] * count
         for position, x in zip(positions, coords):
             if x[j]:
                 cells[position] = x[j].to_bytes(width, "little", signed=True)
-        planes.append((int.from_bytes(b"".join(cells), "little") ^ bias) - bias)
+        planes[j] = (int.from_bytes(b"".join(cells), "little") ^ bias) - bias
     del cells  # the planes hold them now; at n = 16 they are megabytes the passes need not keep
     for block, (e, rows, _) in passes:
         den *= e

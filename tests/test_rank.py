@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import itertools
 import math
 import os
 import random
@@ -1613,6 +1614,118 @@ class TestDetAgainstReference:
             monkeypatch.setattr(Scalar, name, refuse)
         for matrix, want in cases:
             assert exact_det(matrix) == want
+
+
+def integer_entry(field: str, rng: random.Random, pool: int = 3) -> Scalar:
+    """An element of Z, Z[i], Z[sqrt2], Z[i*sqrt2] or Z[i, sqrt2] with coordinates in [-pool, pool]."""
+    a, b, c, d = (rng.randint(-pool, pool) for _ in range(4))
+    if field == "Q":
+        return Scalar(a)
+    if field == "Q(i)":
+        return Scalar(GaussRational(a, b))
+    if field == "Q(sqrt2)":
+        return Scalar(a, c)
+    if field == "Q(i*sqrt2)":
+        return Scalar(a, GaussRational(0, d))
+    return Scalar(GaussRational(a, b), GaussRational(c, d))
+
+
+def count_steps(monkeypatch) -> list:
+    """The list that gains one item per finished elimination step of ``exact_det`` (one per pivot's conjugates)."""
+    steps, real = [], rank_module._other_conjugates
+    monkeypatch.setattr(rank_module, "_other_conjugates", lambda x: steps.append(1) or real(x))
+    return steps
+
+
+class TestPackedBareiss:
+    """``exact_det`` on packed coordinate planes, at the edges of its lanes, pivots and planes."""
+
+    @pytest.mark.parametrize("field", DET_FIELDS)
+    def test_every_field_at_sizes_one_to_thirty_two(self, field):
+        # Lanes start at the width of a 4-minor; from 5 x 5 on they are widened, several times at 16 to 32.
+        rng = random.Random(f"packed {field}")
+        for n in [*range(1, 13), 16, 24, 32]:
+            want = ZERO
+            while not want:  # a nonzero determinant, so the law is not only 0 = 0
+                grid = [[integer_entry(field, rng) for _ in range(n)] for _ in range(n)]
+                want = reference_det(grid)
+            assert exact_det(grid) == want, (field, n)
+        for n in range(1, 9):
+            grid = field_grid(field, rng, n)  # with fractions, zeros and singular draws
+            assert exact_det(grid) == reference_det(grid), (field, n)
+
+    def test_denominators_as_wide_as_the_frac8_state(self):
+        # The amplitude at index k is (k+1)/(k+2): the common denominator lcm(2, ..., 257) has 371 bits.
+        state = PureState(8, {k: Fraction(k + 1, k + 2) for k in range(256)})
+        cut = coefficient_matrix(state)
+        want = reference_det(cut)
+        assert want and exact_det(cut) == want == exact_det([list(row) for row in cut.entries])
+        # The same denominators on entries of degree 4.
+        units = [scalar_parse(text) for text in ("1", "i", "1+s2", "2-i+(1+i)*s2", "-3i*s2")]
+        grid = [[Scalar(Fraction(k + 1, k + 2)) * units[k % 5] for k in range(i * 10, i * 10 + 10)] for i in range(10)]
+        want = reference_det(grid)
+        assert want and exact_det(grid) == want
+
+    @pytest.mark.parametrize("field", DET_FIELDS)
+    def test_a_singular_block_ends_at_each_column(self, monkeypatch, field):
+        # L * U, L unit lower triangular and U upper triangular with U[k][k] = 0 and its other diagonal
+        # entries nonzero: the leading minors of orders 1..k are not 0, so steps 0..k-1 take their pivots
+        # on the diagonal, and step k finds none (for k = 0, column 0 is 0 and no step runs).
+        rng = random.Random(f"ends {field}")
+        steps = count_steps(monkeypatch)
+        for n in (2, 5, 9):
+            for k in range(n):
+                def entry() -> Scalar:
+                    return integer_entry(field, rng) or Scalar(1)
+
+                lower = [[Scalar(1) if i == j else entry() if j < i else ZERO for j in range(n)] for i in range(n)]
+                upper = [[(ZERO if i == k else entry()) if i == j else entry() if j > i else ZERO
+                          for j in range(n)] for i in range(n)]
+                grid = [[sum((lower[i][t] * upper[t][j] for t in range(n)), ZERO) for j in range(n)] for i in range(n)]
+                steps.clear()
+                assert exact_det(grid) == ZERO == reference_det(grid), (n, k)
+                assert len(steps) == k, (n, k)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7])
+    def test_odd_and_even_swap_counts(self, n):
+        # Rows of an upper triangular grid with diagonal d, permuted by s: det = sign(s) * prod(d).
+        # Every permutation of 2 to 4 rows, and seeded ones of 7, reach both parities.
+        rng = random.Random(n)
+        diagonal = [integer_entry("Q(i)", rng) or Scalar(1) for _ in range(n)]
+        upper = [[diagonal[i] if i == j else integer_entry("Q(i, sqrt2)", rng) if j > i else ZERO
+                  for j in range(n)] for i in range(n)]
+        orders = list(itertools.permutations(range(n))) if n <= 4 else [rng.sample(range(n), n) for _ in range(30)]
+        parities = set()
+        for order in orders:
+            grid = [upper[i] for i in order]
+            inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
+            parities.add(inversions % 2)
+            want = math.prod(diagonal, start=Scalar(1)) * (-1) ** inversions
+            assert exact_det(grid) == reference_det(grid) == want, order
+        assert parities == {0, 1}
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_a_zero_row_or_column_is_zero_without_a_step(self, monkeypatch, n):
+        rng = random.Random(f"zero line {n}")
+        steps = count_steps(monkeypatch)
+        for p in range(n):
+            grid = [[integer_entry("Q(i, sqrt2)", rng) or Scalar(1) for _ in range(n)] for _ in range(n)]
+            for line in (grid[:p] + [[ZERO] * n] + grid[p + 1:], [row[:p] + [ZERO] + row[p + 1:] for row in grid]):
+                assert exact_det(line) == ZERO == reference_det(line)
+        assert not steps
+
+    @pytest.mark.parametrize("bits", range(1, 41))
+    def test_lanes_hold_minors_at_their_bound(self, bits):
+        # Entries of coordinate bound E = 2^bits whose minors reach the bound n! * E^n (n = 2) or come
+        # within a factor 2/3 of it (n = 4), so a lane one byte narrower overflows at every E.
+        e = Scalar(1 << bits)
+        ie = e * I
+        signs = [[1, 1], [1, -1]]
+        h2 = [[e * x for x in row] for row in signs]
+        h4 = [[e * (x * y) for x in a for y in b] for a in signs for b in signs]  # Sylvester's Hadamard matrix
+        gauss = [[e, ie], [ie, e]]
+        for grid, want in ((h2, -2 * e * e), (h4, 16 * e**4), (gauss, 2 * e * e)):
+            assert exact_det(grid) == want == reference_det(grid)
 
 
 class TestNumericRank:

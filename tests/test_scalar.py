@@ -20,9 +20,9 @@ from sloccrank.scalar import (
     Scalar,
     ZERO,
     _other_conjugates,
+    _product_rule,
     as_scalar,
     coord_bound,
-    mix,
     scalar_format,
     scalar_parse,
     scaled_coords,
@@ -280,7 +280,17 @@ def test_scaled_coords_of_random_values():
         assert [from_coords(c) for c in coords] == [x * den for x in values]
 
 
-def test_mix_matches_scalar_products_and_sums():
+def times(u, x):
+    """u * x on (a, b, c, d) 4-tuples, read through ``_product_rule``."""
+    return tuple(sum(k * c for k, c in zip(row, x)) for row in _product_rule(u))
+
+
+def mix(u, x, v, y):
+    """u * x + v * y on 4-tuples, by ``times``."""
+    return tuple(p + q for p, q in zip(times(u, x), times(v, y)))
+
+
+def test_product_rule_matches_scalar_products_and_sums():
     rng = random.Random(1902)
     with_sqrt2 = with_fractions = 0
     for _ in range(300):
@@ -294,6 +304,21 @@ def test_mix_matches_scalar_products_and_sums():
         u, x, v, y = (tuple(rng.randint(-9, 9) for _ in range(4)) for _ in range(4))
         assert from_coords(mix(u, x, v, y)) == from_coords(u) * from_coords(x) + from_coords(v) * from_coords(y)
     assert with_sqrt2 > 250 and with_fractions > 250
+
+
+def test_product_rule_acts_on_packed_planes_lane_by_lane():
+    # Each coordinate of x may be a whole plane: lane j of the k-th plane holds coordinate k of x_j,
+    # and the rule's int coefficients act on every lane at once, as on each x_j alone.
+    rng = random.Random(1904)
+    bits = 64
+    for _ in range(100):
+        u = tuple(rng.randint(-99, 99) for _ in range(4))
+        xs = [tuple(rng.randint(-10**6, 10**6) for _ in range(4)) for _ in range(rng.randint(1, 9))]
+        planes = [sum(x[k] << bits * j for j, x in enumerate(xs)) for k in range(4)]
+        bias = sum(1 << bits * j + bits - 1 for j in range(len(xs)))  # 2^(bits-1) in every lane
+        for j, x in enumerate(xs):
+            lanes = [((plane + bias) >> bits * j & (1 << bits) - 1) - (1 << bits - 1) for plane in times(u, planes)]
+            assert tuple(lanes) == times(u, x)
 
 
 def test_coord_bound_bounds_coordinates_and_conjugates_and_is_submultiplicative():
