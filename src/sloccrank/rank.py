@@ -37,12 +37,15 @@ kept in its own list.  A one-digit prime lies below 2^bits_per_digit
 An 81-bit prime is as wide as 13-base Miller-Rabin proves a prime, and an
 elimination costs about as much at 81 bits as at 62 (a residue is three
 30-bit digits either way).  A one-digit elimination costs a third to two
-fifths as much: ``_pivots_lanes`` on 16 x 16 residues took 64 against
-192 us at full rank and 27 against 69 us at rank 3 (Python 3.11, a
-2-core Xeon).  Per certified bit that is 0.91 against 0.85 us, and packing
-a block's rows adds about 11 us per prime at either size, so an 81-bit
-prime certifies bits a little more cheaply, while a one-digit prime finds
-a rank at a third of the cost.
+fifths as much, so the first prime finds a rank cheaply.  Against a plan
+of one-digit primes only (``_certified_rank`` whole, residues included,
+alternating in one process; Python 3.11, a shared 2-core Xeon), the two
+sizes took 0.82 to 0.84 of the time on 16 x 16 blocks of rank 14 and 15,
+0.78 at degree 4, and within 10% of it on 64 x 64 blocks of rank 60 and
+63.  On a 256 x 256 cut of rank 255 of a 16-qubit state they took 1.08 of
+it (11.6 to 12.5 against 11.1 to 11.3 s), but kept 37 residue sets of the
+state's values against 101 and half the peak RSS growth (183 against
+366 MB).  So both sizes stay.
 
 Prime plan.  Unless the exact pass at the state's start (below) closes
 it, the first elimination of every block is modulo the largest one-digit
@@ -201,6 +204,11 @@ a step whose minors would not fit, every lane is widened for m-minors, m
 has its lane bytes padded, and the wider lanes' bias is taken off.  So a
 lane is never much more than a quarter wider than its step needs, where a
 fixed n-minor width would make every early step carry the last step's.
+``_bareiss`` and ``_exact_pass`` stay two routines because each is the
+faster at its own task: the pass's row order took 2.3 times as long for the
+determinants of 8 x 8 cuts and 2.4 to 12 times on 16 to 64 wide grids,
+column-order Bareiss with a cap 2.3 to 5.5 times as long for ranks of dense
+cuts, and the pass with ``_product_rule`` products 1.3 to 2.5 times.
 
 Every function here takes a ``CoeffMatrix`` or a grid of ints, Fractions
 or scalars.  A grid entry of any other type is a ``TypeError``, and a grid

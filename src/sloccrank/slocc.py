@@ -66,7 +66,6 @@ Each right side of the matrix equation is still its own transform.
 
 from __future__ import annotations
 
-import json
 import random
 from math import prod
 
@@ -76,17 +75,14 @@ from .rank import ShapeError, _scaling, exact_det
 from .scalar import (
     GaussRational,
     ONE,
-    ParseError,
     Scalar,
     _make,
     _product_rule,
     as_scalar,
     coord_bound,
-    scalar_format,
-    scalar_parse,
     scaled_coords,
 )
-from .states import PureState, _read_json
+from .states import PureState
 
 __all__ = [
     "LocalOperator",
@@ -96,10 +92,6 @@ __all__ = [
     "verify_trials",
     "random_invertible_ops",
     "random_local_ops",
-    "operators_to_json",
-    "operators_from_json",
-    "save_operators",
-    "load_operators",
 ]
 
 
@@ -383,49 +375,3 @@ def random_invertible_ops(n: int, seed: int) -> list[LocalOperator]:
         if candidate.is_invertible:
             ops.append(candidate)
     return ops
-
-
-def operators_to_json(ops) -> dict:
-    """Row-major JSON form with entries in the scalar text grammar."""
-    return {
-        "ops": [[[scalar_format(entry) for entry in row] for row in op.entries] for op in ops]
-    }
-
-
-def operators_from_json(payload) -> list[LocalOperator]:
-    if not isinstance(payload, dict) or set(payload) != {"ops"}:
-        raise ValueError("operator payload must be an object with a single 'ops' key")
-    raw = payload["ops"]
-    if not isinstance(raw, list) or not raw:
-        raise ValueError("'ops' must be a nonempty array of 2x2 matrices")
-    ops = []
-    for position, matrix in enumerate(raw):
-        if (
-            not isinstance(matrix, list)
-            or len(matrix) != 2
-            or any(not isinstance(row, list) or len(row) != 2 for row in matrix)
-        ):
-            raise ValueError(f"operator {position}: expected a 2x2 array of strings")
-        entries = []
-        for row in matrix:
-            parsed_row = []
-            for text in row:
-                if not isinstance(text, str):
-                    raise ValueError(f"operator {position}: entries must be strings")
-                try:
-                    parsed_row.append(scalar_parse(text))
-                except ParseError as exc:
-                    raise ValueError(f"operator {position}: bad scalar {text!r}: {exc}") from exc
-            entries.append(tuple(parsed_row))
-        ops.append(LocalOperator(entries))
-    return ops
-
-
-def save_operators(ops, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(operators_to_json(ops), handle, indent=2)
-        handle.write("\n")
-
-
-def load_operators(path) -> list[LocalOperator]:
-    return operators_from_json(_read_json(path, ValueError, "operator file is not valid JSON"))

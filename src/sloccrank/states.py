@@ -211,22 +211,6 @@ def save_state(state: PureState, path) -> None:
         handle.write(f'{{\n  "n": {state.n},\n  "amplitudes": [\n{blocks}\n  ]\n}}\n')
 
 
-def _read_json(path, error, prefix: str):
-    """The JSON value in the file at ``path``.
-
-    A file that does not parse raises ``error`` with the message
-    ``"<prefix>: <reason>"``, the reason being "nested too deeply" when the
-    parser ran out of stack.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            return json.load(handle)
-        except ValueError as exc:  # bad syntax, or an integer over the int-string limit
-            raise error(f"{prefix}: {exc}") from exc
-        except RecursionError as exc:
-            raise error(f"{prefix}: nested too deeply") from exc
-
-
 def load_state(path) -> PureState:
     """Read a state file, validating the schema strictly.
 
@@ -234,7 +218,13 @@ def load_state(path) -> PureState:
     increasing; values must parse in the scalar grammar, and explicit zero
     amplitudes are rejected.
     """
-    payload = _read_json(path, StateFormatError, "not valid JSON")
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            payload = json.load(handle)
+        except ValueError as exc:  # bad syntax, or an integer over the int-string limit
+            raise StateFormatError(f"not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise StateFormatError("not valid JSON: nested too deeply") from exc
     if not isinstance(payload, dict):
         raise StateFormatError("top level must be a JSON object")
     unknown = set(payload) - {"n", "amplitudes"}

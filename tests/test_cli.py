@@ -16,7 +16,7 @@ import sloccrank
 from sloccrank.cli import MAX_REPEATS, entrypoint, main
 from sloccrank.rank import RankResult
 from sloccrank.scalar import scalar_format, scalar_parse
-from sloccrank.slocc import apply_local, operators_to_json, random_invertible_ops
+from sloccrank.slocc import apply_local, random_invertible_ops
 from sloccrank.states import (
     PureState,
     basis_state,
@@ -133,6 +133,13 @@ class TestGenAndRank:
         payload = json.loads(out)
         assert payload["rank"] == 2
         assert payload["numeric"] is True
+
+    def test_rank_numeric_with_tolerance_reports_it(self, capsys, tmp_path):
+        path = str(tmp_path / "g.json")
+        run(capsys, "gen", "--family", "ghz", "--n", "4", "-o", path)
+        code, out, _ = run(capsys, "rank", "--state", path, "--numeric", "--tol", "1e-6")
+        assert code == 0
+        assert out == '{"rank": 2, "sigma": "", "numeric": true, "tol": 1e-06}\n'
 
 
 class TestSignatureAndPermutations:
@@ -281,6 +288,15 @@ class TestDickeScan:
 
 
 class TestErrorPaths:
+    def test_four_qubit_family_at_other_n(self, capsys, tmp_path):
+        path = tmp_path / "f.json"
+        code, out, err = run(capsys, "gen", "--family", "L_a2b2", "--n", "5",
+                             "--a", "1", "--b", "2", "-o", str(path))
+        assert code == 2
+        assert out == ""
+        assert "family L_a2b2 is defined on 4 qubits" in err
+        assert not path.exists()
+
     def test_missing_state_file(self, capsys):
         code, out, err = run(capsys, "rank", "--state", "/nonexistent/state.json")
         assert code == 2
@@ -577,7 +593,8 @@ class TestPinnedStdout:
         amplitudes = _dense6_payload()["amplitudes"]
         state = PureState(6, {a["index"]: scalar_parse(a["value"]) for a in amplitudes})
         ops = random_invertible_ops(6, 5)
-        text = json.dumps(operators_to_json(ops)) + "\n" + ";".join(
+        entries = [[[scalar_format(e) for e in row] for row in op.entries] for op in ops]
+        text = json.dumps({"ops": entries}) + "\n" + ";".join(
             f"{i}:{scalar_format(v)}" for i, v in sorted(apply_local(state, ops).amps.items()))
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == "7af207e68a4e5b28efbd36d58ae20ccd7a03286e71dd9fc06c81e1ec91e554cb"

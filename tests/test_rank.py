@@ -228,6 +228,7 @@ class TestModularEngine:
         assert exact_rank([[ZERO] * 3] * 2) == RankResult(0, ())
         assert exact_rank([]) == RankResult(0, ())
         assert exact_rank([[]]) == RankResult(0, ())
+        assert numeric_rank([]) == numeric_rank([[]]) == 0
 
     @pytest.mark.parametrize("function", [exact_rank, exact_det, numeric_rank, to_complex_array])
     @pytest.mark.parametrize("grid", [[[1], [2, 3]], [[0, 1], [1]], [[1, 2], [3]], [[], [1]]])

@@ -20,12 +20,8 @@ from sloccrank.slocc import (
     _equation_holds,
     _predicted_matrix,
     apply_local,
-    load_operators,
-    operators_from_json,
-    operators_to_json,
     random_invertible_ops,
     random_local_ops,
-    save_operators,
     verify_det_relation,
     verify_matrix_equation,
     verify_trials,
@@ -691,45 +687,3 @@ class TestRankUnderOperators:
                 after = exact_rank(coefficient_matrix(transformed, sigma)).rank
                 assert after <= before
 
-
-class TestOperatorFiles:
-    def test_json_round_trip(self):
-        ops = random_invertible_ops(3, 5)
-        assert operators_from_json(operators_to_json(ops)) == ops
-
-    def test_file_round_trip(self, tmp_path):
-        ops = random_local_ops(4, 9)
-        path = tmp_path / "ops.json"
-        save_operators(ops, path)
-        assert load_operators(path) == ops
-
-    @pytest.mark.parametrize("text, message", [
-        ('{"ops": [[["1", "0"], ["0", ' + "1" * 5000 + ']]]}', "Exceeds the limit"),
-        ("not json", "Expecting value"),
-    ], ids=["over-long-integer", "bad-syntax"])
-    def test_unreadable_file_names_the_file(self, tmp_path, text, message):
-        path = tmp_path / "ops.json"
-        path.write_text(text)
-        with pytest.raises(ValueError, match=f"operator file is not valid JSON: {message}"):
-            load_operators(path)
-
-    def test_deeply_nested_file(self, tmp_path):
-        path = tmp_path / "deep.json"
-        path.write_text("[" * 200_000 + "]" * 200_000)
-        with pytest.raises(ValueError, match="nested too deeply"):
-            load_operators(path)
-
-    @pytest.mark.parametrize(
-        "payload",
-        [
-            {},
-            {"ops": []},
-            {"ops": [[["1", "0"], ["0"]]]},
-            {"ops": [[["1", "0"], ["0", "bad+"]]]},
-            {"ops": [[[1, 0], [0, 1]]]},
-            {"ops": "nope"},
-        ],
-    )
-    def test_malformed_payloads(self, payload):
-        with pytest.raises(ValueError):
-            operators_from_json(payload)

@@ -316,13 +316,38 @@ class TestStateFiles:
     def test_not_json(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("not json at all")
-        with pytest.raises(StateFormatError):
+        with pytest.raises(StateFormatError, match="^not valid JSON: Expecting value"):
             load_state(path)
 
     def test_deeply_nested_json(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 200_000 + "]" * 200_000)
-        with pytest.raises(StateFormatError, match="nested too deeply"):
+        with pytest.raises(StateFormatError, match="^not valid JSON: nested too deeply$"):
+            load_state(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ('[{"n": 2}]', "^top level must be a JSON object$"),
+        ('"n"', "^top level must be a JSON object$"),
+        ('{"n": "4", "amplitudes": []}', "^'n': qubit count must be an int in 1..16, got '4'$"),
+        ('{"n": 17, "amplitudes": []}', "^'n': qubit count must be an int in 1..16, got 17$"),
+        ('{"amplitudes": [{"index": 0, "value": "1"}]}',
+         "^'n': qubit count must be an int in 1..16, got None$"),
+        ('{"n": 2, "amplitudes": [{"index": 0, "value": "1"}, "1"]}',
+         "^amplitude 1: expected an object with index and value$"),
+        ('{"n": 2, "amplitudes": [{"index": 0}]}', "^amplitude 0: expected an object with index and value$"),
+        ('{"n": 2, "amplitudes": [{"index": 0, "value": "1", "x": 0}]}',
+         "^amplitude 0: expected an object with index and value$"),
+        ('{"n": 2, "amplitudes": [{"index": "0", "value": "1"}]}', "^amplitude 0: index must be an integer$"),
+        ('{"n": 2, "amplitudes": [{"index": true, "value": "1"}]}', "^amplitude 0: index must be an integer$"),
+        ('{"n": 2, "amplitudes": [{"index": 1.5, "value": "1"}]}', "^amplitude 0: index must be an integer$"),
+        ('{"n": 2, "amplitudes": [{"index": 0, "value": 1}]}', "^amplitude 0: value must be a string$"),
+        ('{"n": 2, "amplitudes": [{"index": 0, "value": null}]}', "^amplitude 0: value must be a string$"),
+    ], ids=["top-array", "top-string", "n-string", "n-17", "n-missing", "amplitude-string", "amplitude-no-value",
+            "amplitude-extra-key", "index-string", "index-bool", "index-float", "value-int", "value-null"])
+    def test_every_schema_rejection_names_its_cause(self, tmp_path, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(StateFormatError, match=message):
             load_state(path)
 
     @pytest.mark.parametrize("state", [
